@@ -19,7 +19,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import kernels
 from .errors import NumericalError, ShapeError, TapeError
 
 
@@ -103,7 +102,7 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
 
 
 def _node(data, parents: tuple[Tensor, ...], backward, op: str) -> Tensor:
-    # numba kernels and np.dot return bare scalars for 0-d results
+    # np.dot and 0-d reductions return bare numpy scalars
     data = np.asarray(data, dtype=np.float64)
     _check_finite(data, op)
     out = Tensor.__new__(Tensor)
@@ -314,28 +313,29 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    data = kernels.relu_forward(a.data)
+    data = np.maximum(a.data, 0.0)
 
     def backward(out):
-        _accum(a, kernels.relu_backward(out.grad, a.data))
+        _accum(a, np.where(a.data > 0.0, out.grad, 0.0))
 
     return _node(data, (a,), backward, "relu")
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    data = kernels.sigmoid_forward(a.data)
+    # tanh form never overflows, unlike 1/(1+exp(-x)) for large negative x
+    data = 0.5 * (1.0 + np.tanh(0.5 * a.data))
 
     def backward(out):
-        _accum(a, kernels.sigmoid_backward(out.grad, data))
+        _accum(a, out.grad * data * (1.0 - data))
 
     return _node(data, (a,), backward, "sigmoid")
 
 
 def tanh(a: Tensor) -> Tensor:
-    data = kernels.tanh_forward(a.data)
+    data = np.tanh(a.data)
 
     def backward(out):
-        _accum(a, kernels.tanh_backward(out.grad, data))
+        _accum(a, out.grad * (1.0 - data * data))
 
     return _node(data, (a,), backward, "tanh")
 
@@ -362,37 +362,22 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    if a.ndim == 1:
-        if axis not in (0, -1):
-            raise ShapeError("softmax axis out of range for 1-D input")
-        s = kernels.softmax_rows(a.data.reshape(1, -1))[0]
+    """Softmax along one axis; axis 0 of a matrix runs on its transpose,
+    so every reduction walks contiguous memory."""
+    last = a.ndim > 0 and axis in (-1, a.ndim - 1)
+    if not (last or (a.ndim == 2 and axis == 0)):
+        raise ShapeError(f"softmax axis {axis} out of range for {a.shape}")
+    x = a.data if last else np.ascontiguousarray(a.data.T)
+    # subtracting the max keeps exp from overflowing
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    s = e / e.sum(axis=-1, keepdims=True)
 
-        def backward(out):
-            g2 = kernels.softmax_rows_backward(
-                out.grad.reshape(1, -1), s.reshape(1, -1)
-            )
-            _accum(a, g2[0])
+    def backward(out):
+        g = out.grad if last else np.ascontiguousarray(out.grad.T)
+        dx = s * (g - (g * s).sum(axis=-1, keepdims=True))
+        _accum(a, dx if last else dx.T)
 
-        return _node(s, (a,), backward, "softmax")
-    if axis in (1, -1):
-        s = kernels.softmax_rows(a.data)
-
-        def backward(out):
-            _accum(a, kernels.softmax_rows_backward(out.grad, s))
-
-        return _node(s, (a,), backward, "softmax")
-    if axis == 0:
-        s = kernels.softmax_rows(np.ascontiguousarray(a.data.T)).T.copy()
-
-        def backward(out):
-            g = kernels.softmax_rows_backward(
-                np.ascontiguousarray(out.grad.T),
-                np.ascontiguousarray(s.T),
-            )
-            _accum(a, g.T)
-
-        return _node(s, (a,), backward, "softmax")
-    raise ShapeError(f"softmax axis {axis} out of range")
+    return _node(s if last else s.T.copy(), (a,), backward, "softmax")
 
 
 def dropout(a: Tensor, rate: float, training: bool,
@@ -410,10 +395,10 @@ def dropout(a: Tensor, rate: float, training: bool,
     keep = 1.0 - rate
     mask = (rng.random(a.data.shape) >= rate).astype(np.float64)
     scale = 1.0 / keep
-    data = kernels.scale_mask(a.data, mask, scale)
+    data = a.data * mask * scale
 
     def backward(out):
-        _accum(a, kernels.scale_mask(out.grad, mask, scale))
+        _accum(a, out.grad * mask * scale)
 
     return _node(data, (a,), backward, "dropout")
 

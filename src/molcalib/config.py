@@ -186,7 +186,6 @@ class ExperimentConfig:
                 "graph_dim": self.model.graph_dim,
                 "input_dim": self.model.input_dim,
                 "dropout_rate": self.model.dropout_rate,
-                "mc_samples": self.model.mc_samples,
             },
             "loss": self.loss.to_dict(),
             "optimizer": self.optimizer.to_dict(),
@@ -291,7 +290,6 @@ def resolve_config(raw: dict) -> ExperimentConfig:
         input_dim=_scalar(md, "model", "input_dim", defaults.input_dim, int),
         dropout_rate=_scalar(md, "model", "dropout_rate",
                              defaults.dropout_rate, float),
-        mc_samples=inference.mc_samples,  # one source of truth
     )
     _reject_leftovers(md, "model")
 

@@ -1,8 +1,10 @@
-"""Reliability and screening metrics over prediction records.
+"""Reliability and screening metrics over prediction arrays.
 
-A record is one scored example: the predicted positive-class probability,
-the thresholded label, and the ground truth.  Everything here is plain
-numpy; nothing touches the autodiff tape.
+Every metric takes three equal-length arrays: the predicted
+positive-class probabilities ``p_hat``, the thresholded labels ``y_pred``
+and the ground truth ``y_true``.  Index i of the three is one scored
+example, a record.  Everything here is plain numpy; nothing touches the
+autodiff tape.
 
 Calibration uses M equal-width probability bins where bin m covers
 (m/M, (m+1)/M] and the first bin additionally includes 0.  Expected
@@ -18,48 +20,28 @@ prevalence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateError
-from .model import threshold_label
 
 LN2 = math.log(2.0)
 
 DEFAULT_K_GRID: tuple[float, ...] = (1, 2, 5, 10, 20, 50, 100)
 
 
-@dataclass(frozen=True)
-class PredictionRecord:
-    p_hat: float
-    y_pred: int
-    y_true: int
-
-
-def records_from_arrays(p_hat, y_pred, y_true) -> list[PredictionRecord]:
+def _arrays(p_hat, y_pred, y_true) -> tuple[np.ndarray, np.ndarray,
+                                             np.ndarray]:
+    """Validate the three metric inputs and return them as numpy arrays."""
     p = np.asarray(p_hat, dtype=np.float64)
     yp = np.asarray(y_pred, dtype=np.int64)
     yt = np.asarray(y_true, dtype=np.int64)
     if not (p.shape == yp.shape == yt.shape):
-        raise ValueError("record arrays must share one shape")
-    return [PredictionRecord(float(a), int(b), int(c))
-            for a, b, c in zip(p, yp, yt)]
-
-
-def records_from_probs(p_hat, y_true,
-                       threshold: float = 0.5) -> list[PredictionRecord]:
-    """Threshold probabilities (strictly greater) and pair with truth."""
-    p = np.asarray(p_hat, dtype=np.float64)
-    return records_from_arrays(
-        p, [threshold_label(v, threshold) for v in p], y_true)
-
-
-def _arrays(records) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    p = np.array([r.p_hat for r in records], dtype=np.float64)
-    yp = np.array([r.y_pred for r in records], dtype=np.int64)
-    yt = np.array([r.y_true for r in records], dtype=np.int64)
-    if p.size and (p.min() < 0.0 or p.max() > 1.0):
+        raise ValueError(
+            f"metric arrays must share one shape, got {p.shape}, "
+            f"{yp.shape} and {yt.shape}")
+    if not np.all((p >= 0.0) & (p <= 1.0)):  # NaN fails too
         raise ValueError("probabilities must lie in [0, 1]")
     return p, yp, yt
 
@@ -91,10 +73,11 @@ class CalibrationBin:
     defined: bool
 
 
-def bin_predictions(records, num_bins: int = 10) -> list[CalibrationBin]:
+def bin_predictions(p_hat, y_pred, y_true,
+                    num_bins: int = 10) -> list[CalibrationBin]:
     if num_bins < 1:
         raise ValueError("need at least one bin")
-    p, yp, yt = _arrays(records)
+    p, yp, yt = _arrays(p_hat, y_pred, y_true)
     edges = np.linspace(0.0, 1.0, num_bins + 1)
     # side="left" puts values sitting on an edge into the bin below it;
     # clipping pulls p = 0 into the first (closed) bin
@@ -114,13 +97,14 @@ def bin_predictions(records, num_bins: int = 10) -> list[CalibrationBin]:
     return bins
 
 
-def ece(records, num_bins: int = 10) -> float:
+def ece(p_hat, y_pred, y_true, num_bins: int = 10) -> float:
     """Expected calibration error; empty bins contribute nothing."""
-    n = len(records)
+    p, yp, yt = _arrays(p_hat, y_pred, y_true)
+    n = p.size
     if n == 0:
         raise DegenerateError("calibration error of zero records")
     total = 0.0
-    for b in bin_predictions(records, num_bins):
+    for b in bin_predictions(p, yp, yt, num_bins):
         if b.defined:
             total += (b.count / n) * abs(b.accuracy - b.confidence)
     return total
@@ -144,9 +128,9 @@ class ClassificationMetrics:
     f1_defined: bool
 
 
-def classification_metrics(records) -> ClassificationMetrics:
+def classification_metrics(p_hat, y_pred, y_true) -> ClassificationMetrics:
     """Confusion-matrix metrics; undefined ratios carry 0.0 and a flag."""
-    _, yp, yt = _arrays(records)
+    _, yp, yt = _arrays(p_hat, y_pred, y_true)
     if yp.size == 0:
         raise DegenerateError("classification metrics of zero records")
     tp = int(np.sum((yp == 1) & (yt == 1)))
@@ -164,12 +148,12 @@ def classification_metrics(records) -> ClassificationMetrics:
                                  tp, fp, tn, fn, p_def, r_def, f_def)
 
 
-def auroc(records) -> float:
+def auroc(p_hat, y_pred, y_true) -> float:
     """Mann-Whitney AUROC with ties counted half.
 
     Raises :class:`DegenerateError` when only one class is present.
     """
-    p, _, yt = _arrays(records)
+    p, _, yt = _arrays(p_hat, y_pred, y_true)
     n_pos = int(np.sum(yt == 1))
     n_neg = int(np.sum(yt == 0))
     if n_pos == 0 or n_neg == 0:
@@ -213,19 +197,22 @@ def fixed_histogram(values, upper: float, num_bins: int = 20) -> Histogram:
     return Histogram(edges=edges, counts=counts)
 
 
-def entropy_histogram(records, num_bins: int = 20) -> Histogram:
-    p, _, _ = _arrays(records)
+def entropy_histogram(p_hat, y_pred, y_true,
+                      num_bins: int = 20) -> Histogram:
+    p, _, _ = _arrays(p_hat, y_pred, y_true)
     return fixed_histogram(entropy(p), LN2, num_bins)
 
 
-def output_histogram(records, num_bins: int = 20) -> Histogram:
-    p, _, _ = _arrays(records)
+def output_histogram(p_hat, y_pred, y_true,
+                     num_bins: int = 20) -> Histogram:
+    p, _, _ = _arrays(p_hat, y_pred, y_true)
     return fixed_histogram(p, 1.0, num_bins)
 
 
-def outcome_histograms(records, num_bins: int = 20) -> dict[str, Histogram]:
+def outcome_histograms(p_hat, y_pred, y_true,
+                       num_bins: int = 20) -> dict[str, Histogram]:
     """Output histograms split by confusion outcome (tp / fp / tn / fn)."""
-    p, yp, yt = _arrays(records)
+    p, yp, yt = _arrays(p_hat, y_pred, y_true)
     masks = {
         "tp": (yp == 1) & (yt == 1),
         "fp": (yp == 1) & (yt == 0),
@@ -246,8 +233,9 @@ class ScreeningPoint:
     success_rate: float
 
 
-def screening_curve(records, k_grid=DEFAULT_K_GRID) -> list[ScreeningPoint]:
-    p, _, yt = _arrays(records)
+def screening_curve(p_hat, y_pred, y_true,
+                    k_grid=DEFAULT_K_GRID) -> list[ScreeningPoint]:
+    p, _, yt = _arrays(p_hat, y_pred, y_true)
     n = p.size
     if n == 0:
         raise DegenerateError("screening curve of zero records")
@@ -310,31 +298,32 @@ class ReliabilityReport:
         }
 
 
-def build_report(records, num_bins: int = 10, k_grid=DEFAULT_K_GRID,
+def build_report(p_hat, y_pred, y_true, num_bins: int = 10,
+                 k_grid=DEFAULT_K_GRID,
                  histogram_bins: int = 20) -> ReliabilityReport:
-    """Assemble every evaluation artifact from one record list.
+    """Assemble every evaluation artifact from one set of arrays.
 
-    Single-class record sets leave AUROC unset (flagged) instead of
+    Single-class inputs leave AUROC unset (flagged) instead of
     propagating :class:`DegenerateError`, so end-of-run reporting cannot
     fall over on a pathological split.
     """
-    if len(records) == 0:
+    p, yp, yt = _arrays(p_hat, y_pred, y_true)
+    if p.size == 0:
         raise DegenerateError("report of zero records")
-    _, _, yt = _arrays(records)
     try:
-        roc, roc_defined = auroc(records), True
+        roc, roc_defined = auroc(p, yp, yt), True
     except DegenerateError:
         roc, roc_defined = 0.0, False
     return ReliabilityReport(
-        num_records=len(records),
+        num_records=p.size,
         prevalence=float(np.mean(yt == 1)),
-        bins=bin_predictions(records, num_bins),
-        ece=ece(records, num_bins),
-        metrics=classification_metrics(records),
+        bins=bin_predictions(p, yp, yt, num_bins),
+        ece=ece(p, yp, yt, num_bins),
+        metrics=classification_metrics(p, yp, yt),
         auroc=roc,
         auroc_defined=roc_defined,
-        entropy_hist=entropy_histogram(records, histogram_bins),
-        output_hist=output_histogram(records, histogram_bins),
-        outcome_hists=outcome_histograms(records, histogram_bins),
-        screening=screening_curve(records, k_grid),
+        entropy_hist=entropy_histogram(p, yp, yt, histogram_bins),
+        output_hist=output_histogram(p, yp, yt, histogram_bins),
+        outcome_hists=outcome_histograms(p, yp, yt, histogram_bins),
+        screening=screening_curve(p, yp, yt, k_grid),
     )

@@ -37,7 +37,6 @@ class ModelConfig:
     graph_dim: int = 256
     input_dim: int = DEFAULT_SCHEMA.width
     dropout_rate: float = 0.0
-    mc_samples: int = 30
 
     def __post_init__(self) -> None:
         if self.node_embedding not in ("gcn", "gat"):
@@ -45,7 +44,7 @@ class ModelConfig:
         if self.readout not in ("sum", "attn"):
             raise ConfigError(f"unknown readout {self.readout!r}")
         if min(self.num_layers, self.hidden_dim, self.graph_dim,
-               self.input_dim, self.mc_samples) < 1:
+               self.input_dim) < 1:
             raise ConfigError("model dimensions must be positive")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ConfigError(f"dropout rate {self.dropout_rate} not in [0, 1)")
@@ -180,7 +179,7 @@ class GnnModel:
         return self.forward(graph, training=False).item()
 
     def predict_mc_dropout(
-        self, graph: MolecularGraph, samples: int | None = None,
+        self, graph: MolecularGraph, samples: int,
         rng: np.random.Generator | None = None,
     ) -> tuple[float, np.ndarray]:
         """Mean of `samples` train-mode forward passes, plus the passes.
@@ -189,16 +188,15 @@ class GnnModel:
         mean is returned as that exact value (an arithmetic mean of T
         identical floats need not round-trip for T not a power of two).
         """
-        t = samples if samples is not None else self.config.mc_samples
-        if t < 1:
+        if samples < 1:
             raise ConfigError("mc samples must be >= 1")
         if self.config.dropout_rate == 0.0:
             det = self.predict_proba(graph)
-            return det, np.full(t, det)
+            return det, np.full(samples, det)
         if rng is None:
             rng = np.random.default_rng(0)
-        draws = np.empty(t)
-        for i in range(t):
+        draws = np.empty(samples)
+        for i in range(samples):
             draws[i] = self.forward(graph, training=True, rng=rng).item()
         return float(draws.mean()), draws
 
@@ -226,6 +224,8 @@ def load_checkpoint(path: str) -> GnnModel:
             payload = json.load(fh)
         except json.JSONDecodeError as err:
             raise SchemaError(f"checkpoint is not valid JSON: {err}") from err
+    if not isinstance(payload, dict):
+        raise SchemaError("checkpoint is not a JSON object")
     for key in ("format_version", "config", "params"):
         if key not in payload:
             raise SchemaError(f"checkpoint missing {key!r}")
@@ -233,11 +233,23 @@ def load_checkpoint(path: str) -> GnnModel:
         raise SchemaError(
             f"unsupported checkpoint version {payload['format_version']}"
         )
-    model = GnnModel(ModelConfig(**payload["config"]))
-    if set(payload["params"]) != set(model.params):
+    config, params = payload["config"], payload["params"]
+    if not isinstance(config, dict) or not isinstance(params, dict):
+        raise SchemaError("checkpoint config and params must be mappings")
+    # older checkpoints store the MC sample count, now an inference setting
+    config = {k: v for k, v in config.items() if k != "mc_samples"}
+    try:
+        model = GnnModel(ModelConfig(**config))
+    except (TypeError, ConfigError) as err:
+        raise SchemaError(f"checkpoint config is invalid: {err}") from err
+    if set(params) != set(model.params):
         raise SchemaError("checkpoint parameters do not match the config")
-    for name, values in payload["params"].items():
-        arr = np.asarray(values, dtype=np.float64)
+    for name, values in params.items():
+        try:
+            arr = np.asarray(values, dtype=np.float64)
+        except (TypeError, ValueError) as err:
+            raise SchemaError(
+                f"checkpoint parameter {name!r} is not numeric") from err
         if arr.shape != model.params[name].data.shape:
             raise SchemaError(f"checkpoint parameter {name!r} has wrong shape")
         model.params[name].data = arr

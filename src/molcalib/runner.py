@@ -30,13 +30,8 @@ from .config import ExperimentConfig, manifest_fingerprint
 from .data import load_dataset, split_dataset
 from .errors import NumericalError
 from .featurize import MolecularGraph
-from .kernels import BACKEND
 from .losses import LossConfig, l2_penalty
-from .metrics import (
-    ReliabilityReport,
-    build_report,
-    records_from_probs,
-)
+from .metrics import ReliabilityReport, build_report
 from .model import GnnModel, save_checkpoint, threshold_label
 from .optim import AdamW, StepDecaySchedule
 
@@ -48,7 +43,6 @@ def _build_stamp() -> dict:
         "package_version": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "kernel_backend": BACKEND,
     }
 
 
@@ -163,10 +157,9 @@ def evaluate_model(model: GnnModel, graphs, config: ExperimentConfig,
                    seed: int) -> tuple[ReliabilityReport, np.ndarray]:
     probs = predict_probabilities(model, graphs, config.inference.mode,
                                   config.inference.mc_samples, seed)
-    labels = [g.label for g in graphs]
-    records = records_from_probs(probs, labels,
-                                 config.evaluation.threshold)
-    report = build_report(records,
+    y_pred = (probs > config.evaluation.threshold).astype(np.int64)
+    y_true = [g.label for g in graphs]
+    report = build_report(probs, y_pred, y_true,
                           num_bins=config.evaluation.num_bins,
                           k_grid=config.evaluation.k_grid)
     return report, probs

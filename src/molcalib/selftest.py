@@ -16,7 +16,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .featurize import MolecularGraph
-from .kernels import BACKEND, NUMBA_KERNELS, NUMPY_KERNELS
 from .losses import (
     bce_loss,
     entropy_regularized_loss,
@@ -26,7 +25,7 @@ from .losses import (
     ls_kl_residual,
     weighted_focal_loss,
 )
-from .metrics import PredictionRecord, auroc, ece, screening_curve
+from .metrics import auroc, ece, screening_curve
 from .model import (
     GnnModel,
     ModelConfig,
@@ -43,22 +42,6 @@ def _random_graph(rng, nodes=6, width=10):
     a = np.maximum(a, a.T)
     np.fill_diagonal(a, 1.0)
     return MolecularGraph(node_features=x, adjacency=a, label=1)
-
-
-def check_kernel_backends():
-    """Jitted kernels agree with their numpy twins to the last ulp."""
-    if NUMBA_KERNELS is None:
-        return "numba unavailable, numpy backend only"
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=(40, 30))
-    for name in ("relu_forward", "sigmoid_forward", "tanh_forward",
-                 "softmax_rows"):
-        a = NUMPY_KERNELS[name](x)
-        b = NUMBA_KERNELS[name](x)
-        # transcendental kernels may differ by one ulp across libm builds
-        assert np.allclose(a, b, rtol=0.0, atol=1e-15), \
-            f"{name} backend mismatch"
-    return f"active backend {BACKEND}"
 
 
 def check_gradients_finite_difference():
@@ -122,35 +105,35 @@ def check_loss_identities():
 def check_metric_oracles():
     """Vectorized metrics equal loop-based recomputation at 1e-12."""
     rng = np.random.default_rng(3)
-    records = []
+    rows = []  # (p_hat, y_pred, y_true)
     for _ in range(200):
         p = round(float(rng.random()), 1)  # coarse grid forces ties
-        y_true = int(rng.random() < 0.4)
-        records.append(PredictionRecord(p, int(p > 0.5), y_true))
+        rows.append((p, int(p > 0.5), int(rng.random() < 0.4)))
+    arrays = [np.array(column) for column in zip(*rows)]
 
-    n = len(records)
+    n = len(rows)
     width = 0.1
     slow_ece = 0.0
     for m in range(10):
         lo, hi = m * width, (m + 1) * width
-        members = [r for r in records
-                   if (lo < r.p_hat <= hi) or (m == 0 and r.p_hat == 0.0)]
+        members = [r for r in rows
+                   if (lo < r[0] <= hi) or (m == 0 and r[0] == 0.0)]
         if members:
-            acc = sum(r.y_pred == r.y_true for r in members) / len(members)
-            conf = sum(r.p_hat for r in members) / len(members)
+            acc = sum(yp == yt for _, yp, yt in members) / len(members)
+            conf = sum(p for p, _, _ in members) / len(members)
             slow_ece += len(members) / n * abs(acc - conf)
-    assert abs(ece(records, 10) - slow_ece) <= 1e-12
+    assert abs(ece(*arrays, 10) - slow_ece) <= 1e-12
 
-    pos = [r.p_hat for r in records if r.y_true == 1]
-    neg = [r.p_hat for r in records if r.y_true == 0]
+    pos = [p for p, _, yt in rows if yt == 1]
+    neg = [p for p, _, yt in rows if yt == 0]
     wins = sum(1.0 if a > b else 0.5 if a == b else 0.0
                for a in pos for b in neg)
-    assert abs(auroc(records) - wins / (len(pos) * len(neg))) <= 1e-12
+    assert abs(auroc(*arrays) - wins / (len(pos) * len(neg))) <= 1e-12
 
-    ranked = sorted(range(n), key=lambda i: -records[i].p_hat)
-    for point in screening_curve(records, (10, 50, 100)):
+    ranked = sorted(range(n), key=lambda i: -rows[i][0])
+    for point in screening_curve(*arrays, (10, 50, 100)):
         taken = math.ceil(n * point.k_percent / 100.0)
-        hits = sum(records[i].y_true for i in ranked[:taken])
+        hits = sum(rows[i][2] for i in ranked[:taken])
         assert point.screened == taken
         assert abs(point.success_rate - hits / taken) <= 1e-12
 
@@ -227,7 +210,6 @@ def check_decay_decoupling():
 
 
 CHECKS = [
-    ("kernel backend parity", check_kernel_backends),
     ("finite-difference gradients", check_gradients_finite_difference),
     ("loss identities", check_loss_identities),
     ("metric oracles", check_metric_oracles),

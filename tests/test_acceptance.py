@@ -25,7 +25,7 @@ from molcalib.config import load_raw, resolve_config
 from molcalib.errors import SmilesError
 from molcalib.featurize import MolecularGraph, permute_graph
 from molcalib.losses import LossConfig
-from molcalib.metrics import DEFAULT_K_GRID, PredictionRecord
+from molcalib.metrics import DEFAULT_K_GRID
 from molcalib.model import GnnModel, ModelConfig, attn_pool
 from molcalib.runner import run_ablation, train_run
 from molcalib.smiles import parse_smiles
@@ -37,6 +37,7 @@ from test_metrics import (
     oracle_ece,
     oracle_screening,
     random_records,
+    records,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -214,16 +215,24 @@ def test_loss_identities_and_residuals(announce):
 # -- gate 3: metrics vs brute-force oracles --------------------------
 
 
-def oracle_confusion(records):
-    tp = sum(1 for r in records if r.y_pred == 1 and r.y_true == 1)
-    fp = sum(1 for r in records if r.y_pred == 1 and r.y_true == 0)
-    tn = sum(1 for r in records if r.y_pred == 0 and r.y_true == 0)
-    fn = sum(1 for r in records if r.y_pred == 0 and r.y_true == 1)
-    acc = (tp + tn) / len(records)
+def oracle_confusion(recs):
+    pairs = list(zip(recs[1], recs[2]))  # (y_pred, y_true)
+    tp = sum(1 for pair in pairs if pair == (1, 1))
+    fp = sum(1 for pair in pairs if pair == (1, 0))
+    tn = sum(1 for pair in pairs if pair == (0, 0))
+    fn = sum(1 for pair in pairs if pair == (0, 1))
+    acc = (tp + tn) / len(pairs)
     prec = tp / (tp + fp) if tp + fp else 0.0
     rec = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * prec * rec / (prec + rec) if prec + rec else 0.0
     return acc, prec, rec, f1
+
+
+def pinned_classes(recs, p_positive, p_negative):
+    """Append a true positive and a true negative with the given scores."""
+    p, y_pred, y_true = recs
+    return (np.append(p, [p_positive, p_negative]),
+            np.append(y_pred, [1, 0]), np.append(y_true, [1, 0]))
 
 
 def test_metrics_match_independent_oracles(announce):
@@ -234,11 +243,10 @@ def test_metrics_match_independent_oracles(announce):
     for trial in range(1000):
         recs = random_records(rng, int(rng.integers(3, 50)))
         # pin one of each class so ranking metrics stay defined
-        recs.append(PredictionRecord(float(rng.random()), 1, 1))
-        recs.append(PredictionRecord(float(rng.random()), 0, 0))
+        recs = pinned_classes(recs, rng.random(), rng.random())
         num_bins = int(rng.choice([5, 10, 20]))
 
-        got_bins = metrics.bin_predictions(recs, num_bins)
+        got_bins = metrics.bin_predictions(*recs, num_bins)
         for got, want in zip(got_bins, oracle_bins(recs, num_bins)):
             count, acc, conf, defined = want
             if (got.count != count or got.defined != defined
@@ -246,16 +254,17 @@ def test_metrics_match_independent_oracles(announce):
                     or abs(got.confidence - conf) > tol):
                 problems.append(f"trial {trial}: bin mismatch")
                 break
-        if abs(metrics.ece(recs, num_bins) - oracle_ece(recs, num_bins)) > tol:
+        if abs(metrics.ece(*recs, num_bins)
+               - oracle_ece(recs, num_bins)) > tol:
             problems.append(f"trial {trial}: ece mismatch")
-        if abs(metrics.auroc(recs) - oracle_auroc(recs)) > tol:
+        if abs(metrics.auroc(*recs) - oracle_auroc(recs)) > tol:
             problems.append(f"trial {trial}: auroc mismatch")
-        cm = metrics.classification_metrics(recs)
+        cm = metrics.classification_metrics(*recs)
         acc, prec, rec, f1 = oracle_confusion(recs)
         if (abs(cm.accuracy - acc) > tol or abs(cm.precision - prec) > tol
                 or abs(cm.recall - rec) > tol or abs(cm.f1 - f1) > tol):
             problems.append(f"trial {trial}: confusion metrics mismatch")
-        for point in metrics.screening_curve(recs, DEFAULT_K_GRID):
+        for point in metrics.screening_curve(*recs, DEFAULT_K_GRID):
             taken, rate = oracle_screening(recs, point.k_percent)
             if point.screened != taken or abs(point.success_rate - rate) > tol:
                 problems.append(f"trial {trial}: screening mismatch")
@@ -264,21 +273,16 @@ def test_metrics_match_independent_oracles(announce):
             break
 
     # hand-built perfectly calibrated set: per-bin accuracy == confidence
-    calibrated = []
-    for tenth in range(5, 11):
-        conf = tenth / 10.0
-        for i in range(10):
-            calibrated.append(PredictionRecord(conf, 1, int(i < tenth)))
-    cal_ece = metrics.ece(calibrated, 10)
+    calibrated = records([(tenth / 10.0, 1, int(i < tenth))
+                          for tenth in range(5, 11) for i in range(10)])
+    cal_ece = metrics.ece(*calibrated, 10)
     if not cal_ece < 1e-12:
         problems.append(f"calibrated construction has ece {cal_ece:.2e}")
 
     # screening the whole library must hand back the prevalence, exactly
-    recs = random_records(rng, 257)
-    recs.append(PredictionRecord(0.9, 1, 1))
-    recs.append(PredictionRecord(0.2, 0, 0))
-    full = metrics.screening_curve(recs, (100.0,))[0]
-    prevalence = sum(r.y_true for r in recs) / len(recs)
+    recs = pinned_classes(random_records(rng, 257), 0.9, 0.2)
+    full = metrics.screening_curve(*recs, (100.0,))[0]
+    prevalence = sum(recs[2].tolist()) / len(recs[2])
     if full.success_rate != prevalence:
         problems.append("success rate at the full library != prevalence")
 
@@ -492,15 +496,12 @@ class TestGateHarness:
         assert config.training.epochs > 0
         assert len(config.training.seeds) >= 1
 
-    def test_smoke_gate_patching_trains_on_stand_in(self, tmp_path):
+    def test_smoke_gate_patching_trains_on_stand_in(self, tmp_path,
+                                                     toy_csv):
         # same load/patch/train wiring as the bace smoke gate, with the
         # dataset swapped for the planted-rule toy and tiny dimensions
-        from conftest import write_toy_dataset
-
-        toy = tmp_path / "toy.csv"
-        write_toy_dataset(toy)
         raw = load_raw(str(REPO_ROOT / "configs" / "bace.yaml"))
-        raw["dataset"]["path"] = str(toy)
+        raw["dataset"]["path"] = str(toy_csv)
         raw["dataset"]["smiles_column"] = "smiles"
         raw["dataset"]["label_column"] = "label"
         raw["model"].update(num_layers=2, hidden_dim=6, graph_dim=4)

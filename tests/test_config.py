@@ -53,11 +53,14 @@ class TestResolution:
         assert resolve_config(raw).loss.l2_coefficient == pytest.approx(5e-4)
 
     def test_mc_samples_flow_into_model(self):
+        # the inference section is the one place MC scoring reads it from
         raw = dict(MINIMAL, inference={"mode": "mc_dropout",
                                        "mc_samples": 12})
         cfg = resolve_config(raw)
-        assert cfg.model.mc_samples == 12
         assert cfg.inference.mc_samples == 12
+        assert "mc_samples" not in cfg.to_dict()["model"]
+        with pytest.raises(ConfigError):
+            resolve_config(dict(MINIMAL, model={"mc_samples": 12}))
 
     def test_to_dict_records_every_default(self):
         d = resolve_config(MINIMAL).to_dict()

@@ -5,6 +5,7 @@ import csv
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from molcalib import cli
 from molcalib.config import manifest_fingerprint, resolve_config
 from molcalib.data import load_dataset
 from molcalib.errors import NumericalError
+from molcalib.model import GnnModel, ModelConfig, save_checkpoint
 from molcalib.runner import (
     ablation_variants,
     evaluate_model,
@@ -138,6 +140,15 @@ class TestInferenceModes:
                                            config, seed=0)
         np.testing.assert_array_equal(probs_a, probs_b)
         assert report_a.to_dict() == report_b.to_dict()
+
+    def test_evaluate_thresholds_strictly(self, toy_raw_config):
+        scores = iter([0.4, 0.5, 0.6])
+        model = SimpleNamespace(predict_proba=lambda graph: next(scores))
+        graphs = [SimpleNamespace(label=y) for y in (0, 1, 1)]
+        report, _ = evaluate_model(model, graphs,
+                                   small_config(toy_raw_config), seed=0)
+        m = report.metrics  # 0.5 at threshold 0.5 is a negative call
+        assert (m.tp, m.fp, m.tn, m.fn) == (1, 0, 1, 1)
 
 
 class TestAblation:
@@ -272,6 +283,48 @@ class TestCli:
         with open(tmp_path / "eval" / "reports"
                   / "calibration_curve.csv") as fh:
             assert len(list(csv.DictReader(fh))) == 5
+
+    def write_checkpoint(self, tmp_path, edit):
+        path = tmp_path / "checkpoint.json"
+        cfg = ModelConfig(num_layers=2, hidden_dim=8, graph_dim=6)
+        save_checkpoint(GnnModel(cfg), str(path))
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        return path
+
+    def evaluate(self, config, checkpoint):
+        return cli.main(["evaluate", "--config", str(config),
+                         "--checkpoint", str(checkpoint)])
+
+    def test_evaluate_loads_legacy_checkpoint(self, toy_raw_config,
+                                              tmp_path):
+        # older checkpoints keep the MC sample count in the model config
+        ck = self.write_checkpoint(
+            tmp_path, lambda p: p["config"].update(mc_samples=30))
+        cfg = self.write_config(tmp_path, toy_raw_config)
+        assert self.evaluate(cfg, ck) == 0
+
+    def test_checkpoint_unknown_config_key_is_data_error(
+            self, toy_raw_config, tmp_path, capsys):
+        ck = self.write_checkpoint(
+            tmp_path, lambda p: p["config"].update(depth=3))
+        cfg = self.write_config(tmp_path, toy_raw_config)
+        assert self.evaluate(cfg, ck) == 2
+        assert "checkpoint config is invalid" in capsys.readouterr().err
+
+    def test_checkpoint_non_numeric_parameter_is_data_error(
+            self, toy_raw_config, tmp_path, capsys):
+        ck = self.write_checkpoint(
+            tmp_path, lambda p: p["params"].update(b_clf="zero"))
+        cfg = self.write_config(tmp_path, toy_raw_config)
+        assert self.evaluate(cfg, ck) == 2
+        assert "'b_clf' is not numeric" in capsys.readouterr().err
+
+    def test_selftest_passes(self, capsys):
+        assert cli.main(["selftest"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "[SELFTEST] 8/8 checks passed"
 
     def test_parse_check_reports_failures(self, tmp_path, capsys):
         path = tmp_path / "mols.csv"

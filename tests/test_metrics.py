@@ -1,7 +1,9 @@
 """Reliability metric tests against independent brute-force oracles.
 
-The oracles below recompute every quantity with per-record loops and
-interval arithmetic, sharing no code with the library implementation:
+Every metric takes the arrays (p_hat, y_pred, y_true); index i of the
+three is one record.  The oracles below recompute every quantity with
+per-record loops and interval arithmetic, sharing no code with the
+library implementation:
 binning walks records one by one against (lower, upper] intervals, AUROC
 counts all positive/negative pairs in O(n^2), screening re-sorts with
 python's stable sort.  Agreement is required to 1e-12 across seeded
@@ -17,7 +19,6 @@ from molcalib.errors import DegenerateError
 from molcalib.metrics import (
     DEFAULT_K_GRID,
     LN2,
-    PredictionRecord,
     auroc,
     bin_predictions,
     build_report,
@@ -28,57 +29,69 @@ from molcalib.metrics import (
     fixed_histogram,
     outcome_histograms,
     output_histogram,
-    records_from_probs,
     screening_curve,
 )
 
 TOL = 1e-12
 
 
+def records(triples):
+    """The metric arrays (p_hat, y_pred, y_true) from per-record triples."""
+    p, y_pred, y_true = zip(*triples)
+    return (np.array(p, dtype=np.float64), np.array(y_pred, dtype=np.int64),
+            np.array(y_true, dtype=np.int64))
+
+
 def random_records(rng, n, p_pred_agree=0.7):
-    recs = []
+    triples = []
     for _ in range(n):
         p = float(rng.random())
         y_true = int(rng.random() < 0.4)
         y_pred = int(p > 0.5)
         if rng.random() > p_pred_agree:
             y_pred = 1 - y_pred
-        recs.append(PredictionRecord(p, y_pred, y_true))
-    return recs
+        triples.append((p, y_pred, y_true))
+    return records(triples)
+
+
+def quantized(recs, decimals=1):
+    """Round the probabilities to force plenty of exact ties."""
+    p, y_pred, y_true = recs
+    return np.round(p, decimals), y_pred, y_true
 
 
 # -- oracles ---------------------------------------------------------
 
 
-def oracle_bins(records, num_bins):
+def oracle_bins(recs, num_bins):
     """Brute-force interval membership: bin m is (m/M, (m+1)/M], with 0
     folded into bin 0."""
     width = 1.0 / num_bins
     out = []
     for m in range(num_bins):
         lo, hi = m * width, (m + 1) * width
-        members = [r for r in records
-                   if (lo < r.p_hat <= hi) or (m == 0 and r.p_hat == 0.0)]
+        members = [(p, yp, yt) for p, yp, yt in zip(*recs)
+                   if (lo < p <= hi) or (m == 0 and p == 0.0)]
         if members:
-            acc = sum(r.y_pred == r.y_true for r in members) / len(members)
-            conf = sum(r.p_hat for r in members) / len(members)
+            acc = sum(yp == yt for _, yp, yt in members) / len(members)
+            conf = sum(p for p, _, _ in members) / len(members)
             out.append((len(members), acc, conf, True))
         else:
             out.append((0, 0.0, 0.0, False))
     return out
 
 
-def oracle_ece(records, num_bins):
-    n = len(records)
+def oracle_ece(recs, num_bins):
+    n = len(recs[0])
     return sum((count / n) * abs(acc - conf)
-               for count, acc, conf, defined in oracle_bins(records, num_bins)
+               for count, acc, conf, defined in oracle_bins(recs, num_bins)
                if defined)
 
 
-def oracle_auroc(records):
+def oracle_auroc(recs):
     """All positive/negative pairs; ties worth one half."""
-    pos = [r.p_hat for r in records if r.y_true == 1]
-    neg = [r.p_hat for r in records if r.y_true == 0]
+    pos = [p for p, _, yt in zip(*recs) if yt == 1]
+    neg = [p for p, _, yt in zip(*recs) if yt == 0]
     total = 0.0
     for pp in pos:
         for pn in neg:
@@ -89,11 +102,11 @@ def oracle_auroc(records):
     return total / (len(pos) * len(neg))
 
 
-def oracle_screening(records, k):
-    ranked = sorted(range(len(records)),
-                    key=lambda i: -records[i].p_hat)  # python sort is stable
-    taken = math.ceil(len(records) * k / 100.0)
-    hits = sum(records[i].y_true for i in ranked[:taken])
+def oracle_screening(recs, k):
+    p, _, y_true = recs
+    ranked = sorted(range(len(p)), key=lambda i: -p[i])  # stable sort
+    taken = math.ceil(len(p) * k / 100.0)
+    hits = sum(y_true[i] for i in ranked[:taken])
     return taken, hits / taken
 
 
@@ -130,16 +143,16 @@ class TestEntropy:
 
 class TestBinning:
     def test_edge_values_fall_into_lower_bin(self):
-        recs = [PredictionRecord(p, 1, 1) for p in (0.0, 0.1, 0.2, 1.0)]
-        bins = bin_predictions(recs, 10)
+        recs = records([(p, 1, 1) for p in (0.0, 0.1, 0.2, 1.0)])
+        bins = bin_predictions(*recs, 10)
         counts = [b.count for b in bins]
         # 0.0 joins the closed first bin; 0.1 and 0.2 sit on edges and
         # belong to the bin below; 1.0 tops out the last bin
         assert counts == [2, 1, 0, 0, 0, 0, 0, 0, 0, 1]
 
     def test_empty_bins_flagged(self):
-        recs = [PredictionRecord(0.95, 1, 1)]
-        bins = bin_predictions(recs, 10)
+        recs = records([(0.95, 1, 1)])
+        bins = bin_predictions(*recs, 10)
         assert bins[0].defined is False
         assert bins[0].count == 0
         assert bins[0].accuracy == 0.0
@@ -150,7 +163,7 @@ class TestBinning:
     def test_matches_oracle(self, num_bins, seed):
         rng = np.random.default_rng(seed)
         recs = random_records(rng, 400)
-        got = bin_predictions(recs, num_bins)
+        got = bin_predictions(*recs, num_bins)
         want = oracle_bins(recs, num_bins)
         for g, (count, acc, conf, defined) in zip(got, want):
             assert g.count == count
@@ -160,7 +173,9 @@ class TestBinning:
 
     def test_rejects_out_of_range_probability(self):
         with pytest.raises(ValueError):
-            bin_predictions([PredictionRecord(1.5, 1, 1)], 10)
+            bin_predictions(*records([(1.5, 1, 1)]), 10)
+        with pytest.raises(ValueError):
+            bin_predictions(*records([(float("nan"), 1, 1)]), 10)
 
 
 class TestEce:
@@ -168,25 +183,25 @@ class TestEce:
     def test_matches_oracle(self, seed):
         rng = np.random.default_rng(seed)
         recs = random_records(rng, 1000)
-        assert ece(recs, 10) == pytest.approx(oracle_ece(recs, 10), abs=TOL)
+        assert ece(*recs, 10) == pytest.approx(oracle_ece(recs, 10), abs=TOL)
 
     def test_perfectly_calibrated_is_zero(self):
         # each bin's mean confidence equals its accuracy by construction,
         # with binary-exact probabilities so the subtraction is exact
-        recs = []
+        triples = []
         for conf, group in [(0.75, 4), (0.25, 4), (0.875, 8)]:
             correct = round(conf * group)
             for i in range(group):
-                recs.append(PredictionRecord(conf, 1, int(i < correct)))
-        assert ece(recs, 10) < TOL
+                triples.append((conf, 1, int(i < correct)))
+        assert ece(*records(triples), 10) < TOL
 
     def test_maximally_miscalibrated(self):
-        recs = [PredictionRecord(1.0, 1, 0) for _ in range(10)]
-        assert ece(recs, 10) == pytest.approx(1.0, abs=TOL)
+        recs = records([(1.0, 1, 0)] * 10)
+        assert ece(*recs, 10) == pytest.approx(1.0, abs=TOL)
 
     def test_zero_records_degenerate(self):
         with pytest.raises(DegenerateError):
-            ece([], 10)
+            ece([], [], [], 10)
 
 
 # -- classification metrics ------------------------------------------
@@ -194,13 +209,13 @@ class TestEce:
 
 class TestClassificationMetrics:
     def test_hand_confusion(self):
-        recs = (
-            [PredictionRecord(0.9, 1, 1)] * 6    # tp
-            + [PredictionRecord(0.8, 1, 0)] * 2  # fp
-            + [PredictionRecord(0.2, 0, 0)] * 9  # tn
-            + [PredictionRecord(0.1, 0, 1)] * 3  # fn
+        recs = records(
+            [(0.9, 1, 1)] * 6    # tp
+            + [(0.8, 1, 0)] * 2  # fp
+            + [(0.2, 0, 0)] * 9  # tn
+            + [(0.1, 0, 1)] * 3  # fn
         )
-        m = classification_metrics(recs)
+        m = classification_metrics(*recs)
         assert (m.tp, m.fp, m.tn, m.fn) == (6, 2, 9, 3)
         assert m.accuracy == pytest.approx(15 / 20, abs=TOL)
         assert m.precision == pytest.approx(6 / 8, abs=TOL)
@@ -210,20 +225,20 @@ class TestClassificationMetrics:
         assert m.precision_defined and m.recall_defined and m.f1_defined
 
     def test_no_positive_predictions(self):
-        recs = [PredictionRecord(0.1, 0, 1), PredictionRecord(0.2, 0, 0)]
-        m = classification_metrics(recs)
+        recs = records([(0.1, 0, 1), (0.2, 0, 0)])
+        m = classification_metrics(*recs)
         assert m.precision == 0.0 and not m.precision_defined
         assert m.recall == 0.0 and m.recall_defined
         assert m.f1 == 0.0 and not m.f1_defined
 
     def test_no_true_positives_in_truth(self):
-        recs = [PredictionRecord(0.9, 1, 0), PredictionRecord(0.1, 0, 0)]
-        m = classification_metrics(recs)
+        recs = records([(0.9, 1, 0), (0.1, 0, 0)])
+        m = classification_metrics(*recs)
         assert not m.recall_defined
 
     def test_zero_records_degenerate(self):
         with pytest.raises(DegenerateError):
-            classification_metrics([])
+            classification_metrics([], [], [])
 
 
 # -- AUROC -----------------------------------------------------------
@@ -231,42 +246,35 @@ class TestClassificationMetrics:
 
 class TestAuroc:
     def test_perfect_separation(self):
-        recs = ([PredictionRecord(0.9, 1, 1)] * 3
-                + [PredictionRecord(0.1, 0, 0)] * 3)
-        assert auroc(recs) == pytest.approx(1.0, abs=TOL)
+        recs = records([(0.9, 1, 1)] * 3 + [(0.1, 0, 0)] * 3)
+        assert auroc(*recs) == pytest.approx(1.0, abs=TOL)
 
     def test_inverted_separation(self):
-        recs = ([PredictionRecord(0.1, 0, 1)] * 3
-                + [PredictionRecord(0.9, 1, 0)] * 3)
-        assert auroc(recs) == pytest.approx(0.0, abs=TOL)
+        recs = records([(0.1, 0, 1)] * 3 + [(0.9, 1, 0)] * 3)
+        assert auroc(*recs) == pytest.approx(0.0, abs=TOL)
 
     def test_all_tied_is_half(self):
-        recs = ([PredictionRecord(0.5, 0, 1)] * 4
-                + [PredictionRecord(0.5, 0, 0)] * 6)
-        assert auroc(recs) == pytest.approx(0.5, abs=TOL)
+        recs = records([(0.5, 0, 1)] * 4 + [(0.5, 0, 0)] * 6)
+        assert auroc(*recs) == pytest.approx(0.5, abs=TOL)
 
     @pytest.mark.parametrize("seed", [0, 5, 11, 19])
     def test_matches_pair_counting_oracle(self, seed):
         rng = np.random.default_rng(seed)
-        recs = random_records(rng, 300)
-        # quantize to force plenty of exact ties
-        recs = [PredictionRecord(round(r.p_hat, 1), r.y_pred, r.y_true)
-                for r in recs]
-        assert auroc(recs) == pytest.approx(oracle_auroc(recs), abs=TOL)
+        recs = quantized(random_records(rng, 300))
+        assert auroc(*recs) == pytest.approx(oracle_auroc(recs), abs=TOL)
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(13)
         recs = random_records(rng, 200)
-        base = auroc(recs)
-        cubed = [PredictionRecord(r.p_hat ** 3, r.y_pred, r.y_true)
-                 for r in recs]
-        assert auroc(cubed) == pytest.approx(base, abs=TOL)
+        base = auroc(*recs)
+        p, y_pred, y_true = recs
+        assert auroc(p ** 3, y_pred, y_true) == pytest.approx(base, abs=TOL)
 
     def test_single_class_degenerate(self):
         with pytest.raises(DegenerateError):
-            auroc([PredictionRecord(0.5, 1, 1), PredictionRecord(0.4, 0, 1)])
+            auroc(*records([(0.5, 1, 1), (0.4, 0, 1)]))
         with pytest.raises(DegenerateError):
-            auroc([PredictionRecord(0.5, 1, 0), PredictionRecord(0.4, 0, 0)])
+            auroc(*records([(0.5, 1, 0), (0.4, 0, 0)]))
 
 
 # -- histograms ------------------------------------------------------
@@ -289,8 +297,8 @@ class TestHistograms:
         assert h.counts[-1] == 1 and h.total == 1
 
     def test_entropy_histogram_range(self):
-        recs = [PredictionRecord(p, 0, 0) for p in (0.0, 0.5, 1.0)]
-        h = entropy_histogram(recs, 20)
+        recs = records([(p, 0, 0) for p in (0.0, 0.5, 1.0)])
+        h = entropy_histogram(*recs, 20)
         assert h.counts[0] == 2   # both endpoint entropies are zero
         assert h.counts[-1] == 1  # maximal entropy at one half
         assert h.edges[-1] == pytest.approx(LN2, abs=TOL)
@@ -298,15 +306,15 @@ class TestHistograms:
     def test_output_histogram_total(self):
         rng = np.random.default_rng(2)
         recs = random_records(rng, 137)
-        assert output_histogram(recs, 20).total == 137
+        assert output_histogram(*recs, 20).total == 137
 
     def test_outcome_histograms_partition_records(self):
         rng = np.random.default_rng(4)
         recs = random_records(rng, 250)
-        split = outcome_histograms(recs, 20)
+        split = outcome_histograms(*recs, 20)
         assert set(split) == {"tp", "fp", "tn", "fn"}
         assert sum(h.total for h in split.values()) == 250
-        m = classification_metrics(recs)
+        m = classification_metrics(*recs)
         assert split["tp"].total == m.tp
         assert split["fn"].total == m.fn
 
@@ -316,9 +324,9 @@ class TestHistograms:
 
 class TestScreening:
     def test_hand_curve(self):
-        recs = [PredictionRecord(p, int(p > 0.5), y)
-                for p, y in [(0.9, 1), (0.8, 0), (0.7, 1), (0.6, 0)]]
-        points = screening_curve(recs, (25, 50, 100))
+        recs = records([(p, int(p > 0.5), y)
+                        for p, y in [(0.9, 1), (0.8, 0), (0.7, 1), (0.6, 0)]])
+        points = screening_curve(*recs, (25, 50, 100))
         assert [s.screened for s in points] == [1, 2, 4]
         assert points[0].success_rate == pytest.approx(1.0, abs=TOL)
         assert points[1].success_rate == pytest.approx(0.5, abs=TOL)
@@ -327,40 +335,37 @@ class TestScreening:
     def test_full_depth_equals_prevalence_exactly(self):
         rng = np.random.default_rng(8)
         recs = random_records(rng, 731)
-        prevalence = sum(r.y_true for r in recs) / len(recs)
-        (point,) = screening_curve(recs, (100,))
-        assert point.screened == len(recs)
+        prevalence = sum(recs[2].tolist()) / 731
+        (point,) = screening_curve(*recs, (100,))
+        assert point.screened == 731
         assert point.success_rate == prevalence
 
     def test_ceiling_takes_at_least_one(self):
-        recs = [PredictionRecord(0.9, 1, 1)] + [
-            PredictionRecord(0.1, 0, 0) for _ in range(99)]
-        (point,) = screening_curve(recs, (0.5,))
+        recs = records([(0.9, 1, 1)] + [(0.1, 0, 0)] * 99)
+        (point,) = screening_curve(*recs, (0.5,))
         assert point.screened == 1
         assert point.success_rate == pytest.approx(1.0, abs=TOL)
 
     @pytest.mark.parametrize("seed", [0, 3, 9])
     def test_matches_stable_sort_oracle(self, seed):
         rng = np.random.default_rng(seed)
-        recs = random_records(rng, 500)
         # quantized scores create ties that only a stable order resolves
-        recs = [PredictionRecord(round(r.p_hat, 1), r.y_pred, r.y_true)
-                for r in recs]
-        for point in screening_curve(recs, DEFAULT_K_GRID):
+        recs = quantized(random_records(rng, 500))
+        for point in screening_curve(*recs, DEFAULT_K_GRID):
             taken, rate = oracle_screening(recs, point.k_percent)
             assert point.screened == taken
             assert point.success_rate == pytest.approx(rate, abs=TOL)
 
     def test_rejects_bad_percentages(self):
-        recs = [PredictionRecord(0.5, 1, 1)]
+        recs = records([(0.5, 1, 1)])
         with pytest.raises(ValueError):
-            screening_curve(recs, (0.0,))
+            screening_curve(*recs, (0.0,))
         with pytest.raises(ValueError):
-            screening_curve(recs, (101.0,))
+            screening_curve(*recs, (101.0,))
 
     def test_zero_records_degenerate(self):
         with pytest.raises(DegenerateError):
-            screening_curve([], (10,))
+            screening_curve([], [], [], (10,))
 
 
 # -- bundled report --------------------------------------------------
@@ -370,19 +375,19 @@ class TestReport:
     def test_report_fields_agree_with_parts(self):
         rng = np.random.default_rng(17)
         recs = random_records(rng, 600)
-        rep = build_report(recs, num_bins=10)
+        rep = build_report(*recs, num_bins=10)
         assert rep.num_records == 600
-        assert rep.ece == pytest.approx(ece(recs, 10), abs=TOL)
-        assert rep.auroc == pytest.approx(auroc(recs), abs=TOL)
+        assert rep.ece == pytest.approx(ece(*recs, 10), abs=TOL)
+        assert rep.auroc == pytest.approx(auroc(*recs), abs=TOL)
         assert rep.auroc_defined
-        assert rep.metrics == classification_metrics(recs)
+        assert rep.metrics == classification_metrics(*recs)
         assert rep.prevalence == pytest.approx(
-            sum(r.y_true for r in recs) / 600, abs=TOL)
+            sum(recs[2].tolist()) / 600, abs=TOL)
         assert len(rep.screening) == len(DEFAULT_K_GRID)
 
     def test_single_class_report_flags_auroc(self):
-        recs = [PredictionRecord(0.8, 1, 1), PredictionRecord(0.6, 1, 1)]
-        rep = build_report(recs)
+        recs = records([(0.8, 1, 1), (0.6, 1, 1)])
+        rep = build_report(*recs)
         assert not rep.auroc_defined
         assert rep.to_dict()["auroc"] is None
 
@@ -391,19 +396,19 @@ class TestReport:
 
         rng = np.random.default_rng(23)
         recs = random_records(rng, 50)
-        blob = json.dumps(build_report(recs).to_dict())
+        blob = json.dumps(build_report(*recs).to_dict())
         assert "calibration_bins" in blob
 
     def test_empty_report_degenerate(self):
         with pytest.raises(DegenerateError):
-            build_report([])
+            build_report([], [], [])
 
 
 class TestRecordConstruction:
-    def test_records_from_probs_thresholds_strictly(self):
-        recs = records_from_probs([0.4, 0.5, 0.6], [0, 1, 1], threshold=0.5)
-        assert [r.y_pred for r in recs] == [0, 0, 1]
+    """Records arrive as three arrays that every metric checks."""
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            records_from_probs([0.4, 0.5], [0])
+            build_report([0.4, 0.5], [0, 0], [0])
+        with pytest.raises(ValueError):
+            ece([0.4, 0.5], [0], [0, 1])

@@ -169,11 +169,11 @@ class TestInvariances:
 
 class TestMcDropout:
     def test_zero_rate_is_exactly_deterministic(self):
-        cfg = ModelConfig(dropout_rate=0.0, mc_samples=30, **SMALL)
+        cfg = ModelConfig(dropout_rate=0.0, **SMALL)
         model = GnnModel(cfg, seed=2)
         g = random_graph(np.random.default_rng(1), 6, cfg.input_dim)
         det = model.predict_proba(g)
-        mean, draws = model.predict_mc_dropout(g)
+        mean, draws = model.predict_mc_dropout(g, 30)
         assert mean == det
         assert draws.shape == (30,)
         assert np.all(draws == det)
@@ -199,7 +199,7 @@ class TestMcDropout:
         np.testing.assert_array_equal(a, b)
 
     def test_sample_count_override(self):
-        cfg = ModelConfig(dropout_rate=0.2, mc_samples=30, **SMALL)
+        cfg = ModelConfig(dropout_rate=0.2, **SMALL)
         model = GnnModel(cfg, seed=2)
         g = random_graph(np.random.default_rng(1), 5, cfg.input_dim)
         _, draws = model.predict_mc_dropout(g, samples=7,
@@ -236,9 +236,13 @@ class TestCheckpoints:
 
     def test_corrupt_json(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(SchemaError):
-            load_checkpoint(str(path))
+        for text in ("{not json", "[1, 2]",
+                     '{"format_version": 1, "config": [], "params": {}}',
+                     '{"format_version": 1, "config": {"readout": "max"},'
+                     ' "params": {}}'):
+            path.write_text(text)
+            with pytest.raises(SchemaError):
+                load_checkpoint(str(path))
 
     def test_wrong_version(self, tmp_path):
         cfg = ModelConfig(**SMALL)
