@@ -1,85 +1,47 @@
-"""Numpy and numba kernel variants must agree bit-for-bit on the same input."""
+"""Elementwise kernel semantics of the autodiff ops.
+
+relu, sigmoid, softmax and dropout each have one numpy body inside
+``molcalib.autodiff``; these cases pin their values, forward and backward.
+"""
 
 import numpy as np
-import pytest
 
-from molcalib import kernels
-
-
-needs_numba = pytest.mark.skipif(
-    kernels.NUMBA_KERNELS is None, reason="numba not installed"
-)
-
-RNG = np.random.default_rng(11)
-CASES_2D = [RNG.standard_normal((n, d)) * s
-            for (n, d, s) in [(1, 1, 1.0), (5, 7, 3.0), (32, 64, 0.5)]]
-CASES_1D = [RNG.standard_normal(n) for n in (1, 9, 64)]
-
-
-@needs_numba
-class TestBackendParity:
-    @pytest.mark.parametrize("name", sorted(kernels.NUMPY_KERNELS))
-    def test_twins_agree(self, name):
-        np_fn = kernels.NUMPY_KERNELS[name]
-        nb_fn = kernels.NUMBA_KERNELS[name]
-        for x in CASES_2D + CASES_1D:
-            if name == "softmax_rows":
-                if x.ndim != 2:
-                    continue
-                a, b = np_fn(x), nb_fn(x)
-            elif name == "softmax_rows_backward":
-                if x.ndim != 2:
-                    continue
-                s = kernels.NUMPY_KERNELS["softmax_rows"](x)
-                a, b = np_fn(x, s), nb_fn(x, s)
-            elif name == "scale_mask":
-                mask = (RNG.random(x.shape) > 0.4).astype(np.float64)
-                a, b = np_fn(x, mask, 2.5), nb_fn(x, mask, 2.5)
-            elif name.endswith("backward"):
-                g = RNG.standard_normal(x.shape)
-                other = kernels.NUMPY_KERNELS[name.replace("backward", "forward")](x)
-                ref = x if name == "relu_backward" else other
-                a, b = np_fn(g, ref), nb_fn(g, ref)
-            else:
-                a, b = np_fn(x), nb_fn(x)
-            np.testing.assert_allclose(a, b, rtol=0, atol=1e-15)
+from molcalib import autodiff as ad
 
 
 class TestKernelSemantics:
     def test_relu(self):
-        x = np.array([-2.0, 0.0, 3.5])
-        np.testing.assert_array_equal(kernels.relu_forward(x), [0.0, 0.0, 3.5])
-        g = np.ones(3)
-        np.testing.assert_array_equal(
-            kernels.relu_backward(g, x), [0.0, 0.0, 1.0]
-        )
+        x = ad.Tensor([-2.0, 0.0, 3.5], requires_grad=True)
+        out = ad.relu(x)
+        np.testing.assert_array_equal(out.data, [0.0, 0.0, 3.5])
+        # gradient passes only where the input is strictly positive
+        ad.backward(out.sum())
+        np.testing.assert_array_equal(x.grad, [0.0, 0.0, 1.0])
 
     def test_sigmoid_range_and_midpoint(self):
-        s = kernels.sigmoid_forward(np.array([0.0, 30.0, -30.0]))
+        s = ad.sigmoid(ad.Tensor([0.0, 30.0, -30.0])).data
         assert s[0] == 0.5
         assert 0.0 < s[2] < s[1] < 1.0
 
     def test_softmax_rows_sum_to_one(self):
         x = np.random.default_rng(3).standard_normal((6, 11)) * 10
-        s = kernels.softmax_rows(x)
+        s = ad.softmax(ad.Tensor(x), axis=1).data
         np.testing.assert_allclose(s.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(s > 0)
 
     def test_softmax_overflow_guard(self):
-        s = kernels.softmax_rows(np.array([[1000.0, 1000.0, 999.0]]))
+        # the row max is subtracted first, so large logits cannot overflow
+        s = ad.softmax(ad.Tensor([[1000.0, 1000.0, 999.0]]), axis=1).data
         assert np.all(np.isfinite(s))
+        np.testing.assert_allclose(s.sum(axis=1), 1.0, atol=1e-12)
 
     def test_scale_mask(self):
-        x = np.array([1.0, 2.0, 3.0])
-        mask = np.array([1.0, 0.0, 1.0])
-        np.testing.assert_array_equal(
-            kernels.scale_mask(x, mask, 2.0), [2.0, 0.0, 6.0]
-        )
-
-    def test_backend_flag_is_consistent(self):
-        assert kernels.BACKEND in ("numpy", "numba")
-        if kernels.NUMBA_KERNELS is None:
-            assert kernels.BACKEND == "numpy"
-
-    def test_warm_up_runs(self):
-        kernels.warm_up()
+        # kept entries scale by 1/(1 - rate), forward and backward alike
+        rng = np.random.default_rng(0)
+        x = ad.Tensor([1.0, 2.0, 3.0, 4.0], requires_grad=True)
+        out = ad.dropout(x, 0.5, True, rng)
+        kept = out.data != 0.0
+        np.testing.assert_array_equal(out.data,
+                                      np.where(kept, 2.0 * x.data, 0.0))
+        ad.backward(out.sum())
+        np.testing.assert_array_equal(x.grad, np.where(kept, 2.0, 0.0))
