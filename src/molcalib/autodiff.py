@@ -10,11 +10,20 @@ Every forward result is checked for NaN/Inf and raises
 :class:`NumericalError` on the spot, which keeps diverging training runs
 from producing silent garbage.  Shape violations raise :class:`ShapeError`;
 asking for gradients of a value no recorded op produced raises
-:class:`TapeError`.
+:class:`TapeError`.  Inside a :func:`no_grad` scope ops compute values
+only and record nothing, so inference keeps no tape alive.
+
+Packed graphs: a batch of graphs is one disjoint union whose node rows
+are stacked.  :class:`Segments` names each graph's row range and
+:class:`Neighbors` lists each row's neighbours; the segment and neighbour
+ops below reduce and gather over them without building any per-graph or
+dense N x N array.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 from typing import Sequence
 
 import numpy as np
@@ -101,13 +110,31 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
         raise NumericalError(f"non-finite values produced by {op}")
 
 
+_RECORDING = contextvars.ContextVar("molcalib_autodiff_recording",
+                                    default=True)
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Scope in which ops compute values but record no parents or closures.
+
+    Recording is restored on exit, also when the body raises.
+    """
+    token = _RECORDING.set(False)
+    try:
+        yield
+    finally:
+        _RECORDING.reset(token)
+
+
 def _node(data, parents: tuple[Tensor, ...], backward, op: str) -> Tensor:
     # np.dot and 0-d reductions return bare numpy scalars
     data = np.asarray(data, dtype=np.float64)
     _check_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.requires_grad = any(p.requires_grad for p in parents)
+    out.requires_grad = _RECORDING.get() and any(
+        p.requires_grad for p in parents)
     out.grad = None
     if out.requires_grad:
         out._parents = parents
@@ -122,8 +149,9 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.array(g, dtype=np.float64)  # a copy: g may be shared
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -208,7 +236,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def backward(out):
         g = out.grad
         if a.ndim == 2 and b.ndim == 2:
-            _accum(a, np.dot(g, b.data.T))
+            # a constant operand, such as the node features, needs none
+            if a.requires_grad:
+                _accum(a, np.dot(g, b.data.T))
             _accum(b, np.dot(a.data.T, g))
         elif a.ndim == 1 and b.ndim == 2:
             _accum(a, np.dot(b.data, g))
@@ -232,6 +262,20 @@ def transpose(a: Tensor) -> Tensor:
         _accum(a, out.grad.T)
 
     return _node(data, (a,), backward, "transpose")
+
+
+def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
+    try:
+        data = a.data.reshape(shape)
+    except ValueError as err:
+        raise ShapeError(f"reshape: {a.shape} to {shape}") from err
+    if data.ndim > 2:
+        raise ShapeError(f"tensors are at most 2-D, got shape {data.shape}")
+
+    def backward(out):
+        _accum(a, out.grad.reshape(a.data.shape))
+
+    return _node(data, (a,), backward, "reshape")
 
 
 def tensor_sum(a: Tensor, axis: int | None = None) -> Tensor:
@@ -277,22 +321,6 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
             offset += size
 
     return _node(data, tuple(parts), backward, "concat")
-
-
-def stack_scalars(parts: Sequence[Tensor]) -> Tensor:
-    """Stack 0-d tensors into one vector; gradient scatters back per slot."""
-    parts = list(parts)
-    if not parts:
-        raise ShapeError("stack of zero tensors")
-    if any(p.ndim != 0 for p in parts):
-        raise ShapeError("stack_scalars needs 0-d operands")
-    data = np.array([p.data for p in parts], dtype=np.float64)
-
-    def backward(out):
-        for i, p in enumerate(parts):
-            _accum(p, out.grad[i])
-
-    return _node(data, tuple(parts), backward, "stack")
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
@@ -401,6 +429,153 @@ def dropout(a: Tensor, rate: float, training: bool,
         _accum(a, out.grad * mask * scale)
 
     return _node(data, (a,), backward, "dropout")
+
+
+# -- packed graphs ---------------------------------------------------
+
+
+class Segments:
+    """Contiguous row ranges of a packed matrix, one per graph, in order.
+
+    Every segment holds at least one row.
+    """
+
+    __slots__ = ("sizes", "starts", "ids")
+
+    def __init__(self, sizes) -> None:
+        sizes = np.asarray(sizes, dtype=np.intp)
+        if sizes.ndim != 1 or sizes.size == 0 or np.any(sizes < 1):
+            raise ShapeError("segments need one or more positive sizes")
+        self.sizes = sizes
+        self.starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+        self.ids = np.repeat(np.arange(sizes.size), sizes)  # row -> segment
+
+    @property
+    def num_rows(self) -> int:
+        return self.ids.size
+
+
+def _pad_row(x: np.ndarray) -> np.ndarray:
+    """`x` with one all-zero row appended, the target of unused slots."""
+    return np.concatenate([x, np.zeros((1,) + x.shape[1:])])
+
+
+class Neighbors:
+    """Padded neighbour lists of a symmetric relation over N rows.
+
+    ``index[i, k]`` is the k-th neighbour of row i; unused slots hold N,
+    which names an all-zero pad row.  ``mirror[i, k]`` is the slot that
+    lists i among the neighbours of ``index[i, k]``.  Symmetry is what
+    lets every backward pass below run as a gather: the rows that list j
+    are exactly the rows j lists.
+    """
+
+    __slots__ = ("index", "mirror")
+
+    def __init__(self, rows, cols, num_rows: int) -> None:
+        """`rows`/`cols` are the pairs of the relation sorted by row, then
+        column, as ``np.nonzero`` returns them."""
+        rows = np.asarray(rows, dtype=np.intp)
+        cols = np.asarray(cols, dtype=np.intp)
+        # pair p of the column-major order is the mirror of pair p of the
+        # row-major order, provided the relation is symmetric
+        by_col = np.lexsort((rows, cols))
+        if not (np.array_equal(rows[by_col], cols)
+                and np.array_equal(cols[by_col], rows)):
+            raise ShapeError("neighbour relation is not symmetric")
+        degree = np.bincount(rows, minlength=num_rows)
+        width = max(int(degree.max(initial=0)), 1)
+        slot = np.arange(rows.size) - (np.cumsum(degree) - degree)[rows]
+        self.index = np.full((num_rows, width), num_rows, dtype=np.intp)
+        self.index[rows, slot] = cols
+        self.mirror = np.zeros((num_rows, width), dtype=np.intp)
+        mirror_of = np.empty_like(by_col)
+        mirror_of[by_col] = np.arange(by_col.size)
+        self.mirror[rows, slot] = slot[mirror_of]
+
+    def sum(self, x: np.ndarray) -> np.ndarray:
+        """out[i] = sum over slots k of x[index[i, k]]."""
+        xp = _pad_row(x)
+        out = xp[self.index[:, 0]]
+        for k in range(1, self.index.shape[1]):
+            out += xp[self.index[:, k]]
+        return out
+
+    def weighted_sum(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """out[i] = sum over slots k of w[i, k] * x[index[i, k]]."""
+        return np.einsum("nk,nkd->nd", w, _pad_row(x)[self.index])
+
+    def dot(self, q: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """out[i, k] = q[i] . x[index[i, k]]; 0 on unused slots."""
+        return np.einsum("nd,nkd->nk", q, _pad_row(x)[self.index])
+
+    def transpose(self, w: np.ndarray) -> np.ndarray:
+        """Per-slot values of the mirrored pair: out[i, k] = w[j, m] for
+        j = index[i, k], m = mirror[i, k]; 0 on unused slots."""
+        return _pad_row(w)[self.index, self.mirror]
+
+
+def neighbor_sum(a: Tensor, nb: Neighbors) -> Tensor:
+    """Row i sums the rows of `a` that row i lists, itself included when
+    the relation has self-loops: the adjacency product A @ a."""
+    data = nb.sum(a.data)
+
+    def backward(out):
+        _accum(a, nb.sum(out.grad))  # A is symmetric
+
+    return _node(data, (a,), backward, "neighbor_sum")
+
+
+def neighbor_dot(q: Tensor, p: Tensor, nb: Neighbors) -> Tensor:
+    """Per-slot scores, shape (N, K): q[i] . p[j] for each neighbour j."""
+    data = nb.dot(q.data, p.data)
+
+    def backward(out):
+        g = out.grad
+        _accum(q, nb.weighted_sum(g, p.data))
+        _accum(p, nb.weighted_sum(nb.transpose(g), q.data))
+
+    return _node(data, (q, p), backward, "neighbor_dot")
+
+
+def neighbor_weighted_sum(w: Tensor, p: Tensor, nb: Neighbors) -> Tensor:
+    """Row i sums w[i, k] * p[j] over its neighbours j, shape (N, d)."""
+    data = nb.weighted_sum(w.data, p.data)
+
+    def backward(out):
+        g = out.grad
+        _accum(w, nb.dot(g, p.data))
+        _accum(p, nb.weighted_sum(nb.transpose(w.data), g))
+
+    return _node(data, (w, p), backward, "neighbor_weighted_sum")
+
+
+def segment_sum(a: Tensor, seg: Segments) -> Tensor:
+    """Sum of each segment's rows: (N,) -> (B,) or (N, d) -> (B, d)."""
+    if a.ndim == 0 or a.data.shape[0] != seg.num_rows:
+        raise ShapeError(f"segment_sum: {a.shape} over {seg.num_rows} rows")
+    data = np.add.reduceat(a.data, seg.starts, axis=0)
+
+    def backward(out):
+        _accum(a, out.grad[seg.ids])
+
+    return _node(data, (a,), backward, "segment_sum")
+
+
+def segment_softmax(a: Tensor, seg: Segments) -> Tensor:
+    """Softmax of a vector within each segment."""
+    if a.ndim != 1 or a.data.shape[0] != seg.num_rows:
+        raise ShapeError(
+            f"segment_softmax: {a.shape} over {seg.num_rows} rows")
+    # subtracting each segment's max keeps exp from overflowing
+    e = np.exp(a.data - np.maximum.reduceat(a.data, seg.starts)[seg.ids])
+    s = e / np.add.reduceat(e, seg.starts)[seg.ids]
+
+    def backward(out):
+        g = out.grad
+        _accum(a, s * (g - np.add.reduceat(g * s, seg.starts)[seg.ids]))
+
+    return _node(s, (a,), backward, "segment_softmax")
 
 
 # -- backward pass ---------------------------------------------------

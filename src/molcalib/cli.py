@@ -142,14 +142,26 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _load_scoring_checkpoint(path: str):
+    """Load a checkpoint that can score featurized molecules."""
+    from .featurize import DEFAULT_SCHEMA
+    from .model import load_checkpoint
+
+    model = load_checkpoint(path)
+    if model.config.input_dim != DEFAULT_SCHEMA.width:
+        raise SchemaError(
+            f"checkpoint model.input_dim is {model.config.input_dim}, but "
+            f"the featurizer gives {DEFAULT_SCHEMA.width} node features")
+    return model
+
+
 def _cmd_evaluate(args) -> int:
     from .data import load_dataset, split_dataset
-    from .model import load_checkpoint
     from .runner import emit_predictions_csv, emit_report_csvs, \
         evaluate_model
 
     config = _overridden_config(args)
-    model = load_checkpoint(args.checkpoint)
+    model = _load_scoring_checkpoint(args.checkpoint)
     graphs, _ = load_dataset(config.dataset)
     seed = args.seed if args.seed is not None else config.training.seeds[0]
     _, test_graphs = split_dataset(graphs, config.training.split_ratio,
@@ -182,11 +194,10 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_screen(args) -> int:
-    from .model import load_checkpoint
     from .runner import screen_library
 
     config = _overridden_config(args)
-    model = load_checkpoint(args.checkpoint)
+    model = _load_scoring_checkpoint(args.checkpoint)
     screen_library(model, config, out_dir=args.out_dir, log=print)
     if args.out_dir:
         print(f"ranked list -> {args.out_dir}/reports/predictions.csv")

@@ -35,15 +35,18 @@ def _arrays(p_hat, y_pred, y_true) -> tuple[np.ndarray, np.ndarray,
                                              np.ndarray]:
     """Validate the three metric inputs and return them as numpy arrays."""
     p = np.asarray(p_hat, dtype=np.float64)
-    yp = np.asarray(y_pred, dtype=np.int64)
-    yt = np.asarray(y_true, dtype=np.int64)
+    yp = np.asarray(y_pred)
+    yt = np.asarray(y_true)
     if not (p.shape == yp.shape == yt.shape):
         raise ValueError(
             f"metric arrays must share one shape, got {p.shape}, "
             f"{yp.shape} and {yt.shape}")
     if not np.all((p >= 0.0) & (p <= 1.0)):  # NaN fails too
         raise ValueError("probabilities must lie in [0, 1]")
-    return p, yp, yt
+    for name, labels in (("y_pred", yp), ("y_true", yt)):
+        if not np.all((labels == 0) | (labels == 1)):
+            raise ValueError(f"{name} must hold only 0 and 1")
+    return p, yp.astype(np.int64), yt.astype(np.int64)
 
 
 # -- entropy ---------------------------------------------------------

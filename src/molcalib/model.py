@@ -7,6 +7,10 @@ attention-weighted sum over nodes, sigmoid-squashed) produces a graph
 vector; the L vectors are concatenated and a linear head plus sigmoid gives
 the positive-class probability.
 
+The model runs on a packed batch (:func:`pack_graphs`): the disjoint union
+of the batch's graphs, so one forward and one tape serve every graph in a
+training minibatch or an inference chunk.
+
 Readouts expose their pre-sigmoid pooled vectors (``sum_pool`` /
 ``attn_pool``) because distinguishability arguments are phrased in terms of
 the pre-activation values.
@@ -18,11 +22,12 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, IoError, SchemaError
+from .errors import ConfigError, IoError, SchemaError, ShapeError
 from .featurize import DEFAULT_SCHEMA, MolecularGraph
 
 CHECKPOINT_VERSION = 1
@@ -50,26 +55,67 @@ class ModelConfig:
             raise ConfigError(f"dropout rate {self.dropout_rate} not in [0, 1)")
 
 
+# -- packed batches --------------------------------------------------
+
+
+@dataclass(frozen=True)
+class GraphBatch:
+    """Disjoint union of graphs: stacked node features, the neighbour lists
+    of the stacked self-looped adjacency, and each graph's row range."""
+
+    x: np.ndarray
+    neighbors: ad.Neighbors
+    segments: ad.Segments
+
+
+def pack_graphs(graphs: Sequence[MolecularGraph]) -> GraphBatch:
+    """Pack graphs into one batch; graph b's nodes follow graph b-1's.
+
+    Adjacencies must be symmetric 0/1 matrices, as ``featurize`` builds
+    them.
+    """
+    if len(graphs) == 0:
+        raise ShapeError("cannot pack zero graphs")
+    rows, cols, sizes = [], [], []
+    offset = 0
+    for graph in graphs:
+        n = graph.num_nodes
+        a = graph.adjacency
+        if a.shape != (n, n):
+            raise ShapeError(f"adjacency {a.shape} for {n} nodes")
+        r, c = np.nonzero(a)
+        if not np.all(a[r, c] == 1.0):
+            raise ShapeError("adjacency entries must be 0 or 1")
+        rows.append(r + offset)
+        cols.append(c + offset)
+        sizes.append(n)
+        offset += n
+    neighbors = ad.Neighbors(np.concatenate(rows), np.concatenate(cols),
+                             offset)
+    x = np.concatenate([g.node_features for g in graphs])
+    return GraphBatch(x=x, neighbors=neighbors, segments=ad.Segments(sizes))
+
+
 # -- layer and readout primitives ------------------------------------
 
 
-def gcn_layer(h: ad.Tensor, a: ad.Tensor, w: ad.Tensor) -> ad.Tensor:
+def gcn_layer(h: ad.Tensor, nb: ad.Neighbors, w: ad.Tensor) -> ad.Tensor:
     """Neighborhood sum through the self-looped adjacency, then linear+ReLU."""
-    return ad.relu(ad.matmul(ad.matmul(a, h), w))
+    return ad.relu(ad.matmul(ad.neighbor_sum(h, nb), w))
 
 
-def gat_layer(h: ad.Tensor, a: ad.Tensor, w: ad.Tensor,
+def gat_layer(h: ad.Tensor, nb: ad.Neighbors, w: ad.Tensor,
               w_attn: ad.Tensor) -> ad.Tensor:
-    """Pairwise tanh attention masked to the self-looped neighborhood.
+    """Pairwise tanh attention over the self-looped neighborhood.
 
-    Coefficients are not renormalized after masking; non-neighbors simply
-    contribute zero.
+    Coefficients are not renormalized; non-neighbors simply contribute
+    zero.
     """
     p = ad.matmul(h, w)
     d_out = w.shape[1]
-    scores = ad.matmul(ad.matmul(p, w_attn), ad.transpose(p))
-    alpha = ad.tanh(scores * (1.0 / math.sqrt(d_out))) * a
-    return ad.relu(ad.matmul(alpha, p))
+    scores = ad.neighbor_dot(ad.matmul(p, w_attn), p, nb)
+    alpha = ad.tanh(scores * (1.0 / math.sqrt(d_out)))
+    return ad.relu(ad.neighbor_weighted_sum(alpha, p, nb))
 
 
 def embedding_block(h: ad.Tensor, layer_out: ad.Tensor, rate: float,
@@ -79,31 +125,28 @@ def embedding_block(h: ad.Tensor, layer_out: ad.Tensor, rate: float,
     return ad.dropout(layer_out, rate, training, rng) + h
 
 
-def sum_pool(h: ad.Tensor, w_read: ad.Tensor) -> ad.Tensor:
-    """Pre-sigmoid sum readout: column sums of H W."""
-    return ad.tensor_sum(ad.matmul(h, w_read), axis=0)
+def sum_pool(h: ad.Tensor, w_read: ad.Tensor,
+             seg: ad.Segments) -> ad.Tensor:
+    """Pre-sigmoid sum readout per graph: column sums of H W, taken as
+    (column sums of H) W so the (N, dg) product is never built."""
+    return ad.matmul(ad.segment_sum(h, seg), w_read)
 
 
-def attn_pool(h: ad.Tensor, w_read: ad.Tensor) -> ad.Tensor:
-    """Pre-sigmoid attention readout.
+def attn_pool(h: ad.Tensor, w_read: ad.Tensor,
+              seg: ad.Segments) -> ad.Tensor:
+    """Pre-sigmoid attention readout per graph.
 
-    Node scores are the scaled row sums of H W; the softmax weights are
-    multiplied by the node count so that uniform attention reduces to the
-    plain sum readout.
+    Node scores are the scaled row sums of H W, that is H (W 1); within
+    each graph the softmax weights are multiplied by the node count so
+    that uniform attention reduces to the plain sum readout.  The pooled
+    vector sum_i a_i (H W)_i is taken as (sum_i a_i H_i) W.
     """
-    g = ad.matmul(h, w_read)
     d_g = w_read.shape[1]
-    scores = ad.tensor_sum(g, axis=1) * (1.0 / math.sqrt(d_g))
-    weights = ad.softmax(scores) * float(h.shape[0])
-    return ad.matmul(weights, g)
-
-
-def sum_readout(h: ad.Tensor, w_read: ad.Tensor) -> ad.Tensor:
-    return ad.sigmoid(sum_pool(h, w_read))
-
-
-def attn_readout(h: ad.Tensor, w_read: ad.Tensor) -> ad.Tensor:
-    return ad.sigmoid(attn_pool(h, w_read))
+    scores = ad.matmul(h, ad.tensor_sum(w_read, axis=1)) * (
+        1.0 / math.sqrt(d_g))
+    weights = ad.segment_softmax(scores, seg) * seg.sizes[seg.ids]
+    weighted = ad.reshape(weights, (-1, 1)) * h
+    return ad.matmul(ad.segment_sum(weighted, seg), w_read)
 
 
 def threshold_label(p_hat: float, threshold: float = 0.5) -> int:
@@ -154,29 +197,34 @@ class GnnModel:
         for p in self.params.values():
             p.zero_grad()
 
-    def forward(self, graph: MolecularGraph, training: bool = False,
+    def forward(self, batch: GraphBatch, training: bool = False,
                 rng: np.random.Generator | None = None) -> ad.Tensor:
-        """Positive-class probability as a scalar tensor on the tape."""
+        """Positive-class probability of every graph in the batch, shape
+        (B,), on the tape.  Training-mode dropout draws each layer's mask
+        for the whole batch at once."""
         cfg = self.config
-        x = ad.Tensor(graph.node_features)
-        a = ad.Tensor(graph.adjacency)
-        h = ad.matmul(x, self.params["w_in"])
+        h = ad.matmul(ad.Tensor(batch.x), self.params["w_in"])
         readouts = []
         pool = sum_pool if cfg.readout == "sum" else attn_pool
         for layer in range(cfg.num_layers):
             if cfg.node_embedding == "gcn":
-                out = gcn_layer(h, a, self.params[f"w_conv_{layer}"])
+                out = gcn_layer(h, batch.neighbors,
+                                self.params[f"w_conv_{layer}"])
             else:
-                out = gat_layer(h, a, self.params[f"w_conv_{layer}"],
+                out = gat_layer(h, batch.neighbors,
+                                self.params[f"w_conv_{layer}"],
                                 self.params[f"w_attn_{layer}"])
             h = embedding_block(h, out, cfg.dropout_rate, training, rng)
-            readouts.append(ad.sigmoid(pool(h, self.params[f"w_read_{layer}"])))
-        z = ad.concat(readouts)
+            readouts.append(ad.sigmoid(pool(h, self.params[f"w_read_{layer}"],
+                                            batch.segments)))
+        z = ad.concat(readouts, axis=1)
         logit = ad.matmul(z, self.params["w_clf"]) + self.params["b_clf"]
         return ad.sigmoid(logit)
 
-    def predict_proba(self, graph: MolecularGraph) -> float:
-        return self.forward(graph, training=False).item()
+    def predict_proba(self, graphs: Sequence[MolecularGraph]) -> np.ndarray:
+        """Deterministic probabilities of `graphs`, scored as one batch."""
+        with ad.no_grad():
+            return self.forward(pack_graphs(graphs)).data
 
     def predict_mc_dropout(
         self, graph: MolecularGraph, samples: int,
@@ -184,20 +232,22 @@ class GnnModel:
     ) -> tuple[float, np.ndarray]:
         """Mean of `samples` train-mode forward passes, plus the passes.
 
-        With dropout rate 0 every pass is the deterministic forward, so the
-        mean is returned as that exact value (an arithmetic mean of T
-        identical floats need not round-trip for T not a power of two).
+        The passes run as one batch of `samples` copies of the graph, each
+        with its own dropout masks.  With dropout rate 0 every pass is the
+        deterministic forward, so the mean is returned as that exact value
+        (an arithmetic mean of T identical floats need not round-trip for T
+        not a power of two).
         """
         if samples < 1:
             raise ConfigError("mc samples must be >= 1")
         if self.config.dropout_rate == 0.0:
-            det = self.predict_proba(graph)
+            det = float(self.predict_proba([graph])[0])
             return det, np.full(samples, det)
         if rng is None:
             rng = np.random.default_rng(0)
-        draws = np.empty(samples)
-        for i in range(samples):
-            draws[i] = self.forward(graph, training=True, rng=rng).item()
+        with ad.no_grad():
+            draws = self.forward(pack_graphs([graph] * samples),
+                                 training=True, rng=rng).data
         return float(draws.mean()), draws
 
 

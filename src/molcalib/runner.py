@@ -28,11 +28,11 @@ from . import __version__
 from . import autodiff as ad
 from .config import ExperimentConfig, manifest_fingerprint
 from .data import load_dataset, split_dataset
-from .errors import NumericalError
+from .errors import EmptyDatasetError, NumericalError
 from .featurize import MolecularGraph
 from .losses import LossConfig, l2_penalty
 from .metrics import ReliabilityReport, build_report
-from .model import GnnModel, save_checkpoint, threshold_label
+from .model import GnnModel, pack_graphs, save_checkpoint, threshold_label
 from .optim import AdamW, StepDecaySchedule
 
 MANIFEST_VERSION = 1
@@ -137,26 +137,32 @@ def emit_predictions_csv(graphs, probs, threshold: float,
 
 
 def predict_probabilities(model: GnnModel, graphs, mode: str,
-                          mc_samples: int, seed: int) -> np.ndarray:
+                          mc_samples: int, seed: int,
+                          batch_size: int) -> np.ndarray:
     """Score graphs under the configured inference mode.
 
-    MC dropout draws its masks from a stream derived from (seed, graph
-    index), so scores do not depend on evaluation order.
+    Deterministic scoring packs `batch_size` graphs per forward.  MC
+    dropout scores one graph per forward, as `mc_samples` packed copies,
+    and draws its masks from a stream derived from (seed, graph index), so
+    scores do not depend on evaluation order.
     """
     probs = np.empty(len(graphs))
-    for i, graph in enumerate(graphs):
-        if mode == "mc_dropout":
+    if mode == "mc_dropout":
+        for i, graph in enumerate(graphs):
             rng = np.random.default_rng([seed, i])
             probs[i], _ = model.predict_mc_dropout(graph, mc_samples, rng)
-        else:
-            probs[i] = model.predict_proba(graph)
+        return probs
+    for start in range(0, len(graphs), batch_size):
+        probs[start:start + batch_size] = model.predict_proba(
+            graphs[start:start + batch_size])
     return probs
 
 
 def evaluate_model(model: GnnModel, graphs, config: ExperimentConfig,
                    seed: int) -> tuple[ReliabilityReport, np.ndarray]:
     probs = predict_probabilities(model, graphs, config.inference.mode,
-                                  config.inference.mc_samples, seed)
+                                  config.inference.mc_samples, seed,
+                                  config.training.batch_size)
     y_pred = (probs > config.evaluation.threshold).astype(np.int64)
     y_true = [g.label for g in graphs]
     report = build_report(probs, y_pred, y_true,
@@ -187,9 +193,8 @@ def _epoch_pass(model, train_graphs, loss_cfg: LossConfig, optimizer,
     for start in range(0, len(order), batch_size):
         batch = [train_graphs[i] for i in order[start:start + batch_size]]
         optimizer.zero_grad()
-        outputs = [model.forward(g, training=True, rng=dropout_rng)
-                   for g in batch]
-        p_vec = ad.stack_scalars(outputs)
+        p_vec = model.forward(pack_graphs(batch), training=True,
+                              rng=dropout_rng)
         targets = np.array([g.label for g in batch], dtype=np.float64)
         batch_sum = loss_cfg.compute(targets, p_vec)
         # objective is the per-sample mean; the summed form stays in the
@@ -216,6 +221,11 @@ def train_run(config: ExperimentConfig, seed: int, graphs=None,
         graphs, data_report = load_dataset(config.dataset)
     train_graphs, test_graphs = split_dataset(
         graphs, config.training.split_ratio, seed)
+    if not train_graphs or not test_graphs:
+        raise EmptyDatasetError(
+            f"split_ratio {config.training.split_ratio} on {len(graphs)} "
+            f"molecules leaves {len(train_graphs)} for training and "
+            f"{len(test_graphs)} for testing; both need at least one")
 
     model = GnnModel(config.model, seed=seed)
     optimizer = AdamW(model.parameters(),

@@ -15,7 +15,7 @@ import tempfile
 import numpy as np
 
 from . import autodiff as ad
-from .featurize import MolecularGraph
+from .featurize import MolecularGraph, permute_graph
 from .losses import (
     bce_loss,
     entropy_regularized_loss,
@@ -31,6 +31,7 @@ from .model import (
     ModelConfig,
     attn_pool,
     load_checkpoint,
+    pack_graphs,
     save_checkpoint,
 )
 from .optim import AdamW
@@ -45,21 +46,22 @@ def _random_graph(rng, nodes=6, width=10):
 
 
 def check_gradients_finite_difference():
-    """Model+loss gradient matches central differences at rtol 1e-4."""
+    """Model+loss gradient on a 3-graph batch matches central differences
+    at rtol 1e-4."""
     rng = np.random.default_rng(1)
-    graph = _random_graph(rng, nodes=5, width=8)
+    batch = pack_graphs([_random_graph(rng, nodes=n, width=8)
+                         for n in (5, 2, 4)])
+    targets = [1.0, 0.0, 1.0]
     config = ModelConfig(node_embedding="gat", readout="attn", num_layers=2,
                          hidden_dim=6, graph_dim=4, input_dim=8)
     model = GnnModel(config, seed=0)
 
     def loss_value():
-        p = model.forward(graph)
-        return bce_loss([1.0], ad.stack_scalars([p])).item()
+        return bce_loss(targets, model.forward(batch)).item()
 
     model.zero_grad()
-    ad.backward(bce_loss([1.0],
-                         ad.stack_scalars([model.forward(graph)])))
-    for name in ("w_in", "w_conv_0", "w_attn_1", "w_clf"):
+    ad.backward(bce_loss(targets, model.forward(batch)))
+    for name in ("w_in", "w_conv_0", "w_attn_1", "w_read_0", "w_clf"):
         tensor = model.params[name]
         flat = tensor.data.ravel()
         grad = np.zeros_like(tensor.data).ravel() \
@@ -139,19 +141,17 @@ def check_metric_oracles():
 
 
 def check_permutation_invariance():
-    """Predicted probability ignores node numbering to 1e-12."""
+    """Predicted probability ignores node numbering to 1e-12, also when
+    the permuted copies share a batch with the original."""
     rng = np.random.default_rng(4)
     graph = _random_graph(rng, nodes=7, width=9)
     config = ModelConfig(node_embedding="gcn", readout="attn", num_layers=2,
                          hidden_dim=6, graph_dim=5, input_dim=9)
     model = GnnModel(config, seed=1)
-    base = model.predict_proba(graph)
-    for _ in range(3):
-        perm = rng.permutation(graph.num_nodes)
-        shuffled = MolecularGraph(
-            node_features=graph.node_features[perm],
-            adjacency=graph.adjacency[np.ix_(perm, perm)], label=1)
-        assert abs(model.predict_proba(shuffled) - base) <= 1e-12
+    shuffled = [permute_graph(graph, rng.permutation(graph.num_nodes))
+                for _ in range(3)]
+    probs = model.predict_proba([graph] + shuffled)
+    assert np.max(np.abs(probs - probs[0])) <= 1e-12
 
 
 def check_attention_size_sensitivity():
@@ -159,26 +159,28 @@ def check_attention_size_sensitivity():
     rng = np.random.default_rng(5)
     row = rng.normal(size=4)
     w = ad.Tensor(rng.normal(size=(4, 3)))
-    pools = {}
-    for k in (3, 4):
-        h = ad.Tensor(np.tile(row, (k, 1)))
-        pools[k] = attn_pool(h, w).data
-    ratio = pools[4] / pools[3]
+    h = ad.Tensor(np.tile(row, (7, 1)))
+    pools = attn_pool(h, w, ad.Segments([3, 4])).data
+    ratio = pools[1] / pools[0]
     assert np.max(np.abs(ratio - 4.0 / 3.0)) <= 1e-12
 
 
 def check_mc_dropout_zero_rate():
-    """MC inference with rate 0 collapses to deterministic, exactly."""
+    """MC inference with rate 0 collapses to deterministic, exactly, and
+    the packed train-mode passes agree with it to 1e-12."""
     rng = np.random.default_rng(6)
     graph = _random_graph(rng, nodes=5, width=8)
     config = ModelConfig(num_layers=2, hidden_dim=6, graph_dim=4,
                          input_dim=8, dropout_rate=0.0)
     model = GnnModel(config, seed=2)
-    det = model.predict_proba(graph)
+    det = model.predict_proba([graph])[0]
     mean, draws = model.predict_mc_dropout(graph, 13,
                                            np.random.default_rng(0))
     assert mean == det
     assert np.all(draws == det)
+    packed = model.forward(pack_graphs([graph] * 13), training=True,
+                           rng=np.random.default_rng(0)).data
+    assert np.max(np.abs(packed - det)) <= 1e-12
 
 
 def check_checkpoint_roundtrip():

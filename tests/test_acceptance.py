@@ -26,7 +26,7 @@ from molcalib.errors import SmilesError
 from molcalib.featurize import MolecularGraph, permute_graph
 from molcalib.losses import LossConfig
 from molcalib.metrics import DEFAULT_K_GRID
-from molcalib.model import GnnModel, ModelConfig, attn_pool
+from molcalib.model import GnnModel, ModelConfig, attn_pool, pack_graphs
 from molcalib.runner import run_ablation, train_run
 from molcalib.smiles import parse_smiles
 
@@ -100,11 +100,12 @@ GRAD_LOSSES = (
 
 
 def check_model_gradients(model, graphs, targets, loss_cfg, problems, tag):
-    """One finite-difference pass over every parameter of the model."""
+    """One finite-difference pass over every parameter of the model, with
+    all graphs packed into one batch."""
+    batch = pack_graphs(graphs)
 
     def batch_loss():
-        parts = [model.forward(g) for g in graphs]
-        return loss_cfg.compute(targets, ad.stack_scalars(parts))
+        return loss_cfg.compute(targets, model.forward(batch))
 
     loss = batch_loss()
     ad.backward(loss)
@@ -308,8 +309,8 @@ def test_model_invariances(announce):
         model = models[trial % 2]
         g = random_graph(rng, int(rng.integers(3, 9)), GRAD_DIMS["input_dim"])
         perm = rng.permutation(g.node_features.shape[0])
-        gap = abs(model.predict_proba(g)
-                  - model.predict_proba(permute_graph(g, perm)))
+        p, p_perm = model.predict_proba([g, permute_graph(g, perm)])
+        gap = abs(p - p_perm)
         worst_perm = max(worst_perm, gap)
     if worst_perm > 1e-12:
         problems.append(f"permutation gap {worst_perm:.2e}")
@@ -318,8 +319,8 @@ def test_model_invariances(announce):
     # averaged or not, reproduce deterministic inference bitwise
     model = models[0]
     g = random_graph(rng, 6, GRAD_DIMS["input_dim"])
-    det = model.predict_proba(g)
-    trained = model.forward(g, training=True,
+    det = model.predict_proba([g])[0]
+    trained = model.forward(pack_graphs([g]), training=True,
                             rng=np.random.default_rng(7)).item()
     mc_mean, draws = model.predict_mc_dropout(g, samples=13)
     if trained != det:
@@ -332,8 +333,8 @@ def test_model_invariances(announce):
     for seed in (0, 1, 2):
         wrng = np.random.default_rng(seed)
         w = ad.Tensor(wrng.standard_normal((6, 5)))
-        z3 = attn_pool(ad.Tensor(np.full((3, 6), 0.37)), w).data
-        z4 = attn_pool(ad.Tensor(np.full((4, 6), 0.37)), w).data
+        z3, z4 = attn_pool(ad.Tensor(np.full((7, 6), 0.37)), w,
+                           ad.Segments([3, 4])).data
         if not np.allclose(3.0 * z4, 4.0 * z3, rtol=1e-12, atol=1e-13):
             problems.append(f"attention size ratio off for seed {seed}")
         if float(np.max(np.abs(z4 - z3))) == 0.0:

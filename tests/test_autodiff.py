@@ -296,33 +296,110 @@ class TestDropout:
         np.testing.assert_array_equal(a, b)
 
 
-class TestStackScalars:
-    def test_forward_and_gradient_scatter(self):
-        xs = [ad.Tensor(np.asarray(float(i)), requires_grad=True)
-              for i in range(4)]
-        v = ad.stack_scalars(xs)
-        np.testing.assert_array_equal(v.data, [0.0, 1.0, 2.0, 3.0])
-        weights = ad.Tensor(np.array([1.0, 10.0, 100.0, 1000.0]))
-        ad.backward((v * weights).sum())
-        for x, w in zip(xs, weights.data):
-            assert x.grad == pytest.approx(w)
+def symmetric_neighbors(rng, n, p=0.4):
+    """Random symmetric relation with self-loops, as padded lists."""
+    a = rng.random((n, n)) < p
+    a = a | a.T | np.eye(n, dtype=bool)
+    return a.astype(np.float64), ad.Neighbors(*np.nonzero(a), n)
 
-    def test_matches_finite_differences(self):
-        base = np.array([0.3, -0.7, 1.2])
 
-        def f():
-            xs = [ad.Tensor(np.asarray(v), requires_grad=True)
-                  for v in base]
-            return (ad.stack_scalars(xs) ** 3.0).sum().item()
+class TestPackedGraphOps:
+    def test_neighbor_ops_match_dense_adjacency(self):
+        rng = np.random.default_rng(0)
+        a, nb = symmetric_neighbors(rng, 7)
+        x = rng.standard_normal((7, 3))
+        q = rng.standard_normal((7, 3))
+        np.testing.assert_allclose(ad.neighbor_sum(ad.Tensor(x), nb).data,
+                                   a @ x, atol=1e-14)
+        dense = (q @ x.T) * a  # every pair, masked to neighbours
+        scores = ad.neighbor_dot(ad.Tensor(q), ad.Tensor(x), nb).data
+        for i in range(7):
+            listed = nb.index[i][nb.index[i] < 7]
+            np.testing.assert_allclose(scores[i, :listed.size],
+                                       dense[i, listed], atol=1e-14)
+            assert np.all(scores[i, listed.size:] == 0.0)
+        w = np.zeros((7, 7))
+        for i in range(7):
+            for k, j in enumerate(nb.index[i]):
+                if j < 7:
+                    w[i, j] = scores[i, k]
+        out = ad.neighbor_weighted_sum(ad.Tensor(scores), ad.Tensor(x), nb)
+        np.testing.assert_allclose(out.data, w @ x, atol=1e-14)
 
-        xs = [ad.Tensor(np.asarray(v), requires_grad=True) for v in base]
-        ad.backward((ad.stack_scalars(xs) ** 3.0).sum())
-        got = np.array([float(x.grad) for x in xs])
-        want = numeric_gradient(f, base)
-        np.testing.assert_allclose(got, want, rtol=1e-6)
+    def test_mirror_names_the_reverse_slot(self):
+        _, nb = symmetric_neighbors(np.random.default_rng(1), 9)
+        for i in range(9):
+            for k, j in enumerate(nb.index[i]):
+                if j < 9:
+                    assert nb.index[j, nb.mirror[i, k]] == i
 
-    def test_rejects_empty_and_nonscalar(self):
+    def test_asymmetric_relation_rejected(self):
         with pytest.raises(ShapeError):
-            ad.stack_scalars([])
+            ad.Neighbors(np.array([0, 0, 1]), np.array([0, 1, 1]), 2)
+
+    def test_neighbor_gradients(self):
+        rng = np.random.default_rng(2)
+        _, nb = symmetric_neighbors(rng, 6)
+        x = ad.Tensor(rng.standard_normal((6, 3)), requires_grad=True)
+        q = ad.Tensor(rng.standard_normal((6, 3)), requires_grad=True)
+
+        def build():
+            alpha = ad.tanh(ad.neighbor_dot(q, x, nb))
+            out = ad.neighbor_weighted_sum(alpha, ad.neighbor_sum(x, nb), nb)
+            return (out * out).sum()
+
+        check_grads(build, [x, q])
+
+    def test_segment_ops_match_per_segment_loops(self):
+        rng = np.random.default_rng(3)
+        seg = ad.Segments([3, 1, 4])
+        x = rng.standard_normal((8, 2))
+        v = rng.standard_normal(8)
+        sums = ad.segment_sum(ad.Tensor(x), seg).data
+        soft = ad.segment_softmax(ad.Tensor(v), seg).data
+        for b, (lo, hi) in enumerate([(0, 3), (3, 4), (4, 8)]):
+            np.testing.assert_allclose(sums[b], x[lo:hi].sum(axis=0),
+                                       atol=1e-14)
+            np.testing.assert_allclose(
+                soft[lo:hi], ad.softmax(ad.Tensor(v[lo:hi])).data,
+                atol=1e-15)
+
+    def test_segment_gradients(self):
+        rng = np.random.default_rng(4)
+        seg = ad.Segments([2, 3, 1])
+        x = ad.Tensor(rng.standard_normal((6, 2)), requires_grad=True)
+        v = ad.Tensor(rng.standard_normal(6), requires_grad=True)
+
+        def build():
+            w = ad.reshape(ad.segment_softmax(v, seg), (-1, 1))
+            return (ad.segment_sum(w * x, seg) ** 2.0).sum()
+
+        check_grads(build, [x, v])
+
+    def test_bad_segments_rejected(self):
+        for sizes in ([], [2, 0], [[1, 2]]):
+            with pytest.raises(ShapeError):
+                ad.Segments(sizes)
         with pytest.raises(ShapeError):
-            ad.stack_scalars([ad.Tensor(np.ones(2))])
+            ad.segment_sum(ad.Tensor(np.ones(4)), ad.Segments([2, 1]))
+
+
+class TestNoGrad:
+    def test_ops_record_no_parents(self):
+        w = ad.Tensor(np.ones((2, 2)), requires_grad=True)
+        with ad.no_grad():
+            out = ad.relu(ad.matmul(w, w)) + 1.0
+        assert not out.requires_grad
+        assert out._parents == () and out._backward is None
+        np.testing.assert_array_equal(out.data, np.full((2, 2), 3.0))
+        assert ad.matmul(w, w).requires_grad  # recording is back on exit
+
+    def test_recording_restored_after_exception(self):
+        w = ad.Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(NumericalError):
+            with ad.no_grad():
+                ad.log(w - 1.0)
+        out = (w * w).sum()
+        assert out.requires_grad and out._parents
+        ad.backward(out)
+        np.testing.assert_array_equal(w.grad, [2.0, 2.0, 2.0])

@@ -125,7 +125,7 @@ class TestInferenceModes:
         config = small_config(raw)
         result = train_run(config, seed=0)
         graphs = result.test_graphs
-        det = np.array([result.model.predict_proba(g) for g in graphs])
+        det = result.model.predict_proba(graphs)
         assert not np.allclose(det, result.test_probs)
 
     def test_mc_scores_do_not_depend_on_order(self, toy_raw_config):
@@ -142,8 +142,8 @@ class TestInferenceModes:
         assert report_a.to_dict() == report_b.to_dict()
 
     def test_evaluate_thresholds_strictly(self, toy_raw_config):
-        scores = iter([0.4, 0.5, 0.6])
-        model = SimpleNamespace(predict_proba=lambda graph: next(scores))
+        model = SimpleNamespace(
+            predict_proba=lambda graphs: np.array([0.4, 0.5, 0.6]))
         graphs = [SimpleNamespace(label=y) for y in (0, 1, 1)]
         report, _ = evaluate_model(model, graphs,
                                    small_config(toy_raw_config), seed=0)
@@ -320,6 +320,41 @@ class TestCli:
         cfg = self.write_config(tmp_path, toy_raw_config)
         assert self.evaluate(cfg, ck) == 2
         assert "'b_clf' is not numeric" in capsys.readouterr().err
+
+    def test_checkpoint_of_wrong_width_is_data_error(
+            self, toy_raw_config, tmp_path, capsys):
+        path = tmp_path / "narrow.json"
+        cfg = ModelConfig(num_layers=2, hidden_dim=4, graph_dim=3,
+                          input_dim=7)
+        save_checkpoint(GnnModel(cfg), str(path))
+        config = self.write_config(tmp_path, toy_raw_config)
+        for command in ("evaluate", "screen"):
+            code = cli.main([command, "--config", str(config),
+                             "--checkpoint", str(path)])
+            captured = capsys.readouterr()
+            assert code == 2  # an escaping exception would fail the test
+            assert "input_dim is 7" in captured.err
+            assert captured.out == ""  # refused before scoring
+
+    @pytest.mark.parametrize("ratio", [0.1, 1.0])
+    def test_split_leaving_an_empty_side_is_data_error(self, tmp_path,
+                                                       capsys, ratio):
+        data = tmp_path / "five.csv"
+        data.write_text("smiles,label\nCCN,1\nCC,0\nCN,1\nCCO,0\nNCC,1\n")
+        raw = {
+            "dataset": {"name": "five", "path": str(data),
+                        "smiles_column": "smiles",
+                        "label_column": "label"},
+            "model": {"num_layers": 1, "hidden_dim": 4, "graph_dim": 3},
+            "training": {"epochs": 2, "batch_size": 2, "seeds": [0],
+                         "split_ratio": ratio},
+        }
+        code = cli.main(["train", "--config",
+                         str(self.write_config(tmp_path, raw))])
+        captured = capsys.readouterr()
+        assert code == 2  # an escaping exception would fail the test
+        assert "split_ratio" in captured.err
+        assert "epoch" not in captured.out
 
     def test_selftest_passes(self, capsys):
         assert cli.main(["selftest"]) == 0

@@ -412,3 +412,10 @@ class TestRecordConstruction:
             build_report([0.4, 0.5], [0, 0], [0])
         with pytest.raises(ValueError):
             ece([0.4, 0.5], [0], [0, 1])
+        # labels outside {0, 1}
+        with pytest.raises(ValueError):
+            build_report([0.2, 0.9], [0, 1], [0, 2])
+        with pytest.raises(ValueError):
+            ece([0.2, 0.9], [0, -1], [0, 1])
+        with pytest.raises(ValueError):
+            ece([0.2, 0.9], [0, 1], [0.0, 0.5])

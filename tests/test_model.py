@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from molcalib import autodiff as ad
-from molcalib.errors import ConfigError, IoError, SchemaError
+from molcalib.errors import ConfigError, IoError, SchemaError, ShapeError
 from molcalib.featurize import featurize, permute_graph, MolecularGraph
 from molcalib.model import (
     GnnModel,
@@ -15,6 +15,7 @@ from molcalib.model import (
     gat_layer,
     gcn_layer,
     load_checkpoint,
+    pack_graphs,
     save_checkpoint,
     sum_pool,
     threshold_label,
@@ -40,25 +41,31 @@ def complete_graph_of_identical_nodes(k, d, value=0.3):
 SMALL = dict(num_layers=2, hidden_dim=5, graph_dim=4, input_dim=6)
 
 
+def neighbors_of(adjacency):
+    return ad.Neighbors(*np.nonzero(adjacency), adjacency.shape[0])
+
+
+def one_graph(rows):
+    return ad.Segments([rows])
+
+
 class TestLayerAlgebra:
     def test_gcn_two_identical_nodes(self):
         # complete 2-graph with self loops and W = I: each row is relu(2h)
         d = 4
         h_row = np.array([0.5, -1.0, 2.0, 0.1])
         h = ad.Tensor(np.tile(h_row, (2, 1)))
-        a = ad.Tensor(np.ones((2, 2)))
         w = ad.Tensor(np.eye(d))
-        out = gcn_layer(h, a, w)
+        out = gcn_layer(h, neighbors_of(np.ones((2, 2))), w)
         np.testing.assert_allclose(out.data, np.tile(np.maximum(2 * h_row, 0), (2, 1)))
 
     def test_gat_single_node_formula(self):
         rng = np.random.default_rng(3)
         d = 5
         h = ad.Tensor(rng.standard_normal((1, d)))
-        a = ad.Tensor(np.ones((1, 1)))
         w = ad.Tensor(rng.standard_normal((d, d)))
         wa = ad.Tensor(rng.standard_normal((d, d)))
-        out = gat_layer(h, a, w, wa)
+        out = gat_layer(h, neighbors_of(np.ones((1, 1))), w, wa)
         hw = h.data @ w.data
         alpha = np.tanh((hw @ wa.data @ hw.T) / math.sqrt(d))
         np.testing.assert_allclose(out.data, np.maximum(alpha * hw, 0.0),
@@ -69,12 +76,12 @@ class TestLayerAlgebra:
         d = 3
         h = ad.Tensor(rng.standard_normal((3, d)))
         a_disc = np.eye(3)  # no edges except self loops
-        out_disc = gat_layer(h, ad.Tensor(a_disc),
+        out_disc = gat_layer(h, neighbors_of(a_disc),
                              ad.Tensor(np.eye(d)), ad.Tensor(np.eye(d)))
         # with only self loops each row depends only on its own features
         for i in range(3):
             solo = gat_layer(ad.Tensor(h.data[i:i + 1]),
-                             ad.Tensor(np.ones((1, 1))),
+                             neighbors_of(np.ones((1, 1))),
                              ad.Tensor(np.eye(d)), ad.Tensor(np.eye(d)))
             np.testing.assert_allclose(out_disc.data[i], solo.data[0],
                                        atol=1e-14)
@@ -82,7 +89,8 @@ class TestLayerAlgebra:
     def test_sum_pool_value(self):
         h = ad.Tensor([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
         w = ad.Tensor(np.eye(2))
-        np.testing.assert_array_equal(sum_pool(h, w).data, [2.0, 3.0])
+        np.testing.assert_array_equal(sum_pool(h, w, one_graph(3)).data,
+                                      [[2.0, 3.0]])
 
     def test_attn_pool_uniform_on_identical_nodes(self):
         # identical rows: softmax is uniform, weights k/k = 1, so the pooled
@@ -93,8 +101,8 @@ class TestLayerAlgebra:
         w = ad.Tensor(rng.standard_normal((d, dg)))
         for k in (3, 4):
             h = ad.Tensor(np.tile(row, (k, 1)))
-            pooled = attn_pool(h, w)
-            np.testing.assert_allclose(pooled.data, k * (row @ w.data),
+            pooled = attn_pool(h, w, one_graph(k))
+            np.testing.assert_allclose(pooled.data[0], k * (row @ w.data),
                                        rtol=1e-13)
 
     def test_attn_pool_ratio_three_vs_four(self):
@@ -102,8 +110,9 @@ class TestLayerAlgebra:
         d, dg = 6, 5
         row = rng.standard_normal(d)
         w = ad.Tensor(rng.standard_normal((d, dg)))
-        p3 = attn_pool(ad.Tensor(np.tile(row, (3, 1))), w).data
-        p4 = attn_pool(ad.Tensor(np.tile(row, (4, 1))), w).data
+        # both graphs in one batch: segments keep their softmaxes apart
+        p3, p4 = attn_pool(ad.Tensor(np.tile(row, (7, 1))), w,
+                           ad.Segments([3, 4])).data
         keep = np.abs(p3) > 1e-9
         np.testing.assert_allclose(p4[keep] / p3[keep], 4.0 / 3.0, atol=1e-12)
 
@@ -115,8 +124,8 @@ class TestModelForward:
         cfg = ModelConfig(node_embedding=embed, readout=readout, **SMALL)
         model = GnnModel(cfg, seed=1)
         g = random_graph(np.random.default_rng(0), 7, cfg.input_dim)
-        p = model.predict_proba(g)
-        assert 0.0 < p < 1.0
+        p = model.predict_proba([g])
+        assert p.shape == (1,) and 0.0 < p[0] < 1.0
 
     def test_same_seed_same_params(self):
         cfg = ModelConfig(**SMALL)
@@ -148,6 +157,66 @@ class TestModelForward:
             ModelConfig(num_layers=0)
 
 
+def mixed_graphs(d0):
+    """Graphs of several sizes, among them a single atom and a bond-free
+    graph, so segment boundaries and empty neighbour slots both occur."""
+    rng = np.random.default_rng(21)
+    graphs = [random_graph(rng, n, d0) for n in (5, 1, 8, 2, 6)]
+    graphs.insert(2, MolecularGraph(node_features=rng.standard_normal((4, d0)),
+                                    adjacency=np.eye(4)))
+    return graphs
+
+
+class TestBatching:
+    @pytest.mark.parametrize("embed", ["gcn", "gat"])
+    @pytest.mark.parametrize("readout", ["sum", "attn"])
+    def test_batch_matches_batches_of_one(self, embed, readout):
+        cfg = ModelConfig(node_embedding=embed, readout=readout, **SMALL)
+        model = GnnModel(cfg, seed=5)
+        graphs = mixed_graphs(cfg.input_dim)
+        together = model.predict_proba(graphs)
+        alone = np.array([model.predict_proba([g])[0] for g in graphs])
+        np.testing.assert_allclose(together, alone, rtol=0, atol=1e-12)
+
+    def test_batch_of_smiles_matches_batches_of_one(self):
+        model = GnnModel(ModelConfig(node_embedding="gat",
+                                     **dict(SMALL, input_dim=58)), seed=6)
+        graphs = [featurize(parse_smiles(s)) for s in
+                  ("CC(=O)Oc1ccccc1C(=O)O", "N", "C1CCOC1", "[Na+]", "CCN")]
+        together = model.predict_proba(graphs)
+        alone = [model.predict_proba([g])[0] for g in graphs]
+        np.testing.assert_allclose(together, alone, rtol=0, atol=1e-12)
+
+    def test_pack_layout(self):
+        graphs = mixed_graphs(3)
+        batch = pack_graphs(graphs)
+        sizes = [g.num_nodes for g in graphs]
+        np.testing.assert_array_equal(batch.segments.sizes, sizes)
+        np.testing.assert_array_equal(
+            batch.x, np.concatenate([g.node_features for g in graphs]))
+        # the neighbour lists rebuild the block-diagonal adjacency
+        n = sum(sizes)
+        dense = np.zeros((n + 1, n + 1))
+        for i, row in enumerate(batch.neighbors.index):
+            dense[i, row] += 1.0
+        offset = 0
+        for g in graphs:
+            block = slice(offset, offset + g.num_nodes)
+            np.testing.assert_array_equal(dense[block, block], g.adjacency)
+            offset += g.num_nodes
+        assert dense[:n, :n].sum() == sum(g.adjacency.sum() for g in graphs)
+
+    def test_pack_rejects_bad_adjacency(self):
+        x = np.zeros((2, 3))
+        for a in (np.array([[1.0, 1.0], [0.0, 1.0]]),  # not symmetric
+                  np.array([[1.0, 2.0], [2.0, 1.0]]),  # not 0/1
+                  np.eye(3)):  # wrong size
+            with pytest.raises(ShapeError):
+                pack_graphs([MolecularGraph(node_features=x, adjacency=a)])
+        with pytest.raises(ShapeError):
+            pack_graphs([])
+
+
 class TestInvariances:
     SMILES = ["CC(=O)Oc1ccccc1C(=O)O", "c1ccc2ccccc2c1", "CC(C)CC(N)C(=O)O",
               "Clc1ccc(Cl)cc1", "C1CCOC1"]
@@ -161,10 +230,10 @@ class TestInvariances:
         rng = np.random.default_rng(8)
         for s in self.SMILES:
             g = featurize(parse_smiles(s))
-            p = model.predict_proba(g)
+            p = model.predict_proba([g])[0]
             for _ in range(3):
                 gp = permute_graph(g, rng.permutation(g.num_nodes))
-                assert abs(model.predict_proba(gp) - p) <= 1e-12
+                assert abs(model.predict_proba([gp])[0] - p) <= 1e-12
 
 
 class TestMcDropout:
@@ -172,7 +241,7 @@ class TestMcDropout:
         cfg = ModelConfig(dropout_rate=0.0, **SMALL)
         model = GnnModel(cfg, seed=2)
         g = random_graph(np.random.default_rng(1), 6, cfg.input_dim)
-        det = model.predict_proba(g)
+        det = model.predict_proba([g])[0]
         mean, draws = model.predict_mc_dropout(g, 30)
         assert mean == det
         assert draws.shape == (30,)
@@ -184,7 +253,7 @@ class TestMcDropout:
         g = random_graph(np.random.default_rng(1), 6, cfg.input_dim)
         mean, draws = model.predict_mc_dropout(
             g, samples=16, rng=np.random.default_rng(5))
-        assert len(np.unique(draws)) > 1
+        assert len(np.unique(draws)) == 16  # every packed copy has own masks
         assert 0.0 < mean < 1.0
         assert mean == pytest.approx(draws.mean())
 
@@ -228,7 +297,7 @@ class TestCheckpoints:
             np.testing.assert_array_equal(clone.params[name].data,
                                           model.params[name].data)
         g = random_graph(np.random.default_rng(3), 8, cfg.input_dim)
-        assert clone.predict_proba(g) == model.predict_proba(g)
+        assert clone.predict_proba([g]) == model.predict_proba([g])
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoError):
@@ -263,12 +332,13 @@ class TestModelGradients:
     def test_full_model_finite_differences(self, embed, readout):
         cfg = ModelConfig(node_embedding=embed, readout=readout, **SMALL)
         model = GnnModel(cfg, seed=13)
-        g = random_graph(np.random.default_rng(14), 6, cfg.input_dim)
+        batch = pack_graphs([random_graph(np.random.default_rng(14), 6,
+                                          cfg.input_dim)])
 
         def loss_value():
-            return ((model.forward(g) - 0.3) ** 2.0).item()
+            return ((model.forward(batch) - 0.3) ** 2.0).sum().item()
 
-        loss = (model.forward(g) - 0.3) ** 2.0
+        loss = ((model.forward(batch) - 0.3) ** 2.0).sum()
         ad.backward(loss)
         for name, p in model.params.items():
             fd = numeric_gradient(lambda: loss_value(), p.data)
