@@ -16,6 +16,7 @@ from .errors import (
     ConfigError,
     DegenerateError,
     EmptyDatasetError,
+    FeatureError,
     IoError,
     NumericalError,
     SchemaError,
@@ -90,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_screen.add_argument("--checkpoint", required=True)
 
     p_lint = sub.add_parser("parse-check",
-                            help="report which SMILES in a file parse")
+                            help="report which SMILES in a file will ingest")
     p_lint.add_argument("path", help="CSV (with --smiles-column) or one "
                                      "SMILES per line")
     p_lint.add_argument("--smiles-column", default="smiles")
@@ -208,7 +209,7 @@ def _iter_smiles(path: str, column: str):
     import csv
 
     if path.endswith(".csv"):
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or column not in reader.fieldnames:
                 raise SchemaError(
@@ -216,7 +217,7 @@ def _iter_smiles(path: str, column: str):
             for i, row in enumerate(reader, start=1):
                 yield i, (row[column] or "").strip()
     else:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             for i, line in enumerate(fh, start=1):
                 text = line.strip()
                 if text:
@@ -224,7 +225,9 @@ def _iter_smiles(path: str, column: str):
 
 
 def _cmd_parse_check(args) -> int:
-    from .smiles import parse_smiles
+    """Run each SMILES through the dataset loader's row path (parse, strip
+    salts, featurize); a row the loader would skip counts as rejected."""
+    from .data import ingest_smiles
 
     total = 0
     failures = 0
@@ -232,8 +235,8 @@ def _cmd_parse_check(args) -> int:
         for row, smiles in _iter_smiles(args.path, args.smiles_column):
             total += 1
             try:
-                parse_smiles(smiles)
-            except SmilesError as err:
+                ingest_smiles(smiles)
+            except (SmilesError, FeatureError) as err:
                 failures += 1
                 if failures <= args.limit:
                     print(f"row {row}: {smiles!r}: {err}")

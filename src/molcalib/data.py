@@ -51,15 +51,30 @@ def _parse_label(value: str, spec: DatasetSpec, row: int) -> int:
     return int(number)
 
 
+def ingest_smiles(smiles: str, strip_salts: bool = True,
+                  label: int | None = None,
+                  source_id: str | None = None) -> MolecularGraph:
+    """One row's ingestion path: parse, strip salts, featurize.
+
+    Raises :class:`SmilesError` or :class:`FeatureError` for a SMILES the
+    dataset loader would skip.
+    """
+    mol = parse_smiles(smiles)
+    if strip_salts:
+        mol = strip_to_largest_component(mol)
+    return featurize(mol, label=label, source_id=source_id)
+
+
 def load_dataset(spec: DatasetSpec) -> tuple[list[MolecularGraph], dict]:
     """Read (graph, label) pairs from a CSV file with a header row.
 
-    Returns the graphs plus an ingestion report carrying row accounting:
+    A UTF-8 byte-order mark before the header is ignored.  Returns the
+    graphs plus an ingestion report carrying row accounting:
     total data rows, ingested, skipped (with up to five example reasons),
     and the class balance of what survived.
     """
     try:
-        handle = open(spec.path, "r", encoding="utf-8", newline="")
+        handle = open(spec.path, "r", encoding="utf-8-sig", newline="")
     except OSError as err:
         raise IoError(f"cannot read dataset {spec.path!r}: {err}") from err
 
@@ -86,11 +101,8 @@ def load_dataset(spec: DatasetSpec) -> tuple[list[MolecularGraph], dict]:
             smiles = (row[spec.smiles_column] or "").strip()
             label = _parse_label(row[spec.label_column], spec, row_index)
             try:
-                mol = parse_smiles(smiles)
-                if spec.strip_salts:
-                    mol = strip_to_largest_component(mol)
-                graph = featurize(mol, label=label,
-                                  source_id=f"{spec.name}:{row_index}")
+                graph = ingest_smiles(smiles, spec.strip_salts, label,
+                                      f"{spec.name}:{row_index}")
             except (SmilesError, FeatureError) as err:
                 skipped += 1
                 if len(skip_examples) < MAX_SKIP_EXAMPLES:

@@ -27,7 +27,8 @@ fall outside their bins; charge clips, elements fall back to "other".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,6 +59,12 @@ class FeatureSchema:
             + self.padding
         )
 
+    @cached_property
+    def element_columns(self) -> dict[str, int]:
+        """Element symbol -> one-hot column; symbols not listed go to
+        column ``len(elements)``, the "other" guard."""
+        return {s: self.elements.index(s) for s in self.elements}
+
 
 DEFAULT_SCHEMA = FeatureSchema()
 
@@ -77,63 +84,60 @@ class MolecularGraph:
         return self.node_features.shape[0]
 
 
-def atom_features(atom: Atom, in_ring: bool, order_sum: float,
-                  schema: FeatureSchema = DEFAULT_SCHEMA) -> np.ndarray:
-    row = np.zeros(schema.width, dtype=np.float64)
-    offset = 0
-
-    try:
-        row[offset + schema.elements.index(atom.symbol)] = 1.0
-    except ValueError:
-        row[offset + len(schema.elements)] = 1.0  # "other" guard
-    offset += len(schema.elements) + 1
-
-    if atom.degree > schema.max_degree:
-        raise FeatureError(
-            f"degree {atom.degree} exceeds schema maximum {schema.max_degree}"
-        )
-    row[offset + atom.degree] = 1.0
-    offset += schema.max_degree + 1
-
-    h = atom.implicit_hydrogens
-    if h > schema.max_hydrogens:
-        raise FeatureError(
-            f"hydrogen count {h} exceeds schema maximum {schema.max_hydrogens}"
-        )
-    row[offset + h] = 1.0
-    offset += schema.max_hydrogens + 1
-
-    charge = int(np.clip(atom.formal_charge, -schema.max_abs_charge,
-                         schema.max_abs_charge))
-    row[offset + charge + schema.max_abs_charge] = 1.0
-    offset += 2 * schema.max_abs_charge + 1
-
-    row[offset] = 1.0 if atom.aromatic else 0.0
-    row[offset + 1] = 1.0 if in_ring else 0.0
-    offset += 2
-
-    bucket = min(max(math.floor(order_sum + h), 1), schema.num_buckets)
-    row[offset + bucket - 1] = 1.0
-    return row
-
-
 def featurize(mol: Molecule, schema: FeatureSchema = DEFAULT_SCHEMA,
               label: int | None = None,
               source_id: str | None = None) -> MolecularGraph:
-    """Build the (X, A) pair for one molecule.
+    """Build the (X, A) pair for one molecule in one pass over its atoms.
 
-    A is bond adjacency plus the identity; every node sees itself.
+    A is bond adjacency plus the identity; every node sees itself.  Each
+    atom's one-hot positions are computed as plain ints and X is filled
+    with one flat-index write; the first atom out of the schema's bins
+    raises.
     """
     n = mol.num_atoms
-    ring = mol.ring_atoms()
-    x = np.zeros((n, schema.width), dtype=np.float64)
-    for i, atom in enumerate(mol.atoms):
-        x[i] = atom_features(atom, i in ring, mol.bond_order_sum(i), schema)
-    a = np.zeros((n, n), dtype=np.float64)
+    width = schema.width
+    order_sums = [0.0] * n
     for b in mol.bonds:
-        a[b.a1, b.a2] = 1.0
-        a[b.a2, b.a1] = 1.0
-    np.fill_diagonal(a, 1.0)
+        order_sums[b.a1] += b.order
+        order_sums[b.a2] += b.order
+    ring = mol.ring_atoms()
+
+    columns = schema.element_columns
+    other = len(schema.elements)
+    deg_off = other + 1
+    h_off = deg_off + schema.max_degree + 1
+    c = schema.max_abs_charge
+    charge_off = h_off + schema.max_hydrogens + 1 + c  # charge 0
+    aromatic_col = charge_off + c + 1
+    bucket_off = aromatic_col + 1  # bucket b (1-based) lands at off + b
+    hot: list[int] = []
+    for i, atom in enumerate(mol.atoms):
+        if atom.degree > schema.max_degree:
+            raise FeatureError(f"degree {atom.degree} exceeds schema "
+                               f"maximum {schema.max_degree}")
+        h = atom.implicit_hydrogens
+        if h > schema.max_hydrogens:
+            raise FeatureError(f"hydrogen count {h} exceeds schema "
+                               f"maximum {schema.max_hydrogens}")
+        bucket = min(max(math.floor(order_sums[i] + h), 1),
+                     schema.num_buckets)
+        base = i * width
+        hot += (base + columns.get(atom.symbol, other),
+                base + deg_off + atom.degree,
+                base + h_off + h,
+                base + charge_off + min(max(atom.formal_charge, -c), c),
+                base + bucket_off + bucket)
+        if atom.aromatic:
+            hot.append(base + aromatic_col)
+        if i in ring:
+            hot.append(base + aromatic_col + 1)
+    x = np.zeros((n, width), dtype=np.float64)
+    x.put(hot, 1.0)
+
+    a = np.eye(n, dtype=np.float64)
+    first = [b.a1 for b in mol.bonds]
+    second = [b.a2 for b in mol.bonds]
+    a[first + second, second + first] = 1.0
     return MolecularGraph(node_features=x, adjacency=a, label=label,
                           source_id=source_id, smiles=mol.smiles)
 

@@ -226,6 +226,10 @@ def train_run(config: ExperimentConfig, seed: int, graphs=None,
             f"split_ratio {config.training.split_ratio} on {len(graphs)} "
             f"molecules leaves {len(train_graphs)} for training and "
             f"{len(test_graphs)} for testing; both need at least one")
+    test_classes = {g.label for g in test_graphs}
+    if log is not None and len(test_classes) == 1:
+        log(f"warning: all {len(test_graphs)} test molecules are class "
+            f"{test_classes.pop()}; AUROC will be undefined")
 
     model = GnnModel(config.model, seed=seed)
     optimizer = AdamW(model.parameters(),

@@ -114,18 +114,6 @@ class Molecule:
     def num_atoms(self) -> int:
         return len(self.atoms)
 
-    def neighbors(self, idx: int) -> list[int]:
-        out = []
-        for b in self.bonds:
-            if b.a1 == idx:
-                out.append(b.a2)
-            elif b.a2 == idx:
-                out.append(b.a1)
-        return out
-
-    def bond_order_sum(self, idx: int) -> float:
-        return sum(b.order for b in self.bonds if idx in (b.a1, b.a2))
-
     def connected_components(self) -> list[list[int]]:
         """Fragments as sorted index lists, ordered by first atom index."""
         adj: list[list[int]] = [[] for _ in self.atoms]

@@ -3,8 +3,14 @@
 import pytest
 
 from molcalib.config import DatasetSpec
-from molcalib.data import load_dataset, split_dataset
-from molcalib.errors import EmptyDatasetError, IoError, SchemaError
+from molcalib.data import ingest_smiles, load_dataset, split_dataset
+from molcalib.errors import (
+    EmptyDatasetError,
+    FeatureError,
+    IoError,
+    SchemaError,
+    SmilesSyntaxError,
+)
 
 
 def write_csv(path, header, rows):
@@ -86,6 +92,24 @@ class TestLoading:
         with pytest.raises(IoError):
             load_dataset(spec_for(tmp_path / "absent.csv"))
 
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        path = tmp_path / "excel.csv"
+        path.write_text("\ufeffsmiles,label\nCCO,1\nCCN,0\n",
+                        encoding="utf-8")
+        graphs, report = load_dataset(spec_for(path))
+        assert report["ingested"] == 2 and report["skipped"] == 0
+        assert [g.smiles for g in graphs] == ["CCO", "CCN"]
+
+    def test_featurize_failures_skipped_and_reported(self, tmp_path):
+        path = tmp_path / "toy.csv"
+        write_csv(path, ["smiles", "label"],
+                  [["CCO", 1], ["[SnH5]", 0], ["CCN", 0]])
+        graphs, report = load_dataset(spec_for(path))
+        assert len(graphs) == 2
+        assert report["skip_examples"] == [{
+            "row": 2, "smiles": "[SnH5]",
+            "reason": "hydrogen count 5 exceeds schema maximum 4"}]
+
     def test_all_rows_bad_is_empty_dataset(self, tmp_path):
         path = tmp_path / "toy.csv"
         write_csv(path, ["smiles", "label"], [["C(", 1], ["((", 0]])
@@ -105,6 +129,28 @@ class TestSaltStripping:
         write_csv(path, ["smiles", "label"], [["CCO.[Na+]", 1]])
         graphs, _ = load_dataset(spec_for(path, strip_salts=False))
         assert graphs[0].num_nodes == 4
+
+
+class TestIngestSmiles:
+    def test_matches_the_loaded_graph(self, tmp_path):
+        path = tmp_path / "salt.csv"
+        write_csv(path, ["smiles", "label"], [["CCO.[Na+]", 1]])
+        loaded = load_dataset(spec_for(path))[0][0]
+        graph = ingest_smiles("CCO.[Na+]", label=1, source_id="toy:1")
+        assert graph.node_features.tobytes() == \
+            loaded.node_features.tobytes()
+        assert graph.adjacency.tobytes() == loaded.adjacency.tobytes()
+        assert (graph.label, graph.source_id) == (1, "toy:1")
+
+    def test_strip_salts_flag(self):
+        # the unstripped tin atom is out of the schema's hydrogen bins
+        assert ingest_smiles("CCO.[SnH5]").num_nodes == 3
+        with pytest.raises(FeatureError):
+            ingest_smiles("CCO.[SnH5]", strip_salts=False)
+
+    def test_parse_errors_propagate(self):
+        with pytest.raises(SmilesSyntaxError):
+            ingest_smiles("C(")
 
 
 class TestSplit:

@@ -5,6 +5,7 @@ import csv
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,7 +14,7 @@ import yaml
 
 from molcalib import cli
 from molcalib.config import manifest_fingerprint, resolve_config
-from molcalib.data import load_dataset
+from molcalib.data import load_dataset, split_dataset
 from molcalib.errors import NumericalError
 from molcalib.model import GnnModel, ModelConfig, save_checkpoint
 from molcalib.runner import (
@@ -115,6 +116,24 @@ class TestReproducibility:
         reloaded.pop("timing")
         assert stored == result.manifest["fingerprint"]
         assert manifest_fingerprint(reloaded) == stored
+
+
+    def test_single_class_warning_leaves_the_manifest_alone(
+            self, toy_raw_config):
+        config = small_config(toy_raw_config, epochs=1)
+        graphs, report = load_dataset(config.dataset)
+        _, test = split_dataset(graphs, config.training.split_ratio, 0)
+        held_out = {id(g) for g in test}
+        graphs = [replace(g, label=1) if id(g) in held_out else g
+                  for g in graphs]
+        lines = []
+        logged = train_run(config, seed=0, graphs=graphs,
+                           data_report=report, log=lines.append).manifest
+        quiet = train_run(config, seed=0, graphs=graphs,
+                          data_report=report).manifest
+        assert lines[0] == (f"warning: all {len(test)} test molecules are "
+                            f"class 1; AUROC will be undefined")
+        assert logged["fingerprint"] == quiet["fingerprint"]
 
 
 class TestInferenceModes:
@@ -375,6 +394,67 @@ class TestCli:
         path.write_text("CCO\nc1ccccc1\n")
         assert cli.main(["parse-check", str(path)]) == 0
         assert "2/2 parsed (100.00%)" in capsys.readouterr().out
+
+    def test_parse_check_runs_the_ingestion_row_path(self, tmp_path,
+                                                     capsys):
+        path = tmp_path / "mols.csv"
+        path.write_text("smiles,label\nCCO,1\n[SnH5],0\n"
+                        "[Fe](C)(C)(C)(C)(C)(C)C,1\nCCO.[SnH5],0\n")
+        assert cli.main(["parse-check", str(path)]) == 0
+        shown = capsys.readouterr().out.splitlines()
+        assert shown == [
+            "row 2: '[SnH5]': hydrogen count 5 exceeds schema maximum 4",
+            "row 3: '[Fe](C)(C)(C)(C)(C)(C)C': degree 7 exceeds schema "
+            "maximum 6",
+            # salts are stripped, as load_dataset does by default
+            "2/4 parsed (50.00%), 2 rejected",
+        ]
+        spec = resolve_config({"dataset": {
+            "name": "mols", "path": str(path), "smiles_column": "smiles",
+            "label_column": "label"}}).dataset
+        assert load_dataset(spec)[1]["skipped"] == 2
+
+    @pytest.mark.parametrize("name, text", [
+        ("excel.csv", "smiles,label\nCCO,1\nc1ccccc1,0\n"),
+        ("excel.smi", "CCO\nc1ccccc1\n"),
+    ], ids=["csv", "one-per-line"])
+    def test_parse_check_ignores_byte_order_mark(self, tmp_path, capsys,
+                                                 name, text):
+        path = tmp_path / name
+        path.write_text("\ufeff" + text, encoding="utf-8")
+        assert cli.main(["parse-check", str(path)]) == 0
+        assert capsys.readouterr().out == \
+            "2/2 parsed (100.00%), 0 rejected\n"
+
+    def test_single_class_test_split_warns_before_training(self, tmp_path,
+                                                           capsys):
+        smiles = ["C", "CC", "CCC", "CCCC", "CCO", "CCN", "CO", "CN",
+                  "OCO", "NCN"]
+        # the seed-0 split decides which rows are held out; give every
+        # held-out row label 0 and three training rows label 1
+        train_rows, test_rows = split_dataset(list(range(10)), 0.8, 0)
+        labels = [1 if i in train_rows[:3] else 0 for i in range(10)]
+        data = tmp_path / "ten.csv"
+        data.write_text("smiles,label\n" + "".join(
+            f"{s},{y}\n" for s, y in zip(smiles, labels)))
+        raw = {
+            "dataset": {"name": "ten", "path": str(data),
+                        "smiles_column": "smiles",
+                        "label_column": "label"},
+            "model": {"num_layers": 1, "hidden_dim": 4, "graph_dim": 3},
+            "training": {"epochs": 2, "batch_size": 4, "seeds": [0],
+                         "split_ratio": 0.8},
+        }
+        code = cli.main(["train", "--config",
+                         str(self.write_config(tmp_path, raw))])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        warning = ("warning: all 2 test molecules are class 0; AUROC "
+                   "will be undefined")
+        first_epoch = next(i for i, line in enumerate(lines)
+                           if line.startswith("epoch"))
+        assert lines.index(warning) < first_epoch
+        assert "auroc undefined" in lines[-1]
 
     def test_exit_code_usage(self, capsys):
         assert cli.main(["train"]) == 1  # --config missing

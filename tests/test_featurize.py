@@ -1,4 +1,7 @@
-"""Featurizer tests: schema layout, adjacency, stripping, permutation."""
+"""Featurizer tests: schema layout, a per-atom oracle, adjacency, errors,
+stripping, permutation."""
+
+import math
 
 import numpy as np
 import pytest
@@ -93,6 +96,123 @@ class TestSchema:
         assert g.node_features.shape == (3, 49)
 
 
+def bridge_free_atoms(mol):
+    """Atoms on a bond whose removal leaves its ends connected (a cycle)."""
+    def connected(skip, start, goal):
+        seen, stack = {start}, [start]
+        while stack:
+            v = stack.pop()
+            for k, b in enumerate(mol.bonds):
+                if k != skip and v in (b.a1, b.a2):
+                    w = b.a2 if v == b.a1 else b.a1
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+        return goal in seen
+
+    return {end for k, b in enumerate(mol.bonds)
+            if connected(k, b.a1, b.a2) for end in (b.a1, b.a2)}
+
+
+def oracle_graph(mol, schema=DEFAULT_SCHEMA):
+    """Node features and adjacency built one atom at a time, block by block,
+    straight from the layout table in the featurize module docstring."""
+    ring = bridge_free_atoms(mol)
+    rows = []
+    for i, atom in enumerate(mol.atoms):
+        incident = [b for b in mol.bonds if i in (b.a1, b.a2)]
+        h = atom.implicit_hydrogens
+        element = [0.0] * (len(schema.elements) + 1)
+        if atom.symbol in schema.elements:
+            element[schema.elements.index(atom.symbol)] = 1.0
+        else:
+            element[-1] = 1.0  # "other"
+        degree = [0.0] * (schema.max_degree + 1)
+        degree[len(incident)] = 1.0
+        hydrogens = [0.0] * (schema.max_hydrogens + 1)
+        hydrogens[h] = 1.0
+        charge = [0.0] * (2 * schema.max_abs_charge + 1)
+        clipped = atom.formal_charge
+        if clipped > schema.max_abs_charge:
+            clipped = schema.max_abs_charge
+        if clipped < -schema.max_abs_charge:
+            clipped = -schema.max_abs_charge
+        charge[clipped + schema.max_abs_charge] = 1.0
+        flags = [float(atom.aromatic), float(i in ring)]
+        order_sum = 0.0
+        for b in incident:
+            order_sum += b.order
+        bucket = [0.0] * schema.num_buckets
+        bucket[min(max(math.floor(order_sum + h), 1), schema.num_buckets)
+               - 1] = 1.0
+        rows.append(element + degree + hydrogens + charge + flags + bucket
+                    + [0.0] * schema.padding)
+    n = mol.num_atoms
+    x = np.array(rows, dtype=np.float64).reshape(n, schema.width)
+    a = np.array([[1.0 if i == j or any({i, j} == {b.a1, b.a2}
+                                         for b in mol.bonds) else 0.0
+                   for j in range(n)] for i in range(n)],
+                 dtype=np.float64).reshape(n, n)
+    return x, a
+
+
+ORACLE_SMILES = [
+    # formal charges outside +-2, clipped to the end slots
+    "[Fe+4]", "[Sn+3](C)C", "[P-3]", "C[N-4]", "[Ca+2].[O-]C(=O)C",
+    # bracket hydrogen counts
+    "[NH4+]", "[SiH4]", "[CH2]=C", "[2H]O", "C[SH]", "[AsH3]",
+    # aromatic and fused rings
+    "c1ccccc1", "c1ccc2ccccc2c1", "c1cc[nH]c1", "c1ccc2[nH]ccc2c1",
+    "Cn1cnc2c1c(=O)n(C)c(=O)n2C", "C1CC2CCC1C2", "c1ccc2c(c1)CCC2=O",
+    # two-digit ring closures
+    "C%10CCCCC%10", "c1ccc%12ccccc%12c1", "C%11CC%22CC%11CC%22",
+    # salted inputs (stripped below)
+    "[Na+].[O-]C(=O)c1ccccc1", "Cl.CCN", "CC(=O)[O-].[NH4+]",
+    "O.O.c1ccccc1C(=O)O", "[K+].[K+].[O-]S(=O)(=O)[O-]",
+    # a single atom, and molecules with no bonds
+    "C", "[Na+]", "C.N.O", "[Na+].[Cl-]",
+    # sulfur and phosphorus valences, halogens, triple bonds
+    "CS(=O)(=O)C", "OP(=O)(O)O", "N#CC(Br)I", "CC(C)(C)C", "C=C=C",
+]
+
+
+class TestOracle:
+    @pytest.mark.parametrize("schema", [
+        DEFAULT_SCHEMA,
+        FeatureSchema(elements=("C", "N", "O"), padding=2),
+    ], ids=["default", "three-elements"])
+    def test_graphs_bit_identical_to_oracle(self, schema):
+        checked = 0
+        for s in ORACLE_SMILES:
+            mol = parse_smiles(s)
+            for m in (mol, strip_to_largest_component(mol)):
+                g = featurize(m, schema=schema)
+                x, a = oracle_graph(m, schema)
+                for got, want in ((g.node_features, x), (g.adjacency, a)):
+                    assert got.dtype == want.dtype and \
+                        got.shape == want.shape, s
+                    assert got.tobytes() == want.tobytes(), s
+                checked += 1
+        assert checked == 2 * len(ORACLE_SMILES)
+
+    def test_oracle_list_covers_the_cases(self):
+        charges = [a.formal_charge for s in ORACLE_SMILES
+                   for a in parse_smiles(s).atoms]
+        assert max(charges) > 2 and min(charges) < -2
+        mols = [parse_smiles(s) for s in ORACLE_SMILES]
+        assert any(m.num_atoms == 1 for m in mols)
+        assert any(m.num_atoms > 1 and not m.bonds for m in mols)
+        assert any(len(m.connected_components()) > 1
+                   and strip_to_largest_component(m).num_atoms < m.num_atoms
+                   for m in mols)
+
+    def test_custom_elements_put_the_rest_in_other(self):
+        sch = FeatureSchema(elements=("C", "N"))
+        x = featurize(parse_smiles("CNO"), schema=sch).node_features
+        assert x.shape == (3, sch.width)
+        np.testing.assert_array_equal(x[:, :3], np.eye(3))  # O -> other
+
+
 class TestAdjacency:
     def test_benzene_row_sums(self):
         a = feat("c1ccccc1").adjacency
@@ -111,13 +231,32 @@ class TestAdjacency:
 
 
 class TestFeatureErrors:
+    def message(self, smiles):
+        with pytest.raises(FeatureError) as info:
+            feat(smiles)
+        return str(info.value)
+
     def test_degree_overflow(self):
-        with pytest.raises(FeatureError):
-            feat("[Fe](C)(C)(C)(C)(C)(C)C")
+        assert self.message("[Fe](C)(C)(C)(C)(C)(C)C") == \
+            "degree 7 exceeds schema maximum 6"
 
     def test_hydrogen_overflow(self):
-        with pytest.raises(FeatureError):
-            feat("[SnH5]")
+        assert self.message("[SnH5]") == \
+            "hydrogen count 5 exceeds schema maximum 4"
+
+    def test_first_atom_out_of_bins_is_reported(self):
+        # one atom over both bins: its degree is checked first
+        assert self.message("[SnH5](C)(C)(C)(C)(C)(C)C") == \
+            "degree 7 exceeds schema maximum 6"
+        assert self.message("[SnH6]C[Fe](C)(C)(C)(C)(C)C") == \
+            "hydrogen count 6 exceeds schema maximum 4"
+
+    def test_small_degree_schema_rejects_quaternary_carbon(self):
+        sch = FeatureSchema(max_degree=3)
+        featurize(parse_smiles("CC(C)C"), schema=sch)
+        with pytest.raises(FeatureError) as info:
+            featurize(parse_smiles("CC(C)(C)C"), schema=sch)
+        assert str(info.value) == "degree 4 exceeds schema maximum 3"
 
 
 class TestStripping:
