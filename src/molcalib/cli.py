@@ -143,8 +143,11 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_scoring_checkpoint(path: str):
-    """Load a checkpoint that can score featurized molecules."""
+def _load_scoring_checkpoint(path: str, expected):
+    """Load a checkpoint that can score featurized molecules and whose
+    model settings are `expected`, the config's model section."""
+    from dataclasses import asdict
+
     from .featurize import DEFAULT_SCHEMA
     from .model import load_checkpoint
 
@@ -153,6 +156,13 @@ def _load_scoring_checkpoint(path: str):
         raise SchemaError(
             f"checkpoint model.input_dim is {model.config.input_dim}, but "
             f"the featurizer gives {DEFAULT_SCHEMA.width} node features")
+    stored, wanted = asdict(model.config), asdict(expected)
+    differing = [f"model.{key} is {stored[key]!r} in the checkpoint, "
+                 f"{wanted[key]!r} in the config"
+                 for key in stored if stored[key] != wanted[key]]
+    if differing:
+        raise SchemaError("checkpoint does not match the config: "
+                          + "; ".join(differing))
     return model
 
 
@@ -162,7 +172,7 @@ def _cmd_evaluate(args) -> int:
         evaluate_model
 
     config = _overridden_config(args)
-    model = _load_scoring_checkpoint(args.checkpoint)
+    model = _load_scoring_checkpoint(args.checkpoint, config.model)
     graphs, _ = load_dataset(config.dataset)
     seed = args.seed if args.seed is not None else config.training.seeds[0]
     _, test_graphs = split_dataset(graphs, config.training.split_ratio,
@@ -198,7 +208,7 @@ def _cmd_screen(args) -> int:
     from .runner import screen_library
 
     config = _overridden_config(args)
-    model = _load_scoring_checkpoint(args.checkpoint)
+    model = _load_scoring_checkpoint(args.checkpoint, config.model)
     screen_library(model, config, out_dir=args.out_dir, log=print)
     if args.out_dir:
         print(f"ranked list -> {args.out_dir}/reports/predictions.csv")
@@ -208,7 +218,7 @@ def _cmd_screen(args) -> int:
 def _iter_smiles(path: str, column: str):
     import csv
 
-    if path.endswith(".csv"):
+    if path.lower().endswith(".csv"):
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or column not in reader.fieldnames:

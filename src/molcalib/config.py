@@ -3,11 +3,13 @@
 The on-disk grammar is a small versioned YAML mapping with sections
 ``dataset``, ``model``, ``loss``, ``optimizer``, ``schedule``,
 ``training``, ``inference``, and ``evaluation``; only ``dataset`` is
-mandatory.  Resolution expands every omitted key to its recorded default,
-so the dictionary that lands in a run manifest never depends on hidden
-in-code values.  One coupling is applied during resolution rather than
-stored as a constant: when the loss section omits ``l2_coefficient``,
-the weight-decay coefficient defaults to 1e-4 * (1 - dropout_rate).
+mandatory.  Each section resolves into its dataclass: a key must name a
+field and match its annotation, and an omitted key takes the field
+default, so every default is written once, on its field, and the
+dictionary that lands in a run manifest records all of them.  One
+coupling is applied during resolution rather than stored as a constant:
+when the loss section omits ``l2_coefficient``, the weight-decay
+coefficient is ``default_l2_coefficient(dropout_rate)``.
 
 ``manifest_fingerprint`` hashes a manifest dictionary minus its
 ``timing`` section, which is what "identical runs" means here: same
@@ -18,7 +20,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
+from typing import get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -38,10 +41,10 @@ INFERENCE_MODES = ("deterministic", "mc_dropout")
 class DatasetSpec:
     """Where a dataset lives and how to read labels out of it."""
 
-    name: str
-    path: str
-    smiles_column: str
-    label_column: str
+    name: str = ""  # required: empty is refused below
+    path: str = ""  # required
+    smiles_column: str = "smiles"
+    label_column: str = "label"
     label_rule: str = "direct"
     pic50_threshold: float = 7.0  # boundary value counts as positive
     strip_salts: bool = True
@@ -54,17 +57,6 @@ class DatasetSpec:
         for field in ("name", "path", "smiles_column", "label_column"):
             if not getattr(self, field):
                 raise ConfigError(f"dataset.{field} must be non-empty")
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "path": self.path,
-            "smiles_column": self.smiles_column,
-            "label_column": self.label_column,
-            "label_rule": self.label_rule,
-            "pic50_threshold": self.pic50_threshold,
-            "strip_salts": self.strip_salts,
-        }
 
 
 @dataclass(frozen=True)
@@ -82,10 +74,6 @@ class OptimizerSettings:
         if self.eps <= 0.0:
             raise ConfigError("eps must be positive")
 
-    def to_dict(self) -> dict:
-        return {"learning_rate": self.learning_rate, "beta1": self.beta1,
-                "beta2": self.beta2, "eps": self.eps}
-
 
 @dataclass(frozen=True)
 class ScheduleSettings:
@@ -98,10 +86,6 @@ class ScheduleSettings:
         if any(b <= a for a, b in zip(self.decay_epochs,
                                       self.decay_epochs[1:])):
             raise ConfigError("decay_epochs must be strictly increasing")
-
-    def to_dict(self) -> dict:
-        return {"decay_factor": self.decay_factor,
-                "decay_epochs": list(self.decay_epochs)}
 
 
 @dataclass(frozen=True)
@@ -119,10 +103,6 @@ class TrainingSettings:
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
 
-    def to_dict(self) -> dict:
-        return {"epochs": self.epochs, "batch_size": self.batch_size,
-                "split_ratio": self.split_ratio, "seeds": list(self.seeds)}
-
 
 @dataclass(frozen=True)
 class InferenceSettings:
@@ -136,9 +116,6 @@ class InferenceSettings:
                 f"{', '.join(INFERENCE_MODES)}")
         if self.mc_samples < 1:
             raise ConfigError("mc_samples must be positive")
-
-    def to_dict(self) -> dict:
-        return {"mode": self.mode, "mc_samples": self.mc_samples}
 
 
 @dataclass(frozen=True)
@@ -157,10 +134,6 @@ class EvaluationSettings:
         if any(not (0.0 < k <= 100.0) for k in self.k_grid):
             raise ConfigError("k_grid percentages must lie in (0, 100]")
 
-    def to_dict(self) -> dict:
-        return {"num_bins": self.num_bins, "threshold": self.threshold,
-                "k_grid": list(self.k_grid)}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -175,37 +148,18 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         """Every effective setting, defaults included; manifest-ready."""
-        return {
-            "config_version": CONFIG_VERSION,
-            "dataset": self.dataset.to_dict(),
-            "model": {
-                "node_embedding": self.model.node_embedding,
-                "readout": self.model.readout,
-                "num_layers": self.model.num_layers,
-                "hidden_dim": self.model.hidden_dim,
-                "graph_dim": self.model.graph_dim,
-                "input_dim": self.model.input_dim,
-                "dropout_rate": self.model.dropout_rate,
-            },
-            "loss": self.loss.to_dict(),
-            "optimizer": self.optimizer.to_dict(),
-            "schedule": self.schedule.to_dict(),
-            "training": self.training.to_dict(),
-            "inference": self.inference.to_dict(),
-            "evaluation": self.evaluation.to_dict(),
-        }
+        sections = {name: {key: list(value) if isinstance(value, tuple)
+                           else value for key, value in section.items()}
+                    for name, section in asdict(self).items()}
+        return {"config_version": CONFIG_VERSION, **sections}
 
 
-# -- raw-mapping helpers ---------------------------------------------
+# -- raw-mapping resolution -----------------------------------------
 
 
-def _section(raw: dict, name: str) -> dict:
-    got = raw.get(name, {})
-    if got is None:
-        got = {}
-    if not isinstance(got, dict):
-        raise ConfigError(f"section {name!r} must be a mapping")
-    return dict(got)
+def default_l2_coefficient(dropout_rate: float) -> float:
+    """Weight decay used when the loss section does not set one."""
+    return 1e-4 * (1.0 - dropout_rate)
 
 
 def _reject_leftovers(section: dict, name: str) -> None:
@@ -214,32 +168,53 @@ def _reject_leftovers(section: dict, name: str) -> None:
             f"unknown key(s) in {name!r}: {', '.join(sorted(section))}")
 
 
-def _scalar(section: dict, name: str, key: str, default, kind):
-    """Pop a typed scalar; bool masquerading as int is rejected."""
-    if key not in section:
-        return default
-    value = section.pop(key)
-    if kind in (int, float) and isinstance(value, bool):
-        raise ConfigError(f"{name}.{key} must be a {kind.__name__}")
-    if kind is float and isinstance(value, int):
+def _typed(value, hint, where: str):
+    """Check `value` against a field annotation.
+
+    Bools never pass as numbers and ints widen to float.  ``X | None``
+    checks as ``X``: None is only ever the default, never written.
+    ``tuple[T, ...]`` takes a non-empty list of numbers, each cast to T.
+    """
+    if get_origin(hint) is tuple:
+        kind = get_args(hint)[0]
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ConfigError(f"{where} must be a non-empty list")
+        if any(isinstance(item, bool) or not isinstance(item, (int, float))
+               for item in value):
+            raise ConfigError(f"{where} entries must be numbers")
+        return tuple(kind(item) for item in value)
+    kind = get_args(hint)[0] if get_args(hint) else hint
+    if kind is float and isinstance(value, int) \
+            and not isinstance(value, bool):
         value = float(value)
-    if not isinstance(value, kind):
-        raise ConfigError(f"{name}.{key} must be a {kind.__name__}")
+    if not isinstance(value, kind) or (kind is int
+                                       and isinstance(value, bool)):
+        raise ConfigError(f"{where} must be a {kind.__name__}")
     return value
 
 
-def _sequence(section: dict, name: str, key: str, default, kind):
-    if key not in section:
-        return default
-    value = section.pop(key)
-    if not isinstance(value, (list, tuple)) or not value:
-        raise ConfigError(f"{name}.{key} must be a non-empty list")
-    out = []
-    for item in value:
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise ConfigError(f"{name}.{key} entries must be numbers")
-        out.append(kind(item))
-    return tuple(out)
+def _resolve(raw: dict, section: str, cls, **overrides):
+    """Pop ``raw[section]`` and build `cls` from it.
+
+    Each key must name a field of `cls` and match its annotation; an
+    omitted key takes its value from `overrides`, else the field default.
+    """
+    given = raw.pop(section, None)
+    if given is None:
+        given = {}
+    if not isinstance(given, dict):
+        raise ConfigError(f"section {section!r} must be a mapping")
+    given = dict(given)
+    hints = get_type_hints(cls)
+    values = dict(overrides)
+    for field in fields(cls):
+        if field.name in given:
+            values[field.name] = _typed(given.pop(field.name),
+                                        hints[field.name],
+                                        f"{section}.{field.name}")
+    built = cls(**values)
+    _reject_leftovers(given, section)
+    return built
 
 
 def resolve_config(raw: dict) -> ExperimentConfig:
@@ -254,103 +229,21 @@ def resolve_config(raw: dict) -> ExperimentConfig:
             f"config_version {version!r} unsupported, expected "
             f"{CONFIG_VERSION}")
 
-    ds = _section(raw, "dataset")
-    raw.pop("dataset", None)
-    dataset = DatasetSpec(
-        name=_scalar(ds, "dataset", "name", "", str),
-        path=_scalar(ds, "dataset", "path", "", str),
-        smiles_column=_scalar(ds, "dataset", "smiles_column", "smiles", str),
-        label_column=_scalar(ds, "dataset", "label_column", "label", str),
-        label_rule=_scalar(ds, "dataset", "label_rule", "direct", str),
-        pic50_threshold=_scalar(ds, "dataset", "pic50_threshold", 7.0, float),
-        strip_salts=_scalar(ds, "dataset", "strip_salts", True, bool),
-    )
-    _reject_leftovers(ds, "dataset")
-
-    inf = _section(raw, "inference")
-    raw.pop("inference", None)
-    inference = InferenceSettings(
-        mode=_scalar(inf, "inference", "mode", "deterministic", str),
-        mc_samples=_scalar(inf, "inference", "mc_samples", 30, int),
-    )
-    _reject_leftovers(inf, "inference")
-
-    md = _section(raw, "model")
-    raw.pop("model", None)
-    defaults = ModelConfig()
-    model = ModelConfig(
-        node_embedding=_scalar(md, "model", "node_embedding",
-                               defaults.node_embedding, str),
-        readout=_scalar(md, "model", "readout", defaults.readout, str),
-        num_layers=_scalar(md, "model", "num_layers",
-                           defaults.num_layers, int),
-        hidden_dim=_scalar(md, "model", "hidden_dim",
-                           defaults.hidden_dim, int),
-        graph_dim=_scalar(md, "model", "graph_dim", defaults.graph_dim, int),
-        input_dim=_scalar(md, "model", "input_dim", defaults.input_dim, int),
-        dropout_rate=_scalar(md, "model", "dropout_rate",
-                             defaults.dropout_rate, float),
-    )
-    _reject_leftovers(md, "model")
-
-    ls = _section(raw, "loss")
-    raw.pop("loss", None)
+    dataset = _resolve(raw, "dataset", DatasetSpec)
+    inference = _resolve(raw, "inference", InferenceSettings)
+    model = _resolve(raw, "model", ModelConfig)
     # decay coefficient tracks dropout unless set explicitly
-    default_l2 = 1e-4 * (1.0 - model.dropout_rate)
-    loss = LossConfig(
-        kind=_scalar(ls, "loss", "kind", "bce", str),
-        smoothing=_scalar(ls, "loss", "smoothing", None, float),
-        entropy_weight=_scalar(ls, "loss", "entropy_weight", None, float),
-        focusing=_scalar(ls, "loss", "focusing", None, float),
-        positive_weight=_scalar(ls, "loss", "positive_weight", None, float),
-        l2_coefficient=_scalar(ls, "loss", "l2_coefficient",
-                               default_l2, float),
-    )
-    _reject_leftovers(ls, "loss")
-
-    op = _section(raw, "optimizer")
-    raw.pop("optimizer", None)
-    optimizer = OptimizerSettings(
-        learning_rate=_scalar(op, "optimizer", "learning_rate", 1e-3, float),
-        beta1=_scalar(op, "optimizer", "beta1", 0.9, float),
-        beta2=_scalar(op, "optimizer", "beta2", 0.999, float),
-        eps=_scalar(op, "optimizer", "eps", 1e-8, float),
-    )
-    _reject_leftovers(op, "optimizer")
-
-    sc = _section(raw, "schedule")
-    raw.pop("schedule", None)
-    schedule = ScheduleSettings(
-        decay_factor=_scalar(sc, "schedule", "decay_factor", 0.1, float),
-        decay_epochs=_sequence(sc, "schedule", "decay_epochs",
-                               (80, 160), int),
-    )
-    _reject_leftovers(sc, "schedule")
-
-    tr = _section(raw, "training")
-    raw.pop("training", None)
-    training = TrainingSettings(
-        epochs=_scalar(tr, "training", "epochs", 200, int),
-        batch_size=_scalar(tr, "training", "batch_size", 32, int),
-        split_ratio=_scalar(tr, "training", "split_ratio", 0.8, float),
-        seeds=_sequence(tr, "training", "seeds", (0, 1, 2, 3, 4), int),
-    )
-    _reject_leftovers(tr, "training")
-
-    ev = _section(raw, "evaluation")
-    raw.pop("evaluation", None)
-    evaluation = EvaluationSettings(
-        num_bins=_scalar(ev, "evaluation", "num_bins", 10, int),
-        threshold=_scalar(ev, "evaluation", "threshold", 0.5, float),
-        k_grid=_sequence(ev, "evaluation", "k_grid", DEFAULT_K_GRID, float),
-    )
-    _reject_leftovers(ev, "evaluation")
-
+    loss = _resolve(raw, "loss", LossConfig,
+                    l2_coefficient=default_l2_coefficient(model.dropout_rate))
+    config = ExperimentConfig(
+        dataset=dataset, model=model, loss=loss,
+        optimizer=_resolve(raw, "optimizer", OptimizerSettings),
+        schedule=_resolve(raw, "schedule", ScheduleSettings),
+        training=_resolve(raw, "training", TrainingSettings),
+        inference=inference,
+        evaluation=_resolve(raw, "evaluation", EvaluationSettings))
     _reject_leftovers(raw, "config")
-    return ExperimentConfig(dataset=dataset, model=model, loss=loss,
-                            optimizer=optimizer, schedule=schedule,
-                            training=training, inference=inference,
-                            evaluation=evaluation)
+    return config
 
 
 def load_raw(path: str) -> dict:

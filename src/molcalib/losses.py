@@ -223,13 +223,3 @@ class LossConfig:
             return focal_loss(y, p_hat, self.focusing)
         return weighted_focal_loss(y, p_hat, self.positive_weight,
                                    self.focusing)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "smoothing": self.smoothing,
-            "entropy_weight": self.entropy_weight,
-            "focusing": self.focusing,
-            "positive_weight": self.positive_weight,
-            "l2_coefficient": self.l2_coefficient,
-        }

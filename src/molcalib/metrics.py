@@ -28,7 +28,7 @@ from .errors import DegenerateError
 
 LN2 = math.log(2.0)
 
-DEFAULT_K_GRID: tuple[float, ...] = (1, 2, 5, 10, 20, 50, 100)
+DEFAULT_K_GRID: tuple[float, ...] = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
 
 
 def _arrays(p_hat, y_pred, y_true) -> tuple[np.ndarray, np.ndarray,

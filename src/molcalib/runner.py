@@ -26,7 +26,11 @@ import numpy as np
 
 from . import __version__
 from . import autodiff as ad
-from .config import ExperimentConfig, manifest_fingerprint
+from .config import (
+    ExperimentConfig,
+    default_l2_coefficient,
+    manifest_fingerprint,
+)
 from .data import load_dataset, split_dataset
 from .errors import EmptyDatasetError, NumericalError
 from .featurize import MolecularGraph
@@ -348,7 +352,7 @@ FOCAL_FOCUSINGS = (1.0, 2.0)
 def _with_dropout(config: ExperimentConfig, rate: float,
                   mode: str) -> ExperimentConfig:
     model = replace(config.model, dropout_rate=rate)
-    loss = replace(config.loss, l2_coefficient=1e-4 * (1.0 - rate))
+    loss = replace(config.loss, l2_coefficient=default_l2_coefficient(rate))
     inference = replace(config.inference, mode=mode)
     return replace(config, model=model, loss=loss, inference=inference)
 
@@ -443,7 +447,7 @@ def run_ablation(config: ExperimentConfig, axis: str,
         summary_rows.append({"variant": name, "seeds": len(per_seed),
                              **mean_row})
 
-    comparison = _comparison_table(axis, summary_rows)
+    comparison = _comparison_table(axis, variants, summary_rows)
     result = {"axis": axis, "data": data_report, "raw": raw_rows,
               "summary": summary_rows, "comparison": comparison}
 
@@ -466,8 +470,13 @@ def run_ablation(config: ExperimentConfig, axis: str,
     return result
 
 
-def _comparison_table(axis: str, summary_rows: list[dict]) -> list[dict]:
-    """Axis-specific findings table; emitted regardless of direction."""
+def _comparison_table(axis: str, variants: list,
+                      summary_rows: list[dict]) -> list[dict]:
+    """Axis-specific findings table; emitted regardless of direction.
+
+    `variants` are the (name, config) pairs behind `summary_rows`, in
+    the same order.
+    """
     if axis == "regularizers":
         by_name = {r["variant"]: r for r in summary_rows}
         base = by_name["baseline"]["ece"]
@@ -476,14 +485,11 @@ def _comparison_table(axis: str, summary_rows: list[dict]) -> list[dict]:
                  "mean_accuracy": r["accuracy"]}
                 for r in summary_rows]
     if axis == "focal_grid":
-        out = []
-        for r in summary_rows:
-            tag = r["variant"]  # wfl_a{weight}_g{focusing}
-            weight = float(tag.split("_a")[1].split("_g")[0])
-            focusing = float(tag.split("_g")[1])
-            out.append({"positive_weight": weight, "focusing": focusing,
-                        "mean_precision": r["precision"],
-                        "mean_recall": r["recall"]})
+        out = [{"positive_weight": variant.loss.positive_weight,
+                "focusing": variant.loss.focusing,
+                "mean_precision": r["precision"],
+                "mean_recall": r["recall"]}
+               for (_, variant), r in zip(variants, summary_rows)]
         out.sort(key=lambda row: (row["focusing"], row["positive_weight"]))
         return out
     return [{"variant": r["variant"], "mean_accuracy": r["accuracy"],

@@ -1,6 +1,11 @@
 """Config resolution: defaults expanded, typos rejected, couplings applied."""
 
+import json
+import re
+from pathlib import Path
+
 import pytest
+import yaml
 
 from molcalib.config import (
     CONFIG_VERSION,
@@ -19,6 +24,15 @@ MINIMAL = {
         "label_column": "label",
     }
 }
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def rejects(raw, message):
+    """`raw` fails resolution with exactly `message`."""
+    with pytest.raises(ConfigError) as info:
+        resolve_config(raw)
+    assert str(info.value) == message
 
 
 class TestResolution:
@@ -72,6 +86,20 @@ class TestResolution:
         assert d["evaluation"]["k_grid"][-1] == 100
         assert d["dataset"]["strip_salts"] is True
 
+    def test_readme_defaults_match_dataset_only_config(self):
+        # README's Configuration block spells out every default, so it
+        # must resolve, and fingerprint, like its dataset section alone
+        text = README.read_text(encoding="utf-8")
+        block = re.search(r"## Configuration\n.*?```yaml\n(.*?)```", text,
+                          re.S).group(1)
+        spelled = resolve_config(yaml.safe_load(block)).to_dict()
+        dataset = yaml.safe_load(block)["dataset"]
+        bare = resolve_config({"dataset": {"name": dataset["name"],
+                                           "path": dataset["path"]}})
+        assert json.dumps(spelled) == json.dumps(bare.to_dict())
+        assert manifest_fingerprint({"config": spelled}) \
+            == manifest_fingerprint({"config": bare.to_dict()})
+
     def test_dataset_section_required(self):
         with pytest.raises(ConfigError):
             resolve_config({})
@@ -79,49 +107,76 @@ class TestResolution:
 
 class TestValidation:
     def test_unknown_top_level_key(self):
-        with pytest.raises(ConfigError, match="optimiser"):
-            resolve_config(dict(MINIMAL, optimiser={"learning_rate": 1e-2}))
+        rejects(dict(MINIMAL, optimiser={"learning_rate": 1e-2}),
+                "unknown key(s) in 'config': optimiser")
+        rejects(["dataset"], "config root must be a mapping")
 
     def test_unknown_section_key(self):
-        with pytest.raises(ConfigError, match="hidden_dims"):
-            resolve_config(dict(MINIMAL, model={"hidden_dims": 64}))
+        rejects(dict(MINIMAL, model={"hidden_dims": 64, "zeta": 1}),
+                "unknown key(s) in 'model': hidden_dims, zeta")
+        rejects(dict(MINIMAL, model="gcn"),
+                "section 'model' must be a mapping")
+        rejects({"dataset": []}, "section 'dataset' must be a mapping")
 
     def test_wrong_scalar_type(self):
-        with pytest.raises(ConfigError):
-            resolve_config(dict(MINIMAL, training={"epochs": "many"}))
-        with pytest.raises(ConfigError):
-            resolve_config(dict(MINIMAL, training={"epochs": True}))
+        for epochs in ("many", True, 2.0):
+            rejects(dict(MINIMAL, training={"epochs": epochs}),
+                    "training.epochs must be a int")
+        for rate in (True, "1e-3"):
+            rejects(dict(MINIMAL, optimizer={"learning_rate": rate}),
+                    "optimizer.learning_rate must be a float")
+        rejects(dict(MINIMAL, loss={"kind": "label_smoothing",
+                                    "smoothing": None}),
+                "loss.smoothing must be a float")
+        rejects({"dataset": dict(MINIMAL["dataset"], strip_salts=1)},
+                "dataset.strip_salts must be a bool")
+        rejects({"dataset": dict(MINIMAL["dataset"], name=3)},
+                "dataset.name must be a str")
 
     def test_bad_version(self):
-        with pytest.raises(ConfigError):
-            resolve_config(dict(MINIMAL, config_version=2))
+        rejects(dict(MINIMAL, config_version=2),
+                "config_version 2 unsupported, expected 1")
 
     def test_bad_label_rule(self):
         raw = {"dataset": dict(MINIMAL["dataset"], label_rule="regress")}
-        with pytest.raises(ConfigError):
-            resolve_config(raw)
+        rejects(raw, "unknown label rule 'regress', expected one of "
+                     "direct, pic50_threshold")
 
     def test_decay_epochs_must_increase(self):
-        with pytest.raises(ConfigError):
-            resolve_config(dict(MINIMAL,
-                                schedule={"decay_epochs": [80, 80]}))
+        rejects(dict(MINIMAL, schedule={"decay_epochs": [80, 80]}),
+                "decay_epochs must be strictly increasing")
+        for epochs in ([1, True], [1, "x"]):
+            rejects(dict(MINIMAL, schedule={"decay_epochs": epochs}),
+                    "schedule.decay_epochs entries must be numbers")
+        for epochs in ([], 80):
+            rejects(dict(MINIMAL, schedule={"decay_epochs": epochs}),
+                    "schedule.decay_epochs must be a non-empty list")
 
     def test_threshold_range(self):
-        with pytest.raises(ConfigError):
-            resolve_config(dict(MINIMAL, evaluation={"threshold": 1.0}))
+        rejects(dict(MINIMAL, evaluation={"threshold": 1.0}),
+                "threshold must lie in (0, 1)")
 
     def test_k_grid_range(self):
-        with pytest.raises(ConfigError):
-            resolve_config(dict(MINIMAL, evaluation={"k_grid": [0, 50]}))
+        rejects(dict(MINIMAL, evaluation={"k_grid": [0, 50]}),
+                "k_grid percentages must lie in (0, 100]")
+        rejects(dict(MINIMAL, evaluation={"k_grid": None}),
+                "evaluation.k_grid must be a non-empty list")
 
     def test_inference_mode_checked(self):
-        with pytest.raises(ConfigError):
-            resolve_config(dict(MINIMAL, inference={"mode": "ensemble"}))
+        rejects(dict(MINIMAL, inference={"mode": "ensemble"}),
+                "unknown inference mode 'ensemble', expected one of "
+                "deterministic, mc_dropout")
+        rejects(dict(MINIMAL, inference={"mc_samples": 0}),
+                "mc_samples must be positive")
 
     def test_dataset_spec_requires_fields(self):
         with pytest.raises(ConfigError):
             DatasetSpec(name="", path="x.csv", smiles_column="s",
                         label_column="y")
+        rejects({}, "dataset.name must be non-empty")
+        rejects({"dataset": {"name": "x"}}, "dataset.path must be non-empty")
+        rejects({"dataset": dict(MINIMAL["dataset"], smiles_column="")},
+                "dataset.smiles_column must be non-empty")
 
 
 class TestYamlLoading:

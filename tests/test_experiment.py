@@ -355,6 +355,27 @@ class TestCli:
             assert "input_dim is 7" in captured.err
             assert captured.out == ""  # refused before scoring
 
+    def test_checkpoint_with_other_model_settings_is_data_error(
+            self, toy_raw_config, tmp_path, capsys):
+        # a rate-0 checkpoint under a dropout YAML would make MC dropout
+        # return the deterministic score without a word
+        ck = self.write_checkpoint(tmp_path, lambda p: None)
+        raw = dict(toy_raw_config,
+                   model=dict(toy_raw_config["model"], dropout_rate=0.2,
+                              readout="sum"))
+        config = self.write_config(tmp_path, raw)
+        for command in ("evaluate", "screen"):
+            code = cli.main([command, "--config", str(config),
+                             "--checkpoint", str(ck)])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert "model.dropout_rate is 0.0 in the checkpoint, 0.2 in " \
+                "the config" in captured.err
+            assert "model.readout is 'attn' in the checkpoint, 'sum' in " \
+                "the config" in captured.err
+            assert "num_layers" not in captured.err
+            assert captured.out == ""  # refused before scoring
+
     @pytest.mark.parametrize("ratio", [0.1, 1.0])
     def test_split_leaving_an_empty_side_is_data_error(self, tmp_path,
                                                        capsys, ratio):
@@ -381,13 +402,14 @@ class TestCli:
         assert lines[-1] == "[SELFTEST] 8/8 checks passed"
 
     def test_parse_check_reports_failures(self, tmp_path, capsys):
-        path = tmp_path / "mols.csv"
-        path.write_text("smiles,label\nCCO,1\nC(,0\nCCN,1\n")
-        code = cli.main(["parse-check", str(path)])
-        assert code == 0
-        shown = capsys.readouterr().out
-        assert "2/3 parsed" in shown
-        assert "row 2" in shown
+        for name in ("mols.csv", "MOLS.CSV"):  # suffix case is ignored
+            path = tmp_path / name
+            path.write_text("smiles,label\nCCO,1\nC(,0\nCCN,1\n")
+            code = cli.main(["parse-check", str(path)])
+            assert code == 0
+            shown = capsys.readouterr().out
+            assert "2/3 parsed" in shown
+            assert "row 2" in shown
 
     def test_parse_check_plain_text(self, tmp_path, capsys):
         path = tmp_path / "mols.smi"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from molcalib import autodiff as ad
+from molcalib.config import resolve_config
 from molcalib.errors import ConfigError
 from molcalib.losses import (
     LossConfig,
@@ -240,6 +241,9 @@ class TestLossConfig:
             LossConfig(kind="bce", l2_coefficient=-1e-4)
 
     def test_to_dict_lists_every_knob(self):
-        d = LossConfig(kind="focal", focusing=1.0).to_dict()
+        raw = {"dataset": {"name": "toy", "path": "toy.csv"},
+               "loss": {"kind": "focal", "focusing": 1.0}}
+        d = resolve_config(raw).to_dict()["loss"]
         assert set(d) == {"kind", "smoothing", "entropy_weight", "focusing",
                           "positive_weight", "l2_coefficient"}
+        assert d["focusing"] == 1.0 and d["smoothing"] is None
