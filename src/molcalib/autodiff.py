@@ -253,17 +253,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(data, (a, b), backward, "matmul")
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.ndim != 2:
-        raise ShapeError(f"transpose needs a 2-D tensor, got {a.shape}")
-    data = a.data.T.copy()
-
-    def backward(out):
-        _accum(a, out.grad.T)
-
-    return _node(data, (a,), backward, "transpose")
-
-
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     try:
         data = a.data.reshape(shape)
@@ -323,20 +312,6 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _node(data, tuple(parts), backward, "concat")
 
 
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    n = a.data.shape[0]
-    if not (0 <= start < stop <= n):
-        raise ShapeError(f"slice_rows [{start}:{stop}] on {a.shape}")
-    data = a.data[start:stop].copy()
-
-    def backward(out):
-        g = np.zeros_like(a.data)
-        g[start:stop] = out.grad
-        _accum(a, g)
-
-    return _node(data, (a,), backward, "slice_rows")
-
-
 # -- nonlinearities --------------------------------------------------
 
 
@@ -387,25 +362,6 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
         _accum(a, out.grad * inside)
 
     return _node(data, (a,), backward, "clamp")
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Softmax along one axis; axis 0 of a matrix runs on its transpose,
-    so every reduction walks contiguous memory."""
-    last = a.ndim > 0 and axis in (-1, a.ndim - 1)
-    if not (last or (a.ndim == 2 and axis == 0)):
-        raise ShapeError(f"softmax axis {axis} out of range for {a.shape}")
-    x = a.data if last else np.ascontiguousarray(a.data.T)
-    # subtracting the max keeps exp from overflowing
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    s = e / e.sum(axis=-1, keepdims=True)
-
-    def backward(out):
-        g = out.grad if last else np.ascontiguousarray(out.grad.T)
-        dx = s * (g - (g * s).sum(axis=-1, keepdims=True))
-        _accum(a, dx if last else dx.T)
-
-    return _node(s if last else s.T.copy(), (a,), backward, "softmax")
 
 
 def dropout(a: Tensor, rate: float, training: bool,
@@ -461,7 +417,8 @@ def _pad_row(x: np.ndarray) -> np.ndarray:
 
 
 class Neighbors:
-    """Padded neighbour lists of a symmetric relation over N rows.
+    """Padded neighbour lists of an undirected graph over N rows: each row
+    lists itself and every row it shares a bond with, in ascending order.
 
     ``index[i, k]`` is the k-th neighbour of row i; unused slots hold N,
     which names an all-zero pad row.  ``mirror[i, k]`` is the slot that
@@ -472,26 +429,30 @@ class Neighbors:
 
     __slots__ = ("index", "mirror")
 
-    def __init__(self, rows, cols, num_rows: int) -> None:
-        """`rows`/`cols` are the pairs of the relation sorted by row, then
-        column, as ``np.nonzero`` returns them."""
-        rows = np.asarray(rows, dtype=np.intp)
-        cols = np.asarray(cols, dtype=np.intp)
+    def __init__(self, bonds, num_rows: int) -> None:
+        """`bonds` is an (E, 2) array of row pairs in [0, N), each bond
+        once in either orientation; a self-bond or a pair listed twice
+        raises :class:`ShapeError`."""
+        bonds = np.asarray(bonds, dtype=np.intp)
+        self_rows = np.arange(num_rows)
+        rows = np.concatenate((self_rows, bonds[:, 0], bonds[:, 1]))
+        cols = np.concatenate((self_rows, bonds[:, 1], bonds[:, 0]))
+        key = np.sort(rows * num_rows + cols)  # row-major pair order
+        # a repeated pair, or a self-bond doubling a self-loop, sorts
+        # next to its twin
+        if np.any(key[1:] == key[:-1]):
+            raise ShapeError("bond list has a self-bond or a repeated pair")
+        rows, cols = np.divmod(key, num_rows)
         # pair p of the column-major order is the mirror of pair p of the
-        # row-major order, provided the relation is symmetric
-        by_col = np.lexsort((rows, cols))
-        if not (np.array_equal(rows[by_col], cols)
-                and np.array_equal(cols[by_col], rows)):
-            raise ShapeError("neighbour relation is not symmetric")
+        # row-major order
+        by_col = np.argsort(cols * num_rows + rows)
         degree = np.bincount(rows, minlength=num_rows)
         width = max(int(degree.max(initial=0)), 1)
         slot = np.arange(rows.size) - (np.cumsum(degree) - degree)[rows]
         self.index = np.full((num_rows, width), num_rows, dtype=np.intp)
         self.index[rows, slot] = cols
         self.mirror = np.zeros((num_rows, width), dtype=np.intp)
-        mirror_of = np.empty_like(by_col)
-        mirror_of[by_col] = np.arange(by_col.size)
-        self.mirror[rows, slot] = slot[mirror_of]
+        self.mirror[rows, slot] = slot[by_col]
 
     def sum(self, x: np.ndarray) -> np.ndarray:
         """out[i] = sum over slots k of x[index[i, k]]."""
@@ -516,12 +477,12 @@ class Neighbors:
 
 
 def neighbor_sum(a: Tensor, nb: Neighbors) -> Tensor:
-    """Row i sums the rows of `a` that row i lists, itself included when
-    the relation has self-loops: the adjacency product A @ a."""
+    """Row i sums the rows of `a` that row i lists, itself included: the
+    product (A + I) @ a with the bond adjacency A."""
     data = nb.sum(a.data)
 
     def backward(out):
-        _accum(a, nb.sum(out.grad))  # A is symmetric
+        _accum(a, nb.sum(out.grad))  # A + I is symmetric
 
     return _node(data, (a,), backward, "neighbor_sum")
 

@@ -173,7 +173,8 @@ def _typed(value, hint, where: str):
 
     Bools never pass as numbers and ints widen to float.  ``X | None``
     checks as ``X``: None is only ever the default, never written.
-    ``tuple[T, ...]`` takes a non-empty list of numbers, each cast to T.
+    ``tuple[T, ...]`` takes a non-empty list of numbers, each checked as a
+    scalar T field is.
     """
     if get_origin(hint) is tuple:
         kind = get_args(hint)[0]
@@ -182,6 +183,8 @@ def _typed(value, hint, where: str):
         if any(isinstance(item, bool) or not isinstance(item, (int, float))
                for item in value):
             raise ConfigError(f"{where} entries must be numbers")
+        if kind is int and not all(isinstance(item, int) for item in value):
+            raise ConfigError(f"{where} entries must be ints")
         return tuple(kind(item) for item in value)
     kind = get_args(hint)[0] if get_args(hint) else hint
     if kind is float and isinstance(value, int) \

@@ -1,9 +1,11 @@
 """Molecular graph featurization.
 
-Turns a parsed :class:`~molcalib.smiles.Molecule` into dense numpy arrays:
-a node feature matrix ``X`` of shape (N, 58) and an adjacency matrix ``A``
-of shape (N, N) that already contains self-loops (bond adjacency plus the
-identity) with no degree normalization.
+Turns a parsed :class:`~molcalib.smiles.Molecule` into numpy arrays: a
+node feature matrix ``X`` of shape (N, 58) and a bond list of shape
+(E, 2) holding each bond once as a pair of atom indices, in parse order.
+Self-loops are not stored: the model's rule is that every node sees
+itself plus its bonded neighbours (:class:`molcalib.autodiff.Neighbors`),
+with no degree normalization.
 
 Node feature layout, 58 columns total:
 
@@ -71,10 +73,15 @@ DEFAULT_SCHEMA = FeatureSchema()
 
 @dataclass
 class MolecularGraph:
-    """Featurized molecule: node features, self-looped adjacency, metadata."""
+    """Featurized molecule: node features, bond list, metadata.
+
+    ``bonds`` is an (E, 2) int32 array with one row per bond, the atom
+    indices of its two ends, in parse order.  It holds no self-loops and
+    no bond twice.
+    """
 
     node_features: np.ndarray
-    adjacency: np.ndarray
+    bonds: np.ndarray
     label: int | None = None
     source_id: str | None = None
     smiles: str = ""
@@ -87,12 +94,12 @@ class MolecularGraph:
 def featurize(mol: Molecule, schema: FeatureSchema = DEFAULT_SCHEMA,
               label: int | None = None,
               source_id: str | None = None) -> MolecularGraph:
-    """Build the (X, A) pair for one molecule in one pass over its atoms.
+    """Build node features X and the bond list for one molecule in one
+    pass over its atoms.
 
-    A is bond adjacency plus the identity; every node sees itself.  Each
-    atom's one-hot positions are computed as plain ints and X is filled
-    with one flat-index write; the first atom out of the schema's bins
-    raises.
+    Each atom's one-hot positions are computed as plain ints and X is
+    filled with one flat-index write; the first atom out of the schema's
+    bins raises.
     """
     n = mol.num_atoms
     width = schema.width
@@ -134,11 +141,9 @@ def featurize(mol: Molecule, schema: FeatureSchema = DEFAULT_SCHEMA,
     x = np.zeros((n, width), dtype=np.float64)
     x.put(hot, 1.0)
 
-    a = np.eye(n, dtype=np.float64)
-    first = [b.a1 for b in mol.bonds]
-    second = [b.a2 for b in mol.bonds]
-    a[first + second, second + first] = 1.0
-    return MolecularGraph(node_features=x, adjacency=a, label=label,
+    bonds = np.array([(b.a1, b.a2) for b in mol.bonds],
+                     dtype=np.int32).reshape(-1, 2)
+    return MolecularGraph(node_features=x, bonds=bonds, label=label,
                           source_id=source_id, smiles=mol.smiles)
 
 
@@ -173,8 +178,9 @@ def strip_to_largest_component(mol: Molecule) -> Molecule:
 def permute_graph(graph: MolecularGraph, perm: np.ndarray) -> MolecularGraph:
     """Relabel nodes: new node i is old node perm[i]."""
     perm = np.asarray(perm)
+    new_index = np.argsort(perm).astype(np.int32)  # old node -> new node
     return MolecularGraph(
         node_features=graph.node_features[perm],
-        adjacency=graph.adjacency[np.ix_(perm, perm)],
+        bonds=new_index[graph.bonds],
         label=graph.label, source_id=graph.source_id, smiles=graph.smiles,
     )

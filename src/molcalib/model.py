@@ -60,8 +60,8 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class GraphBatch:
-    """Disjoint union of graphs: stacked node features, the neighbour lists
-    of the stacked self-looped adjacency, and each graph's row range."""
+    """Disjoint union of graphs: stacked node features, the self-looped
+    neighbour lists of the stacked bonds, and each graph's row range."""
 
     x: np.ndarray
     neighbors: ad.Neighbors
@@ -71,36 +71,34 @@ class GraphBatch:
 def pack_graphs(graphs: Sequence[MolecularGraph]) -> GraphBatch:
     """Pack graphs into one batch; graph b's nodes follow graph b-1's.
 
-    Adjacencies must be symmetric 0/1 matrices, as ``featurize`` builds
-    them.
+    Each bond list must be an (E, 2) integer array of its own graph's node
+    indices, with no self-bond and no pair listed twice in either
+    orientation, as ``featurize`` builds it.
     """
     if len(graphs) == 0:
         raise ShapeError("cannot pack zero graphs")
-    rows, cols, sizes = [], [], []
-    offset = 0
-    for graph in graphs:
-        n = graph.num_nodes
-        a = graph.adjacency
-        if a.shape != (n, n):
-            raise ShapeError(f"adjacency {a.shape} for {n} nodes")
-        r, c = np.nonzero(a)
-        if not np.all(a[r, c] == 1.0):
-            raise ShapeError("adjacency entries must be 0 or 1")
-        rows.append(r + offset)
-        cols.append(c + offset)
-        sizes.append(n)
-        offset += n
-    neighbors = ad.Neighbors(np.concatenate(rows), np.concatenate(cols),
-                             offset)
+    segments = ad.Segments([g.num_nodes for g in graphs])
+    try:
+        bonds = np.concatenate([g.bonds for g in graphs])
+    except ValueError:  # bond lists of mixed rank or width
+        bonds = None
+    if bonds is None or bonds.ndim != 2 or bonds.shape[1] != 2 \
+            or bonds.dtype.kind not in "iu":
+        raise ShapeError("bond lists must be (E, 2) integer arrays")
+    owner = np.repeat(np.arange(len(graphs)), [len(g.bonds) for g in graphs])
+    if np.any(bonds < 0) or np.any(bonds >= segments.sizes[owner, None]):
+        raise ShapeError("bond index outside its graph")
+    neighbors = ad.Neighbors(bonds + segments.starts[owner, None],
+                             segments.num_rows)
     x = np.concatenate([g.node_features for g in graphs])
-    return GraphBatch(x=x, neighbors=neighbors, segments=ad.Segments(sizes))
+    return GraphBatch(x=x, neighbors=neighbors, segments=segments)
 
 
 # -- layer and readout primitives ------------------------------------
 
 
 def gcn_layer(h: ad.Tensor, nb: ad.Neighbors, w: ad.Tensor) -> ad.Tensor:
-    """Neighborhood sum through the self-looped adjacency, then linear+ReLU."""
+    """Sum over each node and its bonded neighbours, then linear+ReLU."""
     return ad.relu(ad.matmul(ad.neighbor_sum(h, nb), w))
 
 

@@ -39,10 +39,10 @@ from .optim import AdamW
 
 def _random_graph(rng, nodes=6, width=10):
     x = rng.normal(size=(nodes, width))
-    a = (rng.random((nodes, nodes)) < 0.4).astype(np.float64)
-    a = np.maximum(a, a.T)
-    np.fill_diagonal(a, 1.0)
-    return MolecularGraph(node_features=x, adjacency=a, label=1)
+    first, second = np.triu_indices(nodes, k=1)
+    keep = rng.random(first.size) < 0.5
+    bonds = np.stack([first[keep], second[keep]], axis=1).astype(np.int32)
+    return MolecularGraph(node_features=x, bonds=bonds, label=1)
 
 
 def check_gradients_finite_difference():

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import SmilesSyntaxError, UnsupportedFeatureError
 
@@ -114,12 +115,22 @@ class Molecule:
     def num_atoms(self) -> int:
         return len(self.atoms)
 
+    @cached_property
+    def neighbor_lists(self) -> list[list[tuple[int, int]]]:
+        """Per atom, its (neighbour, bond index) pairs in bond order.
+
+        Built on first use and kept, so the atoms and bonds must not change
+        after that.
+        """
+        adj: list[list[tuple[int, int]]] = [[] for _ in self.atoms]
+        for ei, b in enumerate(self.bonds):
+            adj[b.a1].append((b.a2, ei))
+            adj[b.a2].append((b.a1, ei))
+        return adj
+
     def connected_components(self) -> list[list[int]]:
         """Fragments as sorted index lists, ordered by first atom index."""
-        adj: list[list[int]] = [[] for _ in self.atoms]
-        for b in self.bonds:
-            adj[b.a1].append(b.a2)
-            adj[b.a2].append(b.a1)
+        adj = self.neighbor_lists
         seen = [False] * len(self.atoms)
         comps: list[list[int]] = []
         for start in range(len(self.atoms)):
@@ -131,7 +142,7 @@ class Molecule:
             while stack:
                 v = stack.pop()
                 comp.append(v)
-                for w in adj[v]:
+                for w, _ in adj[v]:
                     if not seen[w]:
                         seen[w] = True
                         stack.append(w)
@@ -146,10 +157,7 @@ class Molecule:
         so long chains cannot hit the recursion limit.
         """
         n = len(self.atoms)
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for ei, b in enumerate(self.bonds):
-            adj[b.a1].append((b.a2, ei))
-            adj[b.a2].append((b.a1, ei))
+        adj = self.neighbor_lists
         disc = [-1] * n
         low = [0] * n
         timer = 0

@@ -30,7 +30,7 @@ from molcalib.model import GnnModel, ModelConfig, attn_pool, pack_graphs
 from molcalib.runner import run_ablation, train_run
 from molcalib.smiles import parse_smiles
 
-from test_autodiff import numeric_gradient
+from test_autodiff import numeric_gradient, random_bonds
 from test_metrics import (
     oracle_auroc,
     oracle_bins,
@@ -82,10 +82,7 @@ def require_datasets(announce, gate, names):
 
 def random_graph(rng, n, d0):
     x = rng.standard_normal((n, d0))
-    a = (rng.random((n, n)) < 0.5).astype(np.float64)
-    a = np.maximum(a, a.T)
-    np.fill_diagonal(a, 1.0)
-    return MolecularGraph(node_features=x, adjacency=a)
+    return MolecularGraph(node_features=x, bonds=random_bonds(rng, n, p=0.75))
 
 
 GRAD_DIMS = dict(num_layers=2, hidden_dim=4, graph_dim=4, input_dim=5)

@@ -152,6 +152,18 @@ class TestValidation:
             rejects(dict(MINIMAL, schedule={"decay_epochs": epochs}),
                     "schedule.decay_epochs must be a non-empty list")
 
+    def test_int_list_entries_checked_like_int_fields(self):
+        # a float entry is refused, not truncated; ints still widen in
+        # float lists
+        rejects(dict(MINIMAL, training={"seeds": [1.7, 3]}),
+                "training.seeds entries must be ints")
+        rejects(dict(MINIMAL, schedule={"decay_epochs": [3.9]}),
+                "schedule.decay_epochs entries must be ints")
+        rejects(dict(MINIMAL, training={"seeds": [2.0]}),
+                "training.seeds entries must be ints")
+        config = resolve_config(dict(MINIMAL, evaluation={"k_grid": [1, 50]}))
+        assert config.evaluation.k_grid == (1.0, 50.0)
+
     def test_threshold_range(self):
         rejects(dict(MINIMAL, evaluation={"threshold": 1.0}),
                 "threshold must lie in (0, 1)")

@@ -139,7 +139,7 @@ class TestIngestSmiles:
         graph = ingest_smiles("CCO.[Na+]", label=1, source_id="toy:1")
         assert graph.node_features.tobytes() == \
             loaded.node_features.tobytes()
-        assert graph.adjacency.tobytes() == loaded.adjacency.tobytes()
+        assert graph.bonds.tobytes() == loaded.bonds.tobytes()
         assert (graph.label, graph.source_id) == (1, "toy:1")
 
     def test_strip_salts_flag(self):

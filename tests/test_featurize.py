@@ -1,4 +1,4 @@
-"""Featurizer tests: schema layout, a per-atom oracle, adjacency, errors,
+"""Featurizer tests: schema layout, a per-atom oracle, bond lists, errors,
 stripping, permutation."""
 
 import math
@@ -16,9 +16,15 @@ from molcalib.featurize import (
 )
 from molcalib.smiles import parse_smiles
 
+from test_autodiff import dense_adjacency
+
 
 def feat(s):
     return featurize(parse_smiles(s))
+
+
+def self_looped(graph):
+    return dense_adjacency(graph.bonds, graph.num_nodes)
 
 
 class TestSchema:
@@ -28,7 +34,7 @@ class TestSchema:
     def test_methane_single_node(self):
         g = feat("C")
         assert g.node_features.shape == (1, 58)
-        assert g.adjacency.tolist() == [[1.0]]
+        assert g.bonds.shape == (0, 2) and g.bonds.dtype == np.int32
         x = g.node_features[0]
         assert x[DEFAULT_SCHEMA.elements.index("C")] == 1.0
         # degree block starts after 24 element slots; degree 0
@@ -188,7 +194,9 @@ class TestOracle:
             for m in (mol, strip_to_largest_component(mol)):
                 g = featurize(m, schema=schema)
                 x, a = oracle_graph(m, schema)
-                for got, want in ((g.node_features, x), (g.adjacency, a)):
+                assert g.bonds.dtype == np.int32, s
+                assert g.bonds.tolist() == [[b.a1, b.a2] for b in m.bonds], s
+                for got, want in ((g.node_features, x), (self_looped(g), a)):
                     assert got.dtype == want.dtype and \
                         got.shape == want.shape, s
                     assert got.tobytes() == want.tobytes(), s
@@ -215,18 +223,18 @@ class TestOracle:
 
 class TestAdjacency:
     def test_benzene_row_sums(self):
-        a = feat("c1ccccc1").adjacency
+        a = self_looped(feat("c1ccccc1"))
         np.testing.assert_array_equal(a.sum(axis=1), 3.0)
         np.testing.assert_array_equal(a, a.T)
         np.testing.assert_array_equal(np.diag(a), 1.0)
 
     def test_no_normalization(self):
-        a = feat("CC(C)(C)C").adjacency
+        a = self_looped(feat("CC(C)(C)C"))
         assert a[1].sum() == 5.0
         assert set(np.unique(a)) == {0.0, 1.0}
 
     def test_disconnected_fragments_block_diagonal(self):
-        a = feat("C.N").adjacency
+        a = self_looped(feat("C.N"))
         np.testing.assert_array_equal(a, np.eye(2))
 
 
@@ -281,7 +289,7 @@ class TestStripping:
         kept = strip_to_largest_component(parse_smiles("Cl.c1ccccc1C(=O)O"))
         g = featurize(kept)
         assert g.num_nodes == 9
-        np.testing.assert_array_equal(g.adjacency, g.adjacency.T)
+        assert g.bonds.shape == (9, 2) and g.bonds.max() == 8
 
 
 class TestPermutation:
@@ -290,9 +298,13 @@ class TestPermutation:
         rng = np.random.default_rng(7)
         perm = rng.permutation(g.num_nodes)
         gp = permute_graph(g, perm)
+        # bond k joins the same atoms, under their new indices
+        assert gp.bonds.dtype == np.int32
+        np.testing.assert_array_equal(perm[gp.bonds], g.bonds)
+        a, ap = self_looped(g), self_looped(gp)
         for i in range(g.num_nodes):
             for j in range(g.num_nodes):
-                assert gp.adjacency[i, j] == g.adjacency[perm[i], perm[j]]
+                assert ap[i, j] == a[perm[i], perm[j]]
             np.testing.assert_array_equal(
                 gp.node_features[i], g.node_features[perm[i]]
             )

@@ -1,6 +1,7 @@
 """Model tests: layer algebra, invariances, MC dropout, checkpoints."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,27 +23,23 @@ from molcalib.model import (
 )
 from molcalib.smiles import parse_smiles
 
-from test_autodiff import numeric_gradient
+from test_autodiff import dense_adjacency, numeric_gradient, random_bonds
+
+NO_BONDS = np.zeros((0, 2), dtype=np.int32)
 
 
 def random_graph(rng, n, d0):
     x = rng.standard_normal((n, d0))
-    a = (rng.random((n, n)) < 0.4).astype(np.float64)
-    a = np.maximum(a, a.T)
-    np.fill_diagonal(a, 1.0)
-    return MolecularGraph(node_features=x, adjacency=a)
+    return MolecularGraph(node_features=x, bonds=random_bonds(rng, n))
 
 
 def complete_graph_of_identical_nodes(k, d, value=0.3):
     x = np.full((k, d), value)
-    return MolecularGraph(node_features=x, adjacency=np.ones((k, k)))
+    bonds = np.stack(np.triu_indices(k, k=1), axis=1).astype(np.int32)
+    return MolecularGraph(node_features=x, bonds=bonds)
 
 
 SMALL = dict(num_layers=2, hidden_dim=5, graph_dim=4, input_dim=6)
-
-
-def neighbors_of(adjacency):
-    return ad.Neighbors(*np.nonzero(adjacency), adjacency.shape[0])
 
 
 def one_graph(rows):
@@ -56,7 +53,7 @@ class TestLayerAlgebra:
         h_row = np.array([0.5, -1.0, 2.0, 0.1])
         h = ad.Tensor(np.tile(h_row, (2, 1)))
         w = ad.Tensor(np.eye(d))
-        out = gcn_layer(h, neighbors_of(np.ones((2, 2))), w)
+        out = gcn_layer(h, ad.Neighbors([[0, 1]], 2), w)
         np.testing.assert_allclose(out.data, np.tile(np.maximum(2 * h_row, 0), (2, 1)))
 
     def test_gat_single_node_formula(self):
@@ -65,7 +62,7 @@ class TestLayerAlgebra:
         h = ad.Tensor(rng.standard_normal((1, d)))
         w = ad.Tensor(rng.standard_normal((d, d)))
         wa = ad.Tensor(rng.standard_normal((d, d)))
-        out = gat_layer(h, neighbors_of(np.ones((1, 1))), w, wa)
+        out = gat_layer(h, ad.Neighbors(NO_BONDS, 1), w, wa)
         hw = h.data @ w.data
         alpha = np.tanh((hw @ wa.data @ hw.T) / math.sqrt(d))
         np.testing.assert_allclose(out.data, np.maximum(alpha * hw, 0.0),
@@ -75,13 +72,13 @@ class TestLayerAlgebra:
         rng = np.random.default_rng(4)
         d = 3
         h = ad.Tensor(rng.standard_normal((3, d)))
-        a_disc = np.eye(3)  # no edges except self loops
-        out_disc = gat_layer(h, neighbors_of(a_disc),
+        # no bonds: each node lists only itself
+        out_disc = gat_layer(h, ad.Neighbors(NO_BONDS, 3),
                              ad.Tensor(np.eye(d)), ad.Tensor(np.eye(d)))
         # with only self loops each row depends only on its own features
         for i in range(3):
             solo = gat_layer(ad.Tensor(h.data[i:i + 1]),
-                             neighbors_of(np.ones((1, 1))),
+                             ad.Neighbors(NO_BONDS, 1),
                              ad.Tensor(np.eye(d)), ad.Tensor(np.eye(d)))
             np.testing.assert_allclose(out_disc.data[i], solo.data[0],
                                        atol=1e-14)
@@ -163,7 +160,7 @@ def mixed_graphs(d0):
     rng = np.random.default_rng(21)
     graphs = [random_graph(rng, n, d0) for n in (5, 1, 8, 2, 6)]
     graphs.insert(2, MolecularGraph(node_features=rng.standard_normal((4, d0)),
-                                    adjacency=np.eye(4)))
+                                    bonds=NO_BONDS))
     return graphs
 
 
@@ -194,7 +191,8 @@ class TestBatching:
         np.testing.assert_array_equal(batch.segments.sizes, sizes)
         np.testing.assert_array_equal(
             batch.x, np.concatenate([g.node_features for g in graphs]))
-        # the neighbour lists rebuild the block-diagonal adjacency
+        # the neighbour lists rebuild each graph's self-looped bond matrix
+        # on its diagonal block, and nothing off it
         n = sum(sizes)
         dense = np.zeros((n + 1, n + 1))
         for i, row in enumerate(batch.neighbors.index):
@@ -202,17 +200,29 @@ class TestBatching:
         offset = 0
         for g in graphs:
             block = slice(offset, offset + g.num_nodes)
-            np.testing.assert_array_equal(dense[block, block], g.adjacency)
+            np.testing.assert_array_equal(
+                dense[block, block], dense_adjacency(g.bonds, g.num_nodes))
             offset += g.num_nodes
-        assert dense[:n, :n].sum() == sum(g.adjacency.sum() for g in graphs)
+        assert dense[:n, :n].sum() == n + sum(2 * len(g.bonds) for g in graphs)
 
     def test_pack_rejects_bad_adjacency(self):
-        x = np.zeros((2, 3))
-        for a in (np.array([[1.0, 1.0], [0.0, 1.0]]),  # not symmetric
-                  np.array([[1.0, 2.0], [2.0, 1.0]]),  # not 0/1
-                  np.eye(3)):  # wrong size
-            with pytest.raises(ShapeError):
-                pack_graphs([MolecularGraph(node_features=x, adjacency=a)])
+        x = np.zeros((3, 3))
+        cases = {
+            "bond lists must be (E, 2) integer arrays": (
+                np.array([[0.0, 1.0]]), np.array([0, 1]),
+                np.array([[0, 1, 2]])),
+            "bond index outside its graph": (
+                np.array([[0, 3]]), np.array([[-1, 0]])),
+            "bond list has a self-bond or a repeated pair": (
+                np.array([[1, 1]]), np.array([[0, 1], [0, 1]]),
+                np.array([[0, 1], [2, 0], [1, 0]])),
+        }
+        good = MolecularGraph(node_features=x, bonds=np.array([[0, 1]]))
+        for message, bad in cases.items():
+            for bonds in bad:
+                graph = MolecularGraph(node_features=x, bonds=bonds)
+                with pytest.raises(ShapeError, match=re.escape(message)):
+                    pack_graphs([good, graph])
         with pytest.raises(ShapeError):
             pack_graphs([])
 
