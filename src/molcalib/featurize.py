@@ -1,8 +1,11 @@
 """Molecular graph featurization.
 
 Turns a parsed :class:`~molcalib.smiles.Molecule` into numpy arrays: a
-node feature matrix ``X`` of shape (N, 58) and a bond list of shape
-(E, 2) holding each bond once as a pair of atom indices, in parse order.
+node feature matrix ``X`` of shape (N, 58), stored as uint8 one-hot rows
+(one byte per entry), and a bond list of shape (E, 2) holding each bond
+once as a pair of atom indices, in parse order.  The float64 matrix the
+model reads is built once per packed batch, by
+:func:`molcalib.model.pack_graphs`.
 Self-loops are not stored: the model's rule is that every node sees
 itself plus its bonded neighbours (:class:`molcalib.autodiff.Neighbors`),
 with no degree normalization.
@@ -75,9 +78,11 @@ DEFAULT_SCHEMA = FeatureSchema()
 class MolecularGraph:
     """Featurized molecule: node features, bond list, metadata.
 
-    ``bonds`` is an (E, 2) int32 array with one row per bond, the atom
-    indices of its two ends, in parse order.  It holds no self-loops and
-    no bond twice.
+    ``node_features`` is an (N, width) array; ``featurize`` stores it as
+    uint8 one-hot rows, and :func:`molcalib.model.pack_graphs` converts a
+    batch of them to float64 in one pass.  ``bonds`` is an (E, 2) int32
+    array with one row per bond, the atom indices of its two ends, in
+    parse order.  It holds no self-loops and no bond twice.
     """
 
     node_features: np.ndarray
@@ -97,9 +102,9 @@ def featurize(mol: Molecule, schema: FeatureSchema = DEFAULT_SCHEMA,
     """Build node features X and the bond list for one molecule in one
     pass over its atoms.
 
-    Each atom's one-hot positions are computed as plain ints and X is
-    filled with one flat-index write; the first atom out of the schema's
-    bins raises.
+    Each atom's one-hot positions are computed as plain ints and the uint8
+    X is filled with one flat-index write; the first atom out of the
+    schema's bins raises.
     """
     n = mol.num_atoms
     width = schema.width
@@ -138,8 +143,8 @@ def featurize(mol: Molecule, schema: FeatureSchema = DEFAULT_SCHEMA,
             hot.append(base + aromatic_col)
         if i in ring:
             hot.append(base + aromatic_col + 1)
-    x = np.zeros((n, width), dtype=np.float64)
-    x.put(hot, 1.0)
+    x = np.zeros((n, width), dtype=np.uint8)
+    x.put(hot, 1)
 
     bonds = np.array([(b.a1, b.a2) for b in mol.bonds],
                      dtype=np.int32).reshape(-1, 2)

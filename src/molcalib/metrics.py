@@ -6,10 +6,13 @@ and the ground truth ``y_true``.  Index i of the three is one scored
 example, a record.  Everything here is plain numpy; nothing touches the
 autodiff tape.
 
-Calibration uses M equal-width probability bins where bin m covers
-(m/M, (m+1)/M] and the first bin additionally includes 0.  Expected
-calibration error is the count-weighted mean absolute gap between per-bin
-accuracy and per-bin mean confidence.  AUROC is the Mann-Whitney statistic
+Calibration is positive-class reliability: records go into M
+equal-width bins by ``p_hat``, where bin m covers (m/M, (m+1)/M] and the
+first bin additionally includes 0, and each bin's mean ``p_hat`` (its
+confidence) is set against its fraction of true positives.  Expected
+calibration error is the count-weighted mean absolute gap between the
+two, so it reads about 0 when ``y_true`` is drawn with probability
+``p_hat``, whatever the threshold.  AUROC is the Mann-Whitney statistic
 with tied scores counted half, computed from tie-averaged ranks.  The
 screening curve takes the top ceil(n * K / 100) records by descending
 probability (ties broken by original order) and reports the fraction of
@@ -71,8 +74,8 @@ class CalibrationBin:
     lower: float
     upper: float
     count: int
-    accuracy: float
-    confidence: float
+    positive_fraction: float  # mean of y_true over the bin
+    confidence: float  # mean p_hat over the bin
     defined: bool
 
 
@@ -90,10 +93,10 @@ def bin_predictions(p_hat, y_pred, y_true,
         mask = idx == m
         count = int(mask.sum())
         if count:
-            acc = float((yp[mask] == yt[mask]).mean())
+            positives = float(yt[mask].mean())
             conf = float(p[mask].mean())
             bins.append(CalibrationBin(edges[m], edges[m + 1], count,
-                                       acc, conf, True))
+                                       positives, conf, True))
         else:
             bins.append(CalibrationBin(edges[m], edges[m + 1], 0,
                                        0.0, 0.0, False))
@@ -101,7 +104,8 @@ def bin_predictions(p_hat, y_pred, y_true,
 
 
 def ece(p_hat, y_pred, y_true, num_bins: int = 10) -> float:
-    """Expected calibration error; empty bins contribute nothing."""
+    """Expected calibration error of the positive-class probability;
+    empty bins contribute nothing."""
     p, yp, yt = _arrays(p_hat, y_pred, y_true)
     n = p.size
     if n == 0:
@@ -109,7 +113,7 @@ def ece(p_hat, y_pred, y_true, num_bins: int = 10) -> float:
     total = 0.0
     for b in bin_predictions(p, yp, yt, num_bins):
         if b.defined:
-            total += (b.count / n) * abs(b.accuracy - b.confidence)
+            total += (b.count / n) * abs(b.positive_fraction - b.confidence)
     return total
 
 
@@ -291,7 +295,8 @@ class ReliabilityReport:
             },
             "calibration_bins": [
                 {"lower": b.lower, "upper": b.upper, "count": b.count,
-                 "accuracy": b.accuracy, "confidence": b.confidence,
+                 "positive_fraction": b.positive_fraction,
+                 "confidence": b.confidence,
                  "defined": b.defined} for b in self.bins
             ],
             "screening": [

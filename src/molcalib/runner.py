@@ -74,9 +74,9 @@ def emit_report_csvs(report: ReliabilityReport, out_dir: str) -> list[str]:
     path = os.path.join(reports, "calibration_curve.csv")
     _write_csv(path,
                ["bin_index", "lower", "upper", "midpoint", "count",
-                "accuracy", "confidence", "defined"],
+                "positive_fraction", "confidence", "defined"],
                [[i, b.lower, b.upper, 0.5 * (b.lower + b.upper), b.count,
-                 b.accuracy, b.confidence, int(b.defined)]
+                 b.positive_fraction, b.confidence, int(b.defined)]
                 for i, b in enumerate(report.bins)])
     written.append(path)
 

@@ -121,9 +121,9 @@ def check_metric_oracles():
         members = [r for r in rows
                    if (lo < r[0] <= hi) or (m == 0 and r[0] == 0.0)]
         if members:
-            acc = sum(yp == yt for _, yp, yt in members) / len(members)
+            positives = sum(yt for _, _, yt in members) / len(members)
             conf = sum(p for p, _, _ in members) / len(members)
-            slow_ece += len(members) / n * abs(acc - conf)
+            slow_ece += len(members) / n * abs(positives - conf)
     assert abs(ece(*arrays, 10) - slow_ece) <= 1e-12
 
     pos = [p for p, _, yt in rows if yt == 1]

@@ -246,9 +246,9 @@ def test_metrics_match_independent_oracles(announce):
 
         got_bins = metrics.bin_predictions(*recs, num_bins)
         for got, want in zip(got_bins, oracle_bins(recs, num_bins)):
-            count, acc, conf, defined = want
+            count, positives, conf, defined = want
             if (got.count != count or got.defined != defined
-                    or abs(got.accuracy - acc) > tol
+                    or abs(got.positive_fraction - positives) > tol
                     or abs(got.confidence - conf) > tol):
                 problems.append(f"trial {trial}: bin mismatch")
                 break
@@ -270,7 +270,8 @@ def test_metrics_match_independent_oracles(announce):
         if problems:
             break
 
-    # hand-built perfectly calibrated set: per-bin accuracy == confidence
+    # hand-built perfectly calibrated set: per-bin fraction of positives
+    # == confidence
     calibrated = records([(tenth / 10.0, 1, int(i < tenth))
                           for tenth in range(5, 11) for i in range(10)])
     cal_ece = metrics.ece(*calibrated, 10)

@@ -10,6 +10,7 @@ from molcalib.errors import FeatureError
 from molcalib.featurize import (
     DEFAULT_SCHEMA,
     FeatureSchema,
+    MolecularGraph,
     featurize,
     permute_graph,
     strip_to_largest_component,
@@ -101,6 +102,13 @@ class TestSchema:
         g = featurize(parse_smiles("CCO"), schema=sch)
         assert g.node_features.shape == (3, 49)
 
+    def test_features_stored_as_uint8_one_hot_rows(self):
+        for s in ("C", "CCO", "Cn1cnc2c1c(=O)n(C)c(=O)n2C", "[Na+].[Cl-]"):
+            x = feat(s).node_features
+            assert x.dtype == np.uint8
+            assert set(np.unique(x)) <= {0, 1}
+            assert x.nbytes == x.shape[0] * DEFAULT_SCHEMA.width
+
 
 def bridge_free_atoms(mol):
     """Atoms on a bond whose removal leaves its ends connected (a cycle)."""
@@ -121,40 +129,41 @@ def bridge_free_atoms(mol):
 
 
 def oracle_graph(mol, schema=DEFAULT_SCHEMA):
-    """Node features and adjacency built one atom at a time, block by block,
-    straight from the layout table in the featurize module docstring."""
+    """uint8 node features and float64 adjacency built one atom at a time,
+    block by block, straight from the layout table in the featurize module
+    docstring."""
     ring = bridge_free_atoms(mol)
     rows = []
     for i, atom in enumerate(mol.atoms):
         incident = [b for b in mol.bonds if i in (b.a1, b.a2)]
         h = atom.implicit_hydrogens
-        element = [0.0] * (len(schema.elements) + 1)
+        element = [0] * (len(schema.elements) + 1)
         if atom.symbol in schema.elements:
-            element[schema.elements.index(atom.symbol)] = 1.0
+            element[schema.elements.index(atom.symbol)] = 1
         else:
-            element[-1] = 1.0  # "other"
-        degree = [0.0] * (schema.max_degree + 1)
-        degree[len(incident)] = 1.0
-        hydrogens = [0.0] * (schema.max_hydrogens + 1)
-        hydrogens[h] = 1.0
-        charge = [0.0] * (2 * schema.max_abs_charge + 1)
+            element[-1] = 1  # "other"
+        degree = [0] * (schema.max_degree + 1)
+        degree[len(incident)] = 1
+        hydrogens = [0] * (schema.max_hydrogens + 1)
+        hydrogens[h] = 1
+        charge = [0] * (2 * schema.max_abs_charge + 1)
         clipped = atom.formal_charge
         if clipped > schema.max_abs_charge:
             clipped = schema.max_abs_charge
         if clipped < -schema.max_abs_charge:
             clipped = -schema.max_abs_charge
-        charge[clipped + schema.max_abs_charge] = 1.0
-        flags = [float(atom.aromatic), float(i in ring)]
+        charge[clipped + schema.max_abs_charge] = 1
+        flags = [int(atom.aromatic), int(i in ring)]
         order_sum = 0.0
         for b in incident:
             order_sum += b.order
-        bucket = [0.0] * schema.num_buckets
+        bucket = [0] * schema.num_buckets
         bucket[min(max(math.floor(order_sum + h), 1), schema.num_buckets)
-               - 1] = 1.0
+               - 1] = 1
         rows.append(element + degree + hydrogens + charge + flags + bucket
-                    + [0.0] * schema.padding)
+                    + [0] * schema.padding)
     n = mol.num_atoms
-    x = np.array(rows, dtype=np.float64).reshape(n, schema.width)
+    x = np.array(rows, dtype=np.uint8).reshape(n, schema.width)
     a = np.array([[1.0 if i == j or any({i, j} == {b.a1, b.a2}
                                          for b in mol.bonds) else 0.0
                    for j in range(n)] for i in range(n)],
@@ -308,3 +317,11 @@ class TestPermutation:
             np.testing.assert_array_equal(
                 gp.node_features[i], g.node_features[perm[i]]
             )
+
+    def test_permutation_keeps_feature_dtype(self):
+        g = feat("CC(=O)Oc1ccccc1C(=O)O")
+        perm = np.random.default_rng(8).permutation(g.num_nodes)
+        assert permute_graph(g, perm).node_features.dtype == np.uint8
+        real = MolecularGraph(node_features=g.node_features.astype(np.float64),
+                              bonds=g.bonds)
+        assert permute_graph(real, perm).node_features.dtype == np.float64

@@ -73,9 +73,9 @@ def oracle_bins(recs, num_bins):
         members = [(p, yp, yt) for p, yp, yt in zip(*recs)
                    if (lo < p <= hi) or (m == 0 and p == 0.0)]
         if members:
-            acc = sum(yp == yt for _, yp, yt in members) / len(members)
+            positives = sum(yt for _, _, yt in members) / len(members)
             conf = sum(p for p, _, _ in members) / len(members)
-            out.append((len(members), acc, conf, True))
+            out.append((len(members), positives, conf, True))
         else:
             out.append((0, 0.0, 0.0, False))
     return out
@@ -83,8 +83,9 @@ def oracle_bins(recs, num_bins):
 
 def oracle_ece(recs, num_bins):
     n = len(recs[0])
-    return sum((count / n) * abs(acc - conf)
-               for count, acc, conf, defined in oracle_bins(recs, num_bins)
+    return sum((count / n) * abs(positives - conf)
+               for count, positives, conf, defined
+               in oracle_bins(recs, num_bins)
                if defined)
 
 
@@ -155,7 +156,7 @@ class TestBinning:
         bins = bin_predictions(*recs, 10)
         assert bins[0].defined is False
         assert bins[0].count == 0
-        assert bins[0].accuracy == 0.0
+        assert bins[0].positive_fraction == 0.0
         assert bins[9].defined is True
 
     @pytest.mark.parametrize("num_bins", [1, 5, 10, 15])
@@ -165,10 +166,10 @@ class TestBinning:
         recs = random_records(rng, 400)
         got = bin_predictions(*recs, num_bins)
         want = oracle_bins(recs, num_bins)
-        for g, (count, acc, conf, defined) in zip(got, want):
+        for g, (count, positives, conf, defined) in zip(got, want):
             assert g.count == count
             assert g.defined == defined
-            assert g.accuracy == pytest.approx(acc, abs=TOL)
+            assert g.positive_fraction == pytest.approx(positives, abs=TOL)
             assert g.confidence == pytest.approx(conf, abs=TOL)
 
     def test_rejects_out_of_range_probability(self):
@@ -186,14 +187,26 @@ class TestEce:
         assert ece(*recs, 10) == pytest.approx(oracle_ece(recs, 10), abs=TOL)
 
     def test_perfectly_calibrated_is_zero(self):
-        # each bin's mean confidence equals its accuracy by construction,
-        # with binary-exact probabilities so the subtraction is exact
+        # each bin's mean confidence equals its fraction of positives by
+        # construction, with binary-exact probabilities so the
+        # subtraction is exact; y_pred is the 0.5-thresholded label
         triples = []
         for conf, group in [(0.75, 4), (0.25, 4), (0.875, 8)]:
-            correct = round(conf * group)
+            positives = round(conf * group)
             for i in range(group):
-                triples.append((conf, 1, int(i < correct)))
+                triples.append((conf, int(conf > 0.5), int(i < positives)))
         assert ece(*records(triples), 10) < TOL
+
+    def test_calibrated_by_construction_is_near_zero(self):
+        # y_true ~ Bernoulli(p_hat): calibrated whatever the threshold, so
+        # only sampling noise (about 0.002 at this size) is left
+        rng = np.random.default_rng(12)
+        p = rng.random(200_000)
+        y_true = (rng.random(p.size) < p).astype(np.int64)
+        y_pred = (p > 0.5).astype(np.int64)
+        assert ece(p, y_pred, y_true, 10) < 0.01
+        for b in bin_predictions(p, y_pred, y_true, 10):
+            assert abs(b.positive_fraction - b.confidence) < 0.01
 
     def test_maximally_miscalibrated(self):
         recs = records([(1.0, 1, 0)] * 10)

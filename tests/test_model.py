@@ -205,6 +205,26 @@ class TestBatching:
             offset += g.num_nodes
         assert dense[:n, :n].sum() == n + sum(2 * len(g.bonds) for g in graphs)
 
+    def test_pack_builds_float64_from_uint8_rows(self):
+        graphs = [featurize(parse_smiles(s)) for s in
+                  ("CC(=O)Oc1ccccc1C(=O)O", "N", "[Na+].[Cl-]", "C1CCOC1")]
+        assert all(g.node_features.dtype == np.uint8 for g in graphs)
+        x = pack_graphs(graphs).x
+        assert x.dtype == np.float64
+        want = np.vstack([g.node_features for g in graphs]).astype(np.float64)
+        assert x.tobytes() == want.tobytes()
+
+    def test_pack_mixed_uint8_and_float64_graphs(self):
+        small = featurize(parse_smiles("CCO"))
+        real = MolecularGraph(
+            node_features=np.random.default_rng(4).standard_normal((2, 58)),
+            bonds=np.array([[0, 1]], dtype=np.int32))
+        x = pack_graphs([small, real, small]).x
+        assert x.dtype == np.float64
+        np.testing.assert_array_equal(x[:3], small.node_features)
+        assert x[3:5].tobytes() == real.node_features.tobytes()
+        np.testing.assert_array_equal(x[5:], small.node_features)
+
     def test_pack_rejects_bad_adjacency(self):
         x = np.zeros((3, 3))
         cases = {
@@ -308,6 +328,25 @@ class TestCheckpoints:
                                           model.params[name].data)
         g = random_graph(np.random.default_rng(3), 8, cfg.input_dim)
         assert clone.predict_proba([g]) == model.predict_proba([g])
+
+    def test_file_is_json_dumps_of_payload(self, tmp_path):
+        import dataclasses
+        import json
+
+        model = GnnModel(ModelConfig(**SMALL), seed=12)
+        path = tmp_path / "model.json"
+        save_checkpoint(model, str(path))
+        payload = {
+            "format_version": 1,
+            "kind": "molcalib-checkpoint",
+            "config": dataclasses.asdict(model.config),
+            "params": {name: t.data.tolist()
+                       for name, t in model.params.items()},
+        }
+        assert path.read_bytes() == json.dumps(payload).encode("utf-8")
+        clone = load_checkpoint(str(path))
+        for name, t in model.params.items():
+            assert clone.params[name].data.tobytes() == t.data.tobytes()
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoError):
