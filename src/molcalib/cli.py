@@ -21,6 +21,7 @@ from .errors import (
     NumericalError,
     SchemaError,
     SmilesError,
+    reading,
 )
 
 EXIT_OK = 0
@@ -218,20 +219,17 @@ def _cmd_screen(args) -> int:
 def _iter_smiles(path: str, column: str):
     import csv
 
-    if path.lower().endswith(".csv"):
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or column not in reader.fieldnames:
-                raise SchemaError(
-                    f"{path!r} has no column {column!r}")
-            for i, row in enumerate(reader, start=1):
-                yield i, (row[column] or "").strip()
-    else:
-        with open(path, "r", encoding="utf-8-sig") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        if not path.lower().endswith(".csv"):
             for i, line in enumerate(fh, start=1):
-                text = line.strip()
-                if text:
-                    yield i, text
+                if line.strip():
+                    yield i, line.strip()
+            return
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or column not in reader.fieldnames:
+            raise SchemaError(f"{path!r} has no column {column!r}")
+        for i, row in enumerate(reader, start=1):
+            yield i, (row[column] or "").strip()
 
 
 def _cmd_parse_check(args) -> int:
@@ -241,7 +239,7 @@ def _cmd_parse_check(args) -> int:
 
     total = 0
     failures = 0
-    try:
+    with reading(args.path, "SMILES file"):
         for row, smiles in _iter_smiles(args.path, args.smiles_column):
             total += 1
             try:
@@ -250,8 +248,6 @@ def _cmd_parse_check(args) -> int:
                 failures += 1
                 if failures <= args.limit:
                     print(f"row {row}: {smiles!r}: {err}")
-    except OSError as err:
-        raise IoError(f"cannot read {args.path!r}: {err}") from err
     if total == 0:
         raise EmptyDatasetError(f"{args.path!r} contains no SMILES")
     accepted = total - failures

@@ -256,7 +256,7 @@ def load_raw(path: str) -> dict:
             raw = yaml.safe_load(fh)
     except OSError as err:
         raise IoError(f"cannot read config {path!r}: {err}") from err
-    except yaml.YAMLError as err:
+    except (yaml.YAMLError, UnicodeDecodeError) as err:
         raise ConfigError(f"config {path!r} is not valid YAML: {err}") from err
     if raw is None:
         raw = {}

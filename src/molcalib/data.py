@@ -18,9 +18,9 @@ from .config import DatasetSpec
 from .errors import (
     EmptyDatasetError,
     FeatureError,
-    IoError,
     SchemaError,
     SmilesError,
+    reading,
 )
 from .featurize import MolecularGraph, featurize, strip_to_largest_component
 from .smiles import parse_smiles
@@ -73,18 +73,14 @@ def load_dataset(spec: DatasetSpec) -> tuple[list[MolecularGraph], dict]:
     total data rows, ingested, skipped (with up to five example reasons),
     and the class balance of what survived.
     """
-    try:
-        handle = open(spec.path, "r", encoding="utf-8-sig", newline="")
-    except OSError as err:
-        raise IoError(f"cannot read dataset {spec.path!r}: {err}") from err
-
     graphs: list[MolecularGraph] = []
     skipped = 0
     skip_examples: list[dict] = []
     positives = 0
     rows_total = 0
 
-    with handle:
+    with reading(spec.path, "dataset"), \
+            open(spec.path, "r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None:
             raise SchemaError(f"dataset {spec.path!r} has no header row")

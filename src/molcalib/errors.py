@@ -2,10 +2,13 @@
 
 Every error raised deliberately by molcalib derives from :class:`MolcalibError`
 so callers can catch the whole family at the CLI boundary and map it to an
-exit code.
+exit code; :func:`reading` turns a failed file read into one of them.
 """
 
 from __future__ import annotations
+
+import contextlib
+import csv
 
 
 class MolcalibError(Exception):
@@ -70,3 +73,16 @@ class EmptyDatasetError(MolcalibError):
 
 class ConfigError(MolcalibError):
     """Experiment configuration is malformed or inconsistent."""
+
+
+@contextlib.contextmanager
+def reading(path: str, what: str):
+    """Scope reading the text file `path`: failing to open or read it
+    raises :class:`IoError`; text that is not UTF-8, or a CSV field over
+    the csv module's limit, raises :class:`SchemaError`."""
+    try:
+        yield
+    except OSError as err:
+        raise IoError(f"cannot read {what} {path!r}: {err}") from err
+    except (UnicodeDecodeError, csv.Error) as err:
+        raise SchemaError(f"cannot decode {what} {path!r}: {err}") from err

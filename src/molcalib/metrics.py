@@ -106,15 +106,15 @@ def bin_predictions(p_hat, y_pred, y_true,
 def ece(p_hat, y_pred, y_true, num_bins: int = 10) -> float:
     """Expected calibration error of the positive-class probability;
     empty bins contribute nothing."""
-    p, yp, yt = _arrays(p_hat, y_pred, y_true)
-    n = p.size
+    return _ece_of_bins(bin_predictions(p_hat, y_pred, y_true, num_bins))
+
+
+def _ece_of_bins(bins: list[CalibrationBin]) -> float:
+    n = sum(b.count for b in bins)
     if n == 0:
         raise DegenerateError("calibration error of zero records")
-    total = 0.0
-    for b in bin_predictions(p, yp, yt, num_bins):
-        if b.defined:
-            total += (b.count / n) * abs(b.positive_fraction - b.confidence)
-    return total
+    return sum((b.count / n) * abs(b.positive_fraction - b.confidence)
+               for b in bins if b.defined)
 
 
 # -- classification metrics ------------------------------------------
@@ -322,11 +322,12 @@ def build_report(p_hat, y_pred, y_true, num_bins: int = 10,
         roc, roc_defined = auroc(p, yp, yt), True
     except DegenerateError:
         roc, roc_defined = 0.0, False
+    bins = bin_predictions(p, yp, yt, num_bins)
     return ReliabilityReport(
         num_records=p.size,
         prevalence=float(np.mean(yt == 1)),
-        bins=bin_predictions(p, yp, yt, num_bins),
-        ece=ece(p, yp, yt, num_bins),
+        bins=bins,
+        ece=_ece_of_bins(bins),
         metrics=classification_metrics(p, yp, yt),
         auroc=roc,
         auroc_defined=roc_defined,

@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, IoError, SchemaError, ShapeError
+from .errors import ConfigError, SchemaError, ShapeError, reading
 from .featurize import DEFAULT_SCHEMA, MolecularGraph
 
 CHECKPOINT_VERSION = 1
@@ -120,7 +119,7 @@ def gat_layer(h: ad.Tensor, nb: ad.Neighbors, w: ad.Tensor,
 
 def embedding_block(h: ad.Tensor, layer_out: ad.Tensor, rate: float,
                     training: bool,
-                    rng: np.random.Generator | None) -> ad.Tensor:
+                    rng: ad.DropoutRng | None) -> ad.Tensor:
     """Dropout on the layer output, then the residual connection."""
     return ad.dropout(layer_out, rate, training, rng) + h
 
@@ -198,10 +197,10 @@ class GnnModel:
             p.zero_grad()
 
     def forward(self, batch: GraphBatch, training: bool = False,
-                rng: np.random.Generator | None = None) -> ad.Tensor:
+                rng: ad.DropoutRng | None = None) -> ad.Tensor:
         """Positive-class probability of every graph in the batch, shape
         (B,), on the tape.  Training-mode dropout draws each layer's mask
-        for the whole batch at once."""
+        at once, from `rng` as :func:`autodiff.dropout` describes."""
         cfg = self.config
         h = ad.matmul(ad.Tensor(batch.x), self.params["w_in"])
         readouts = []
@@ -226,30 +225,6 @@ class GnnModel:
         with ad.no_grad():
             return self.forward(pack_graphs(graphs)).data
 
-    def predict_mc_dropout(
-        self, graph: MolecularGraph, samples: int,
-        rng: np.random.Generator | None = None,
-    ) -> tuple[float, np.ndarray]:
-        """Mean of `samples` train-mode forward passes, plus the passes.
-
-        The passes run as one batch of `samples` copies of the graph, each
-        with its own dropout masks.  With dropout rate 0 every pass is the
-        deterministic forward, so the mean is returned as that exact value
-        (an arithmetic mean of T identical floats need not round-trip for T
-        not a power of two).
-        """
-        if samples < 1:
-            raise ConfigError("mc samples must be >= 1")
-        if self.config.dropout_rate == 0.0:
-            det = float(self.predict_proba([graph])[0])
-            return det, np.full(samples, det)
-        if rng is None:
-            rng = np.random.default_rng(0)
-        with ad.no_grad():
-            draws = self.forward(pack_graphs([graph] * samples),
-                                 training=True, rng=rng).data
-        return float(draws.mean()), draws
-
 
 # -- checkpoints -----------------------------------------------------
 
@@ -269,9 +244,7 @@ def save_checkpoint(model: GnnModel, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> GnnModel:
-    if not os.path.exists(path):
-        raise IoError(f"checkpoint not found: {path}")
-    with open(path, encoding="utf-8") as fh:
+    with reading(path, "checkpoint"), open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as err:

@@ -143,22 +143,26 @@ def emit_predictions_csv(graphs, probs, threshold: float,
 def predict_probabilities(model: GnnModel, graphs, mode: str,
                           mc_samples: int, seed: int,
                           batch_size: int) -> np.ndarray:
-    """Score graphs under the configured inference mode.
+    """Score graphs under the configured inference mode, in one loop.
 
-    Deterministic scoring packs `batch_size` graphs per forward.  MC
-    dropout scores one graph per forward, as `mc_samples` packed copies,
-    and draws its masks from a stream derived from (seed, graph index), so
-    scores do not depend on evaluation order.
+    A graph runs as `copies` packed copies (`mc_samples` train-mode passes
+    for MC dropout at a nonzero rate, else one deterministic pass) and
+    scores the mean of its copies.  A forward packs
+    max(1, batch_size // copies) graphs.  Graph i draws its dropout masks
+    from the stream (seed, i), so scores do not depend on chunking.
     """
+    mc = mode == "mc_dropout" and model.config.dropout_rate > 0
+    copies = mc_samples if mc else 1
+    per_forward = max(1, batch_size // copies)
     probs = np.empty(len(graphs))
-    if mode == "mc_dropout":
-        for i, graph in enumerate(graphs):
-            rng = np.random.default_rng([seed, i])
-            probs[i], _ = model.predict_mc_dropout(graph, mc_samples, rng)
-        return probs
-    for start in range(0, len(graphs), batch_size):
-        probs[start:start + batch_size] = model.predict_proba(
-            graphs[start:start + batch_size])
+    for start in range(0, len(graphs), per_forward):
+        chunk = graphs[start:start + per_forward]
+        blocks = [(np.random.default_rng([seed, i]), copies * g.num_nodes)
+                  for i, g in enumerate(chunk, start)] if mc else None
+        packed = pack_graphs([g for g in chunk for _ in range(copies)])
+        with ad.no_grad():
+            out = model.forward(packed, training=mc, rng=blocks).data
+        probs[start:start + len(chunk)] = out.reshape(-1, copies).mean(axis=1)
     return probs
 
 

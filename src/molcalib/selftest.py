@@ -35,6 +35,7 @@ from .model import (
     save_checkpoint,
 )
 from .optim import AdamW
+from .runner import predict_probabilities
 
 
 def _random_graph(rng, nodes=6, width=10):
@@ -166,21 +167,19 @@ def check_attention_size_sensitivity():
 
 
 def check_mc_dropout_zero_rate():
-    """MC inference with rate 0 collapses to deterministic, exactly, and
-    the packed train-mode passes agree with it to 1e-12."""
+    """MC inference with rate 0 is deterministic scoring, bitwise, and a
+    packed train-mode forward agrees with it to 1e-12."""
     rng = np.random.default_rng(6)
-    graph = _random_graph(rng, nodes=5, width=8)
+    graphs = [_random_graph(rng, nodes=n, width=8) for n in (5, 3)]
     config = ModelConfig(num_layers=2, hidden_dim=6, graph_dim=4,
                          input_dim=8, dropout_rate=0.0)
     model = GnnModel(config, seed=2)
-    det = model.predict_proba([graph])[0]
-    mean, draws = model.predict_mc_dropout(graph, 13,
-                                           np.random.default_rng(0))
-    assert mean == det
-    assert np.all(draws == det)
-    packed = model.forward(pack_graphs([graph] * 13), training=True,
+    det = predict_probabilities(model, graphs, "deterministic", 13, 0, 32)
+    mc = predict_probabilities(model, graphs, "mc_dropout", 13, 0, 32)
+    assert np.array_equal(mc, det)
+    packed = model.forward(pack_graphs(graphs * 13), training=True,
                            rng=np.random.default_rng(0)).data
-    assert np.max(np.abs(packed - det)) <= 1e-12
+    assert np.max(np.abs(packed - np.tile(det, 13))) <= 1e-12
 
 
 def check_checkpoint_roundtrip():

@@ -27,7 +27,7 @@ from molcalib.featurize import MolecularGraph, permute_graph
 from molcalib.losses import LossConfig
 from molcalib.metrics import DEFAULT_K_GRID
 from molcalib.model import GnnModel, ModelConfig, attn_pool, pack_graphs
-from molcalib.runner import run_ablation, train_run
+from molcalib.runner import predict_probabilities, run_ablation, train_run
 from molcalib.smiles import parse_smiles
 
 from test_autodiff import numeric_gradient, random_bonds
@@ -313,17 +313,17 @@ def test_model_invariances(announce):
     if worst_perm > 1e-12:
         problems.append(f"permutation gap {worst_perm:.2e}")
 
-    # dropout at rate zero must be the identity, so train-mode forwards,
-    # averaged or not, reproduce deterministic inference bitwise
+    # dropout at rate zero must be the identity, so a train-mode forward
+    # and MC inference reproduce deterministic scoring bitwise
     model = models[0]
     g = random_graph(rng, 6, GRAD_DIMS["input_dim"])
-    det = model.predict_proba([g])[0]
+    det = predict_probabilities(model, [g], "deterministic", 13, 0, 32)
     trained = model.forward(pack_graphs([g]), training=True,
-                            rng=np.random.default_rng(7)).item()
-    mc_mean, draws = model.predict_mc_dropout(g, samples=13)
-    if trained != det:
+                            rng=np.random.default_rng(7)).data
+    mc = predict_probabilities(model, [g], "mc_dropout", 13, 0, 32)
+    if not np.array_equal(trained, det):
         problems.append("train-mode forward at rate 0 differs")
-    if mc_mean != det or not np.all(draws == det):
+    if not np.array_equal(mc, det):
         problems.append("sampled inference at rate 0 differs")
 
     # complete graphs of identical nodes: the pre-sigmoid attention

@@ -268,6 +268,25 @@ class TestDropout:
         b = ad.dropout(x, 0.4, True, np.random.default_rng(7)).data
         np.testing.assert_array_equal(a, b)
 
+    def test_row_blocks_draw_from_their_own_generators(self):
+        x = ad.Tensor(np.ones((9, 4)), requires_grad=True)
+        out = ad.dropout(x, 0.4, True, [(np.random.default_rng(1), 2),
+                                        (np.random.default_rng(2), 7)])
+        top = ad.dropout(ad.Tensor(np.ones((2, 4))), 0.4, True,
+                         np.random.default_rng(1)).data
+        bottom = ad.dropout(ad.Tensor(np.ones((7, 4))), 0.4, True,
+                            np.random.default_rng(2)).data
+        np.testing.assert_array_equal(out.data, np.vstack([top, bottom]))
+        ad.backward(out.sum())
+        np.testing.assert_array_equal(x.grad, out.data)
+
+    @pytest.mark.parametrize("rows", [(2, 6), (2, 8)])
+    def test_row_blocks_must_tile_the_rows(self, rows):
+        x = ad.Tensor(np.ones((9, 4)))
+        blocks = [(np.random.default_rng(i), n) for i, n in enumerate(rows)]
+        with pytest.raises(ShapeError, match="do not tile the rows"):
+            ad.dropout(x, 0.4, True, blocks)
+
 
 def random_bonds(rng, n, p=0.6):
     """Each of the n(n-1)/2 node pairs bonded with probability p, listed

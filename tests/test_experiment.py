@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
-from molcalib import cli
+from molcalib import cli, runner
 from molcalib.config import manifest_fingerprint, resolve_config
 from molcalib.data import load_dataset, split_dataset
 from molcalib.errors import NumericalError
@@ -148,23 +148,28 @@ class TestInferenceModes:
         assert not np.allclose(det, result.test_probs)
 
     def test_mc_scores_do_not_depend_on_order(self, toy_raw_config):
+        # one molecule per forward, or all of them in one forward: each
+        # molecule keeps its (seed, index) stream, so only float
+        # reassociation in the packed forward moves its score
         raw = dict(toy_raw_config,
                    model=dict(toy_raw_config["model"], dropout_rate=0.3),
                    inference={"mode": "mc_dropout", "mc_samples": 4})
-        config = small_config(raw)
-        result = train_run(config, seed=0)
-        report_a, probs_a = evaluate_model(result.model, result.test_graphs,
-                                           config, seed=0)
-        report_b, probs_b = evaluate_model(result.model, result.test_graphs,
-                                           config, seed=0)
-        np.testing.assert_array_equal(probs_a, probs_b)
-        assert report_a.to_dict() == report_b.to_dict()
+        result = train_run(small_config(raw), seed=0)
+        probs = {}
+        for batch_size in (1, 32):
+            config = small_config(raw, batch_size=batch_size)
+            _, probs[batch_size] = evaluate_model(
+                result.model, result.test_graphs, config, seed=0)
+        np.testing.assert_allclose(probs[1], probs[32], rtol=0, atol=1e-15)
+        assert not np.array_equal(probs[1], result.model.predict_proba(
+            result.test_graphs))
 
-    def test_evaluate_thresholds_strictly(self, toy_raw_config):
-        model = SimpleNamespace(
-            predict_proba=lambda graphs: np.array([0.4, 0.5, 0.6]))
+    def test_evaluate_thresholds_strictly(self, toy_raw_config,
+                                          monkeypatch):
+        monkeypatch.setattr(runner, "predict_probabilities",
+                            lambda *args: np.array([0.4, 0.5, 0.6]))
         graphs = [SimpleNamespace(label=y) for y in (0, 1, 1)]
-        report, _ = evaluate_model(model, graphs,
+        report, _ = evaluate_model(None, graphs,
                                    small_config(toy_raw_config), seed=0)
         m = report.metrics  # 0.5 at threshold 0.5 is a negative call
         assert (m.tp, m.fp, m.tn, m.fn) == (1, 0, 1, 1)
@@ -395,6 +400,51 @@ class TestCli:
         assert code == 2  # an escaping exception would fail the test
         assert "split_ratio" in captured.err
         assert "epoch" not in captured.out
+
+    UNREADABLE_CSVS = {
+        "not-utf8": (b"smiles,label\nCCO,1\n\xff\xfeC,0\n",
+                     "codec can't decode"),
+        "field-over-limit": (b'smiles,label\n"' + b"C" * (129 * 1024)
+                             + b'",1\nCCO,0\n',
+                             "field larger than field limit"),
+    }
+
+    @pytest.mark.parametrize("command", ["train", "parse-check"])
+    @pytest.mark.parametrize("case", sorted(UNREADABLE_CSVS))
+    def test_unreadable_dataset_is_data_error(self, toy_raw_config,
+                                              tmp_path, capsys, command,
+                                              case):
+        content, message = self.UNREADABLE_CSVS[case]
+        data = tmp_path / "mols.csv"
+        data.write_bytes(content)
+        if command == "train":
+            raw = dict(toy_raw_config,
+                       dataset=dict(toy_raw_config["dataset"],
+                                    path=str(data)))
+            argv = ["train", "--config", str(self.write_config(tmp_path,
+                                                                raw))]
+        else:
+            argv = ["parse-check", str(data)]
+        code = cli.main(argv)  # an escaping exception would fail the test
+        captured = capsys.readouterr()
+        assert code == 2
+        assert message in captured.err and "mols.csv" in captured.err
+
+    def test_checkpoint_that_is_a_directory_is_data_error(
+            self, toy_raw_config, tmp_path, capsys):
+        config = self.write_config(tmp_path, toy_raw_config)
+        code = cli.main(["screen", "--config", str(config),
+                         "--checkpoint", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "cannot read checkpoint" in captured.err
+        assert captured.out == ""
+
+    def test_config_not_utf8_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "exp.yaml"
+        path.write_bytes(b"dataset:\n  name: \xff\xfe\n")
+        assert cli.main(["train", "--config", str(path)]) == 1
+        assert "codec can't decode" in capsys.readouterr().err
 
     def test_selftest_passes(self, capsys):
         assert cli.main(["selftest"]) == 0

@@ -390,7 +390,8 @@ class TestReport:
         recs = random_records(rng, 600)
         rep = build_report(*recs, num_bins=10)
         assert rep.num_records == 600
-        assert rep.ece == pytest.approx(ece(*recs, 10), abs=TOL)
+        assert rep.bins == bin_predictions(*recs, 10)
+        assert rep.ece == ece(*recs, 10)  # bitwise: the same bins, summed
         assert rep.auroc == pytest.approx(auroc(*recs), abs=TOL)
         assert rep.auroc_defined
         assert rep.metrics == classification_metrics(*recs)

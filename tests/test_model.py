@@ -21,6 +21,7 @@ from molcalib.model import (
     sum_pool,
     threshold_label,
 )
+from molcalib.runner import predict_probabilities
 from molcalib.smiles import parse_smiles
 
 from test_autodiff import dense_adjacency, numeric_gradient, random_bonds
@@ -266,44 +267,81 @@ class TestInvariances:
                 assert abs(model.predict_proba([gp])[0] - p) <= 1e-12
 
 
+def mc_scores(model, graphs, samples, seed=9, batch_size=32):
+    return predict_probabilities(model, graphs, "mc_dropout", samples,
+                                 seed, batch_size)
+
+
+def record_packed_sizes(monkeypatch, model):
+    """List, per forward of `model`, the node counts of its packed graphs."""
+    packed = []
+    forward = model.forward
+
+    def recording(batch, **kwargs):
+        packed.append(batch.segments.sizes.tolist())
+        return forward(batch, **kwargs)
+
+    monkeypatch.setattr(model, "forward", recording)
+    return packed
+
+
 class TestMcDropout:
     def test_zero_rate_is_exactly_deterministic(self):
         cfg = ModelConfig(dropout_rate=0.0, **SMALL)
         model = GnnModel(cfg, seed=2)
-        g = random_graph(np.random.default_rng(1), 6, cfg.input_dim)
-        det = model.predict_proba([g])[0]
-        mean, draws = model.predict_mc_dropout(g, 30)
-        assert mean == det
-        assert draws.shape == (30,)
-        assert np.all(draws == det)
+        rng = np.random.default_rng(1)
+        graphs = [random_graph(rng, n, cfg.input_dim) for n in (6, 1, 4)]
+        det = predict_probabilities(model, graphs, "deterministic", 30, 9,
+                                    32)
+        np.testing.assert_array_equal(det, model.predict_proba(graphs))
+        for samples in (1, 3, 30):
+            np.testing.assert_array_equal(mc_scores(model, graphs, samples),
+                                          det)
 
     def test_stochastic_passes_differ(self):
         cfg = ModelConfig(dropout_rate=0.4, **SMALL)
         model = GnnModel(cfg, seed=2)
         g = random_graph(np.random.default_rng(1), 6, cfg.input_dim)
-        mean, draws = model.predict_mc_dropout(
-            g, samples=16, rng=np.random.default_rng(5))
-        assert len(np.unique(draws)) == 16  # every packed copy has own masks
-        assert 0.0 < mean < 1.0
-        assert mean == pytest.approx(draws.mean())
+        # one pass per list entry, all in one forward: each entry draws
+        # its masks from its own (seed, index) stream
+        passes = mc_scores(model, [g] * 16, samples=1)
+        assert len(np.unique(passes)) == 16
+        assert np.all((passes > 0.0) & (passes < 1.0))
+        assert model.predict_proba([g])[0] not in passes
 
     def test_mc_reproducible_from_seed(self):
         cfg = ModelConfig(dropout_rate=0.4, **SMALL)
         model = GnnModel(cfg, seed=2)
-        g = random_graph(np.random.default_rng(1), 6, cfg.input_dim)
-        _, a = model.predict_mc_dropout(g, samples=8,
-                                        rng=np.random.default_rng(9))
-        _, b = model.predict_mc_dropout(g, samples=8,
-                                        rng=np.random.default_rng(9))
-        np.testing.assert_array_equal(a, b)
+        rng = np.random.default_rng(1)
+        graphs = [random_graph(rng, n, cfg.input_dim) for n in (6, 3)]
+        a = mc_scores(model, graphs, samples=8, seed=9)
+        np.testing.assert_array_equal(a, mc_scores(model, graphs, 8, seed=9))
+        assert not np.any(a == mc_scores(model, graphs, 8, seed=10))
 
-    def test_sample_count_override(self):
+    def test_sample_count_override(self, monkeypatch):
         cfg = ModelConfig(dropout_rate=0.2, **SMALL)
         model = GnnModel(cfg, seed=2)
-        g = random_graph(np.random.default_rng(1), 5, cfg.input_dim)
-        _, draws = model.predict_mc_dropout(g, samples=7,
-                                            rng=np.random.default_rng(0))
-        assert draws.shape == (7,)
+        rng = np.random.default_rng(1)
+        graphs = [random_graph(rng, n, cfg.input_dim) for n in (5, 2, 4)]
+        packed = record_packed_sizes(monkeypatch, model)
+        mc_scores(model, graphs, samples=7)
+        assert packed == [[5] * 7 + [2] * 7 + [4] * 7]
+
+    @pytest.mark.parametrize("mode, samples, forwards", [
+        ("mc_dropout", 4, 2),  # 8 molecules of 4 copies each per forward
+        ("mc_dropout", 40, 10),  # over batch_size: one molecule per forward
+        ("deterministic", 4, 1),
+    ])
+    def test_forward_packs_up_to_batch_size_copies(self, monkeypatch, mode,
+                                                   samples, forwards):
+        model = GnnModel(ModelConfig(dropout_rate=0.2, **SMALL), seed=2)
+        rng = np.random.default_rng(1)
+        graphs = [random_graph(rng, int(n), SMALL["input_dim"])
+                  for n in rng.integers(1, 6, size=10)]
+        packed = record_packed_sizes(monkeypatch, model)
+        predict_probabilities(model, graphs, mode, samples, 0, 32)
+        assert len(packed) == forwards
+        assert max(len(sizes) for sizes in packed) <= max(32, samples)
 
 
 class TestThreshold:
