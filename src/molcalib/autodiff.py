@@ -6,12 +6,19 @@ from a scalar loss and runs the closures in reverse, accumulating into
 ``.grad``.  Leaf gradients keep accumulating across backward calls until
 zeroed, so mini-batch sums and repeated calls behave the same way.
 
-Every forward result is checked for NaN/Inf and raises
-:class:`NumericalError` on the spot, which keeps diverging training runs
-from producing silent garbage.  Shape violations raise :class:`ShapeError`;
-asking for gradients of a value no recorded op produced raises
-:class:`TapeError`.  Inside a :func:`no_grad` scope ops compute values
-only and record nothing, so inference keeps no tape alive.
+By default every forward result is checked for NaN/Inf and raises
+:class:`NumericalError` naming the op that produced it, which keeps
+diverging runs from producing silent garbage.  :func:`checked_forward`
+runs a whole forward pass with those checks deferred: ops skip the
+per-result check, only the ops that can map a non-finite input to a
+finite output (relu, sigmoid, tanh, clamp, segment_softmax, pow_const
+with exponent <= 0, and the attention scores before their tanh) check
+their input, and the pass's result is checked once.  On any failure the
+pass is replayed with per-result checks on, so it raises the same error
+at the same op as a fully checked pass.  Shape violations raise
+:class:`ShapeError`; asking for gradients of a value no recorded op
+produced raises :class:`TapeError`.  Inside a :func:`no_grad` scope ops
+compute values only and record nothing, so inference keeps no tape alive.
 
 Packed graphs: a batch of graphs is one disjoint union whose node rows
 are stacked.  :class:`Segments` names each graph's row range and
@@ -127,10 +134,47 @@ def no_grad():
         _RECORDING.reset(token)
 
 
+_CHECKING = contextvars.ContextVar("molcalib_autodiff_checking",
+                                   default=True)
+
+
+def _check_input(arr: np.ndarray, op: str) -> None:
+    """Inside :func:`checked_forward`, check the input of an op that can
+    map a non-finite value to a finite one, which the one check of the
+    pass's result would miss."""
+    if not _CHECKING.get():
+        _check_finite(arr, f"the input of {op}")
+
+
+def checked_forward(compute):
+    """Return ``compute()``, a tensor, run with finiteness checks deferred.
+
+    Ops skip their per-result check, absorbing ops check their input, and
+    the result is checked once; numpy floating-point warnings are off.  If
+    any of these checks fails, ``compute()`` runs again with per-result
+    checks on and its result is returned, so a pass that produces a
+    non-finite value raises :class:`NumericalError` at the same op as a
+    fully checked pass.  ``compute`` must therefore be replayable: it
+    rebuilds or rewinds any random state it consumes.
+    """
+    token = _CHECKING.set(False)
+    try:
+        with np.errstate(all="ignore"):
+            out = compute()
+            _check_finite(out.data, "the checked forward")
+        return out
+    except NumericalError:
+        pass
+    finally:
+        _CHECKING.reset(token)
+    return compute()
+
+
 def _node(data, parents: tuple[Tensor, ...], backward, op: str) -> Tensor:
     # np.dot and 0-d reductions return bare numpy scalars
     data = np.asarray(data, dtype=np.float64)
-    _check_finite(data, op)
+    if _CHECKING.get():
+        _check_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.requires_grad = _RECORDING.get() and any(
@@ -148,7 +192,11 @@ def _node(data, parents: tuple[Tensor, ...], backward, op: str) -> Tensor:
 def _accum(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
-    if t.grad is None:
+    if t._parents:
+        # interior gradients are rebuilt each pass and never written in
+        # place, so `g` may be kept even when it is shared
+        t.grad = g if t.grad is None else t.grad + g
+    elif t.grad is None:
         t.grad = np.array(g, dtype=np.float64)  # a copy: g may be shared
     else:
         t.grad += g
@@ -213,6 +261,8 @@ def pow_const(a: Tensor, exponent: float) -> Tensor:
     value 1 and zero gradient.
     """
     c = float(exponent)
+    if c <= 0.0:  # inf ** 0 is 1 and inf ** -1 is 0
+        _check_input(a.data, "pow")
     data = np.power(a.data, c)
 
     def backward(out):
@@ -316,6 +366,7 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
+    _check_input(a.data, "relu")
     data = np.maximum(a.data, 0.0)
 
     def backward(out):
@@ -325,6 +376,7 @@ def relu(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
+    _check_input(a.data, "sigmoid")
     # tanh form never overflows, unlike 1/(1+exp(-x)) for large negative x
     data = 0.5 * (1.0 + np.tanh(0.5 * a.data))
 
@@ -335,6 +387,7 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def tanh(a: Tensor) -> Tensor:
+    _check_input(a.data, "tanh")
     data = np.tanh(a.data)
 
     def backward(out):
@@ -354,6 +407,7 @@ def log(a: Tensor) -> Tensor:
 
 
 def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
+    _check_input(a.data, "clamp")
     data = np.clip(a.data, lo, hi)
 
     def backward(out):
@@ -474,13 +528,9 @@ class Neighbors:
             out += xp[self.index[:, k]]
         return out
 
-    def weighted_sum(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """out[i] = sum over slots k of w[i, k] * x[index[i, k]]."""
-        return np.einsum("nk,nkd->nd", w, _pad_row(x)[self.index])
-
-    def dot(self, q: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """out[i, k] = q[i] . x[index[i, k]]; 0 on unused slots."""
-        return np.einsum("nd,nkd->nk", q, _pad_row(x)[self.index])
+    def gather(self, x: np.ndarray) -> np.ndarray:
+        """(N, K, d) rows: out[i, k] = x[index[i, k]]; 0 on unused slots."""
+        return _pad_row(x)[self.index]
 
     def transpose(self, w: np.ndarray) -> np.ndarray:
         """Per-slot values of the mirrored pair: out[i, k] = w[j, m] for
@@ -499,28 +549,34 @@ def neighbor_sum(a: Tensor, nb: Neighbors) -> Tensor:
     return _node(data, (a,), backward, "neighbor_sum")
 
 
-def neighbor_dot(q: Tensor, p: Tensor, nb: Neighbors) -> Tensor:
-    """Per-slot scores, shape (N, K): q[i] . p[j] for each neighbour j."""
-    data = nb.dot(q.data, p.data)
+def neighbor_attention(q: Tensor, p: Tensor, nb: Neighbors,
+                       scale: float) -> Tensor:
+    """Row i sums tanh(scale * q[i] . p[j]) * p[j] over its neighbours j,
+    shape (N, d).
+
+    The neighbour rows of `p` are gathered once, for the scores and the
+    weighted sum alike, and the backward pass reuses them.  `scale` is at
+    most 1 in magnitude, as 1/sqrt(width) is.
+    """
+    gathered = nb.gather(p.data)
+    scores = np.einsum("nd,nkd->nk", q.data, gathered)
+    # checked in every mode, as the tanh below maps +-inf to +-1.  Scaling
+    # by at most 1 and tanh keep finite scores finite, so this check and
+    # the result's carry the names of the two stages that can fail.
+    _check_finite(scores, "neighbor_dot")
+    alpha = np.tanh(scores * scale)
+    data = np.einsum("nk,nkd->nd", alpha, gathered)
 
     def backward(out):
         g = out.grad
-        _accum(q, nb.weighted_sum(g, p.data))
-        _accum(p, nb.weighted_sum(nb.transpose(g), q.data))
+        g_scores = np.einsum("nd,nkd->nk", g, gathered) \
+            * (1.0 - alpha * alpha) * scale
+        _accum(q, np.einsum("nk,nkd->nd", g_scores, gathered))
+        _accum(p, np.einsum("nk,nkd->nd", nb.transpose(alpha), nb.gather(g))
+               + np.einsum("nk,nkd->nd", nb.transpose(g_scores),
+                           nb.gather(q.data)))
 
-    return _node(data, (q, p), backward, "neighbor_dot")
-
-
-def neighbor_weighted_sum(w: Tensor, p: Tensor, nb: Neighbors) -> Tensor:
-    """Row i sums w[i, k] * p[j] over its neighbours j, shape (N, d)."""
-    data = nb.weighted_sum(w.data, p.data)
-
-    def backward(out):
-        g = out.grad
-        _accum(w, nb.dot(g, p.data))
-        _accum(p, nb.weighted_sum(nb.transpose(w.data), g))
-
-    return _node(data, (w, p), backward, "neighbor_weighted_sum")
+    return _node(data, (q, p), backward, "neighbor_weighted_sum")
 
 
 def segment_sum(a: Tensor, seg: Segments) -> Tensor:
@@ -540,6 +596,7 @@ def segment_softmax(a: Tensor, seg: Segments) -> Tensor:
     if a.ndim != 1 or a.data.shape[0] != seg.num_rows:
         raise ShapeError(
             f"segment_softmax: {a.shape} over {seg.num_rows} rows")
+    _check_input(a.data, "segment_softmax")  # exp(-inf) is 0
     # subtracting each segment's max keeps exp from overflowing
     e = np.exp(a.data - np.maximum.reduceat(a.data, seg.starts)[seg.ids])
     s = e / np.add.reduceat(e, seg.starts)[seg.ids]

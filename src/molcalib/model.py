@@ -111,10 +111,8 @@ def gat_layer(h: ad.Tensor, nb: ad.Neighbors, w: ad.Tensor,
     zero.
     """
     p = ad.matmul(h, w)
-    d_out = w.shape[1]
-    scores = ad.neighbor_dot(ad.matmul(p, w_attn), p, nb)
-    alpha = ad.tanh(scores * (1.0 / math.sqrt(d_out)))
-    return ad.relu(ad.neighbor_weighted_sum(alpha, p, nb))
+    scale = 1.0 / math.sqrt(w.shape[1])
+    return ad.relu(ad.neighbor_attention(ad.matmul(p, w_attn), p, nb, scale))
 
 
 def embedding_block(h: ad.Tensor, layer_out: ad.Tensor, rate: float,
@@ -277,5 +275,7 @@ def load_checkpoint(path: str) -> GnnModel:
                 f"checkpoint parameter {name!r} is not numeric") from err
         if arr.shape != model.params[name].data.shape:
             raise SchemaError(f"checkpoint parameter {name!r} has wrong shape")
+        if not np.all(np.isfinite(arr)):  # JSON NaN and Infinity load
+            raise SchemaError(f"checkpoint parameter {name!r} is not finite")
         model.params[name].data = arr
     return model

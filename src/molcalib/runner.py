@@ -150,6 +150,7 @@ def predict_probabilities(model: GnnModel, graphs, mode: str,
     scores the mean of its copies.  A forward packs
     max(1, batch_size // copies) graphs.  Graph i draws its dropout masks
     from the stream (seed, i), so scores do not depend on chunking.
+    Each forward is one :func:`autodiff.checked_forward` pass.
     """
     mc = mode == "mc_dropout" and model.config.dropout_rate > 0
     copies = mc_samples if mc else 1
@@ -157,11 +158,15 @@ def predict_probabilities(model: GnnModel, graphs, mode: str,
     probs = np.empty(len(graphs))
     for start in range(0, len(graphs), per_forward):
         chunk = graphs[start:start + per_forward]
-        blocks = [(np.random.default_rng([seed, i]), copies * g.num_nodes)
-                  for i, g in enumerate(chunk, start)] if mc else None
         packed = pack_graphs([g for g in chunk for _ in range(copies)])
+
+        def chunk_forward():
+            blocks = [(np.random.default_rng([seed, i]), copies * g.num_nodes)
+                      for i, g in enumerate(chunk, start)] if mc else None
+            return model.forward(packed, training=mc, rng=blocks)
+
         with ad.no_grad():
-            out = model.forward(packed, training=mc, rng=blocks).data
+            out = ad.checked_forward(chunk_forward).data
         probs[start:start + len(chunk)] = out.reshape(-1, copies).mean(axis=1)
     return probs
 
@@ -201,10 +206,16 @@ def _epoch_pass(model, train_graphs, loss_cfg: LossConfig, optimizer,
     for start in range(0, len(order), batch_size):
         batch = [train_graphs[i] for i in order[start:start + batch_size]]
         optimizer.zero_grad()
-        p_vec = model.forward(pack_graphs(batch), training=True,
-                              rng=dropout_rng)
+        packed = pack_graphs(batch)
         targets = np.array([g.label for g in batch], dtype=np.float64)
-        batch_sum = loss_cfg.compute(targets, p_vec)
+        rng_state = dropout_rng.bit_generator.state
+
+        def batch_loss():
+            dropout_rng.bit_generator.state = rng_state  # replay, same masks
+            p_vec = model.forward(packed, training=True, rng=dropout_rng)
+            return loss_cfg.compute(targets, p_vec)
+
+        batch_sum = ad.checked_forward(batch_loss)
         # objective is the per-sample mean; the summed form stays in the
         # loss ops themselves
         objective = (1.0 / len(batch)) * batch_sum

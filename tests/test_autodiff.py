@@ -319,22 +319,17 @@ class TestPackedGraphOps:
         q = rng.standard_normal((7, 3))
         np.testing.assert_allclose(ad.neighbor_sum(ad.Tensor(x), nb).data,
                                    a @ x, atol=1e-14)
-        dense = (q @ x.T) * a  # every pair, masked to neighbours
-        scores = ad.neighbor_dot(ad.Tensor(q), ad.Tensor(x), nb).data
+        gathered = nb.gather(x)
         for i in range(7):
             listed = nb.index[i][nb.index[i] < 7]
             # each row lists itself and its bonded rows, in ascending order
             np.testing.assert_array_equal(listed, np.flatnonzero(a[i]))
-            np.testing.assert_allclose(scores[i, :listed.size],
-                                       dense[i, listed], atol=1e-14)
-            assert np.all(scores[i, listed.size:] == 0.0)
-        w = np.zeros((7, 7))
-        for i in range(7):
-            for k, j in enumerate(nb.index[i]):
-                if j < 7:
-                    w[i, j] = scores[i, k]
-        out = ad.neighbor_weighted_sum(ad.Tensor(scores), ad.Tensor(x), nb)
-        np.testing.assert_allclose(out.data, w @ x, atol=1e-14)
+            np.testing.assert_array_equal(gathered[i, :listed.size],
+                                          x[listed])
+            assert np.all(gathered[i, listed.size:] == 0.0)
+        alpha = np.tanh(0.7 * (q @ x.T)) * a  # every pair, masked
+        out = ad.neighbor_attention(ad.Tensor(q), ad.Tensor(x), nb, 0.7)
+        np.testing.assert_allclose(out.data, alpha @ x, atol=1e-14)
 
     def test_mirror_names_the_reverse_slot(self):
         _, nb = random_neighbors(np.random.default_rng(1), 9)
@@ -348,13 +343,21 @@ class TestPackedGraphOps:
         _, nb = random_neighbors(rng, 6)
         x = ad.Tensor(rng.standard_normal((6, 3)), requires_grad=True)
         q = ad.Tensor(rng.standard_normal((6, 3)), requires_grad=True)
+        p = ad.Tensor(rng.standard_normal((6, 3)), requires_grad=True)
+        w = ad.Tensor(rng.standard_normal((3, 3)), requires_grad=True)
 
         def build():
-            alpha = ad.tanh(ad.neighbor_dot(q, x, nb))
-            out = ad.neighbor_weighted_sum(alpha, ad.neighbor_sum(x, nb), nb)
+            out = ad.neighbor_attention(q, p, nb, 0.7)
             return (out * out).sum()
 
-        check_grads(build, [x, q])
+        def build_shared():
+            # as in a GAT layer: the queries are a product of the values
+            h = ad.neighbor_sum(x, nb)
+            out = ad.neighbor_attention(ad.matmul(h, w), h, nb, 0.7)
+            return (out * out).sum()
+
+        check_grads(build, [q, p])
+        check_grads(build_shared, [x, w])
 
     def test_segment_ops_match_per_segment_loops(self):
         rng = np.random.default_rng(3)
@@ -408,3 +411,55 @@ class TestNoGrad:
         assert out.requires_grad and out._parents
         ad.backward(out)
         np.testing.assert_array_equal(w.grad, [2.0, 2.0, 2.0])
+
+
+def overflowing(sign):
+    """A matmul whose every entry overflows to sign * inf."""
+    big = ad.Tensor(np.full((2, 2), 1e308))
+    return ad.matmul(big, big * sign)
+
+
+class TestCheckedForward:
+    # each op maps a non-finite input to a finite output, so only its
+    # input check can see the overflow before it
+    ABSORBING = {
+        "relu": lambda: ad.relu(overflowing(-1.0)),
+        "sigmoid": lambda: ad.sigmoid(overflowing(1.0)),
+        "tanh": lambda: ad.tanh(overflowing(-1.0)),
+        "clamp": lambda: ad.clamp(overflowing(1.0), 0.0, 1.0),
+        "segment_softmax": lambda: ad.segment_softmax(
+            ad.concat([ad.Tensor([0.0]),
+                       ad.reshape(overflowing(-1.0), (-1,))]),
+            ad.Segments([5])),
+        "pow 0": lambda: overflowing(1.0) ** 0.0,
+        "pow -1": lambda: overflowing(1.0) ** -1.0,
+        "attention": lambda: ad.neighbor_attention(
+            overflowing(1.0), ad.Tensor(np.ones((2, 2))),
+            ad.Neighbors(np.zeros((0, 2), dtype=np.intp), 2), 0.5),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ABSORBING))
+    def test_absorbed_overflow_raises_at_its_op(self, name, monkeypatch):
+        build = self.ABSORBING[name]
+        with pytest.raises(NumericalError) as checked:
+            build()
+        with pytest.raises(NumericalError) as deferred:
+            ad.checked_forward(build)
+        assert str(checked.value) == "non-finite values produced by matmul"
+        assert str(deferred.value) == str(checked.value)
+        if name != "attention":  # its scores are checked in every mode
+            # without the input check the deferred pass would miss it
+            monkeypatch.setattr(ad, "_check_input", lambda arr, op: None)
+            assert np.all(np.isfinite(ad.checked_forward(build).data))
+
+    def test_non_finite_leaf_keeps_the_per_op_outcome(self):
+        # a relu of a -inf constant is finite and raises nowhere: the
+        # replay returns the checked result
+        x = ad.Tensor([-np.inf, 2.0])
+        out = ad.checked_forward(lambda: ad.relu(x) + 1.0)
+        np.testing.assert_array_equal(out.data, [1.0, 3.0])
+
+    def test_checks_are_back_on_after_the_pass(self):
+        ad.checked_forward(lambda: ad.Tensor([1.0]) + 1.0)
+        with pytest.raises(NumericalError):
+            overflowing(1.0)

@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 import yaml
 
-from molcalib import cli, runner
+from molcalib import autodiff as ad, cli, runner
 from molcalib.config import manifest_fingerprint, resolve_config
 from molcalib.data import load_dataset, split_dataset
 from molcalib.errors import NumericalError
-from molcalib.model import GnnModel, ModelConfig, save_checkpoint
+from molcalib.model import GnnModel, ModelConfig, pack_graphs, save_checkpoint
 from molcalib.runner import (
     ablation_variants,
     evaluate_model,
@@ -134,6 +134,136 @@ class TestReproducibility:
         assert lines[0] == (f"warning: all {len(test)} test molecules are "
                             f"class 1; AUROC will be undefined")
         assert logged["fingerprint"] == quiet["fingerprint"]
+
+
+def planted_model(config, case, seed=0):
+    """A model whose forward overflows just before an op that would map
+    the overflow back to a finite value."""
+    model = GnnModel(config, seed=seed)
+    p = model.params
+    if case == "sigmoid":  # the classifier logit overflows to +inf
+        p["w_clf"].data = np.full_like(p["w_clf"].data, 1e308)
+    else:  # relu: non-negative features times -1e308 weights give -inf
+        p["w_in"].data = np.abs(p["w_in"].data)
+        p["w_conv_0"].data = np.full_like(p["w_conv_0"].data, -1e308)
+    return model
+
+
+PLANTED = [("gcn", "sigmoid"), ("gat", "sigmoid"), ("gcn", "relu")]
+
+
+def per_op_checks(monkeypatch):
+    """Run every checked forward as a plain one, each op checking its
+    result."""
+    monkeypatch.setattr(ad, "checked_forward", lambda compute: compute())
+
+
+class TestDeferredChecks:
+    """Scoring and training check finiteness once per forward; these pin
+    their results and errors to those of per-op checking."""
+
+    @pytest.mark.parametrize("embed, case", PLANTED)
+    @pytest.mark.parametrize("mode", ["deterministic", "mc_dropout"])
+    def test_planted_overflow_raises_in_scoring(self, toy_raw_config, embed,
+                                                case, mode):
+        config = small_config(toy_raw_config)
+        model = planted_model(replace(config.model, node_embedding=embed,
+                                      dropout_rate=0.2), case)
+        graphs, _ = load_dataset(config.dataset)
+        with pytest.raises(NumericalError) as err:
+            runner.predict_probabilities(model, graphs, mode, 5, 0, 8)
+        assert str(err.value) == "non-finite values produced by matmul"
+
+    @pytest.mark.parametrize("embed, case", PLANTED)
+    def test_planted_overflow_raises_in_training(self, toy_raw_config,
+                                                 tmp_path, monkeypatch,
+                                                 embed, case):
+        model = dict(toy_raw_config["model"], node_embedding=embed,
+                     dropout_rate=0.1)
+        config = small_config(dict(toy_raw_config, model=model))
+        monkeypatch.setattr(runner, "GnnModel",
+                            lambda cfg, seed: planted_model(cfg, case, seed))
+        with pytest.raises(NumericalError) as err:
+            train_run(config, seed=0, out_dir=str(tmp_path))
+        assert str(err.value) == \
+            "epoch 0: non-finite values produced by matmul"
+        man = json.loads((tmp_path / "manifest.json").read_text())
+        assert man["failed_epoch"] == 0
+
+    def test_divergence_fails_where_per_op_checks_fail(self, toy_raw_config,
+                                                       tmp_path, monkeypatch):
+        raw = dict(toy_raw_config, optimizer={"learning_rate": 1e200})
+        config = small_config(raw, epochs=5)
+        failures = []
+        for side in ("deferred", "per-op"):
+            if side == "per-op":
+                per_op_checks(monkeypatch)
+            with pytest.raises(NumericalError) as err:
+                train_run(config, seed=0, out_dir=str(tmp_path / side))
+            man = json.loads((tmp_path / side / "manifest.json").read_text())
+            failures.append((str(err.value), man["failed_epoch"],
+                             man["epoch_losses"]))
+        assert failures[0] == failures[1]
+
+    @pytest.mark.parametrize("embed", ["gcn", "gat"])
+    @pytest.mark.parametrize("readout", ["sum", "attn"])
+    def test_results_match_per_op_checks(self, toy_raw_config, monkeypatch,
+                                         embed, readout):
+        model = dict(toy_raw_config["model"], node_embedding=embed,
+                     readout=readout, dropout_rate=0.2)
+        config = small_config(dict(toy_raw_config, model=model))
+        graphs, _ = load_dataset(config.dataset)
+
+        def run():
+            scorer = GnnModel(config.model, seed=4)
+            scores = [runner.predict_probabilities(scorer, graphs, mode, 5, 7,
+                                                   8)
+                      for mode in ("deterministic", "mc_dropout")]
+            trained = train_run(config, seed=0)
+            return scores + [trained.manifest["epoch_losses"],
+                             trained.test_probs]
+
+        deferred = run()
+        check = ad._check_finite
+
+        def failing_result_check(arr, op):
+            if op == "the checked forward":
+                raise NumericalError(op)
+            check(arr, op)
+
+        # every pass fails its one check, so each chunk and batch is
+        # replayed, and must draw the same dropout masks again
+        monkeypatch.setattr(ad, "_check_finite", failing_result_check)
+        replayed = run()
+        monkeypatch.undo()
+        per_op_checks(monkeypatch)
+        for a, b, c in zip(deferred, replayed, run()):
+            np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(a, c)
+
+    @pytest.mark.parametrize("embed", ["gcn", "gat"])
+    def test_forward_checks_only_inputs_of_absorbing_ops(
+            self, toy_raw_config, monkeypatch, embed):
+        config = small_config(toy_raw_config)
+        model = GnnModel(replace(config.model, node_embedding=embed,
+                                 num_layers=3), seed=0)
+        batch = pack_graphs(load_dataset(config.dataset)[0])
+        seen = []
+        check = ad._check_finite
+
+        def counting(arr, op):
+            seen.append(op)
+            check(arr, op)
+
+        monkeypatch.setattr(ad, "_check_finite", counting)
+        with ad.no_grad():
+            ad.checked_forward(lambda: model.forward(batch))
+        layer = ["the input of relu", "the input of segment_softmax",
+                 "the input of sigmoid"]
+        if embed == "gat":
+            layer.insert(0, "neighbor_dot")  # the scores before their tanh
+        assert seen == layer * 3 + ["the input of sigmoid",
+                                    "the checked forward"]
 
 
 class TestInferenceModes:
@@ -344,6 +474,28 @@ class TestCli:
         cfg = self.write_config(tmp_path, toy_raw_config)
         assert self.evaluate(cfg, ck) == 2
         assert "'b_clf' is not numeric" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_checkpoint_non_finite_parameter_is_data_error(
+            self, toy_raw_config, tmp_path, capsys, value):
+        ck = self.write_checkpoint(
+            tmp_path, lambda p: p["params"].update(b_clf=value))
+        assert "Infinity" in ck.read_text() or "NaN" in ck.read_text()
+        cfg = self.write_config(tmp_path, toy_raw_config)
+        assert self.evaluate(cfg, ck) == 2
+        assert "'b_clf' is not finite" in capsys.readouterr().err
+
+    def test_scoring_overflow_is_numerical_error(self, toy_raw_config,
+                                                 tmp_path, capsys):
+        ck = self.write_checkpoint(
+            tmp_path, lambda p: p["params"].update(
+                w_clf=[1e308] * len(p["params"]["w_clf"])))
+        cfg = self.write_config(tmp_path, toy_raw_config)
+        assert self.evaluate(cfg, ck) == 3
+        assert cli.main(["screen", "--config", str(cfg),
+                         "--checkpoint", str(ck)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("non-finite values produced by matmul") == 2
 
     def test_checkpoint_of_wrong_width_is_data_error(
             self, toy_raw_config, tmp_path, capsys):
