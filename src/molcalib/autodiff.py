@@ -150,24 +150,24 @@ def checked_forward(compute):
     """Return ``compute()``, a tensor, run with finiteness checks deferred.
 
     Ops skip their per-result check, absorbing ops check their input, and
-    the result is checked once; numpy floating-point warnings are off.  If
-    any of these checks fails, ``compute()`` runs again with per-result
-    checks on and its result is returned, so a pass that produces a
-    non-finite value raises :class:`NumericalError` at the same op as a
-    fully checked pass.  ``compute`` must therefore be replayable: it
-    rebuilds or rewinds any random state it consumes.
+    the result is checked once; numpy floating-point warnings are off in
+    this pass and its replay.  If any of these checks fails, ``compute()``
+    runs again with per-result checks on and its result is returned, so a
+    pass that produces a non-finite value raises :class:`NumericalError`
+    at the same op as a fully checked pass.  ``compute`` must therefore be
+    replayable: it rebuilds or rewinds any random state it consumes.
     """
-    token = _CHECKING.set(False)
-    try:
-        with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
+        token = _CHECKING.set(False)
+        try:
             out = compute()
             _check_finite(out.data, "the checked forward")
-        return out
-    except NumericalError:
-        pass
-    finally:
-        _CHECKING.reset(token)
-    return compute()
+            return out
+        except NumericalError:
+            pass
+        finally:
+            _CHECKING.reset(token)
+        return compute()
 
 
 def _node(data, parents: tuple[Tensor, ...], backward, op: str) -> Tensor:

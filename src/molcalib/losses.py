@@ -200,11 +200,11 @@ class LossConfig:
             if knob not in required and value is not None:
                 raise ConfigError(
                     f"loss kind {self.kind!r} does not take {knob}")
-        if self.smoothing is not None and not 0.0 <= self.smoothing <= 1.0:
-            raise ConfigError("smoothing must lie in [0, 1]")
+        if self.smoothing is not None and not 0.0 <= self.smoothing < 1.0:
+            raise ConfigError("smoothing must lie in [0, 1)")
         if self.positive_weight is not None \
-                and not 0.0 <= self.positive_weight <= 1.0:
-            raise ConfigError("positive_weight must lie in [0, 1]")
+                and not 0.0 < self.positive_weight < 1.0:
+            raise ConfigError("positive_weight must lie in (0, 1)")
         if self.entropy_weight is not None and self.entropy_weight < 0.0:
             raise ConfigError("entropy_weight must be non-negative")
         if self.focusing is not None and self.focusing < 0.0:

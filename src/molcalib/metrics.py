@@ -168,16 +168,11 @@ def auroc(p_hat, y_pred, y_true) -> float:
             f"AUROC needs both classes, got {n_pos} positives and "
             f"{n_neg} negatives"
         )
-    order = np.argsort(p, kind="stable")
-    ranks = np.empty(p.size, dtype=np.float64)
-    sorted_p = p[order]
-    i = 0
-    while i < p.size:
-        j = i
-        while j + 1 < p.size and sorted_p[j + 1] == sorted_p[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # average 1-based rank
-        i = j + 1
+    # a run of c tied scores ending at 1-based rank e shares the average
+    # rank e - (c - 1) / 2
+    _, run, counts = np.unique(p, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    ranks = (ends - 0.5 * (counts - 1))[run]
     rank_sum = float(ranks[yt == 1].sum())
     u = rank_sum - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)

@@ -4,6 +4,11 @@ Each check recomputes its expectation from first principles (loop-based
 metric oracles, finite differences, closed-form constants) so a passing
 selftest means the fast paths agree with slow, obviously-correct ones.
 Run via ``molcalib selftest``; prints one line per check.
+
+This module is the one home of those oracles and invariant checks.  The
+acceptance gates and unit tests call the same functions with their own
+models, graphs and random streams; the ``check_*`` functions in
+:data:`CHECKS` are the small sweeps ``molcalib selftest`` runs.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from .featurize import MolecularGraph, permute_graph
 from .losses import (
+    LossConfig,
     bce_loss,
     entropy_regularized_loss,
     erl_kl_residual,
@@ -25,7 +31,7 @@ from .losses import (
     ls_kl_residual,
     weighted_focal_loss,
 )
-from .metrics import auroc, ece, screening_curve
+from .metrics import auroc, bin_predictions, ece, screening_curve
 from .model import (
     GnnModel,
     ModelConfig,
@@ -37,47 +43,206 @@ from .model import (
 from .optim import AdamW
 from .runner import predict_probabilities
 
+# -- random inputs ---------------------------------------------------
 
-def _random_graph(rng, nodes=6, width=10):
-    x = rng.normal(size=(nodes, width))
-    first, second = np.triu_indices(nodes, k=1)
-    keep = rng.random(first.size) < 0.5
-    bonds = np.stack([first[keep], second[keep]], axis=1).astype(np.int32)
-    return MolecularGraph(node_features=x, bonds=bonds, label=1)
+
+def random_bonds(rng, n, p=0.6):
+    """Each of the n(n-1)/2 node pairs bonded with probability p, listed
+    in shuffled order and orientation."""
+    first, second = np.triu_indices(n, k=1)
+    keep = rng.random(first.size) < p
+    bonds = np.stack([first[keep], second[keep]], axis=1)
+    flip = rng.random(len(bonds)) < 0.5
+    bonds[flip] = bonds[flip, ::-1]
+    return bonds[rng.permutation(len(bonds))].astype(np.int32)
+
+
+def random_graph(rng, n, width, p=0.6):
+    """n nodes of standard-normal features, bonded by :func:`random_bonds`."""
+    x = rng.standard_normal((n, width))
+    return MolecularGraph(node_features=x, bonds=random_bonds(rng, n, p))
+
+
+# -- oracles ---------------------------------------------------------
+#
+# The metric oracles take records as the arrays (p_hat, y_pred, y_true)
+# and recompute each quantity with per-record loops, sharing no code with
+# ``molcalib.metrics``.
+
+
+def numeric_gradient(f, x, eps=1e-6):
+    """Central-difference gradient of scalar f() with respect to array x,
+    perturbing x in place."""
+    g = np.zeros_like(x)
+    flat = x.ravel()
+    gf = g.ravel()
+    for i in range(flat.size):
+        keep = flat[i]
+        step = eps * max(1.0, abs(keep))
+        flat[i] = keep + step
+        fp = f()
+        flat[i] = keep - step
+        fm = f()
+        flat[i] = keep
+        gf[i] = (fp - fm) / (2.0 * step)
+    return g
+
+
+def oracle_bins(recs, num_bins):
+    """Brute-force interval membership: bin m is (m/M, (m+1)/M], with 0
+    folded into bin 0.  Each bin is (count, positive fraction, mean
+    confidence, defined)."""
+    width = 1.0 / num_bins
+    out = []
+    for m in range(num_bins):
+        lo, hi = m * width, (m + 1) * width
+        members = [(p, yp, yt) for p, yp, yt in zip(*recs)
+                   if (lo < p <= hi) or (m == 0 and p == 0.0)]
+        if members:
+            positives = sum(yt for _, _, yt in members) / len(members)
+            conf = sum(p for p, _, _ in members) / len(members)
+            out.append((len(members), positives, conf, True))
+        else:
+            out.append((0, 0.0, 0.0, False))
+    return out
+
+
+def oracle_ece(recs, num_bins):
+    n = len(recs[0])
+    return sum((count / n) * abs(positives - conf)
+               for count, positives, conf, defined
+               in oracle_bins(recs, num_bins)
+               if defined)
+
+
+def oracle_auroc(recs):
+    """All positive/negative pairs; ties worth one half."""
+    pos = [p for p, _, yt in zip(*recs) if yt == 1]
+    neg = [p for p, _, yt in zip(*recs) if yt == 0]
+    wins = sum(1.0 if a > b else 0.5 if a == b else 0.0
+               for a in pos for b in neg)
+    return wins / (len(pos) * len(neg))
+
+
+def oracle_screening(recs, k):
+    """(records taken, success rate) at the top k percent."""
+    p, _, y_true = recs
+    ranked = sorted(range(len(p)), key=lambda i: -p[i])  # stable sort
+    taken = math.ceil(len(p) * k / 100.0)
+    hits = sum(y_true[i] for i in ranked[:taken])
+    return taken, hits / taken
+
+
+# -- shared measurements ---------------------------------------------
+
+
+def gradient_mismatches(model, graphs, targets, loss: LossConfig):
+    """Describe each parameter whose gradient of ``loss`` over the packed
+    ``graphs`` differs from central differences beyond rtol 1e-4,
+    atol 1e-7; every entry of every parameter is compared."""
+    batch = pack_graphs(graphs)
+
+    def batch_loss():
+        return loss.compute(targets, model.forward(batch))
+
+    ad.backward(batch_loss())
+    problems = []
+    for name, param in model.params.items():
+        fd = numeric_gradient(lambda: batch_loss().item(),
+                              np.atleast_1d(param.data))
+        got = np.atleast_1d(np.asarray(param.grad))
+        if not np.allclose(got, fd, rtol=1e-4, atol=1e-7):
+            gap = float(np.max(np.abs(got - fd)))
+            problems.append(f"{name} off by {gap:.2e}")
+    model.zero_grad()
+    return problems
+
+
+def loss_identity_gaps(y, p):
+    """(identity, |got - want|) for each degenerate-parameter identity
+    on the batch of targets ``y`` and probabilities ``p``."""
+    p = ad.Tensor(p)
+    bce = bce_loss(y, p).item()
+    half_focal = 0.5 * focal_loss(y, p, 2.0).item()
+    return [
+        ("focal(0) vs bce", abs(focal_loss(y, p, 0.0).item() - bce)),
+        ("smoothing(0) vs bce",
+         abs(label_smoothing_loss(y, p, 0.0).item() - bce)),
+        ("entropy(0) vs bce",
+         abs(entropy_regularized_loss(y, p, 0.0).item() - bce)),
+        ("weighted(0.5) vs half focal",
+         abs(weighted_focal_loss(y, p, 0.5, 2.0).item() - half_focal)),
+    ]
+
+
+def metric_oracle_mismatches(recs, num_bins, k_grid):
+    """Name each of calibration bins, ECE, AUROC and the screening curve
+    at ``k_grid`` that differs from its oracle by more than 1e-12."""
+    tol = 1e-12
+    wrong = []
+    for got, (count, positives, conf, defined) in zip(
+            bin_predictions(*recs, num_bins), oracle_bins(recs, num_bins)):
+        if (got.count != count or got.defined != defined
+                or abs(got.positive_fraction - positives) > tol
+                or abs(got.confidence - conf) > tol):
+            wrong.append("bin")
+            break
+    if abs(ece(*recs, num_bins) - oracle_ece(recs, num_bins)) > tol:
+        wrong.append("ece")
+    if abs(auroc(*recs) - oracle_auroc(recs)) > tol:
+        wrong.append("auroc")
+    for point in screening_curve(*recs, k_grid):
+        taken, rate = oracle_screening(recs, point.k_percent)
+        if point.screened != taken or abs(point.success_rate - rate) > tol:
+            wrong.append("screening")
+            break
+    return wrong
+
+
+def permutation_gap(model, graph, rng, copies=1):
+    """Largest change in predicted probability between ``graph`` and
+    ``copies`` randomly renumbered copies of it, all in one batch."""
+    shuffled = [permute_graph(graph, rng.permutation(graph.num_nodes))
+                for _ in range(copies)]
+    probs = model.predict_proba([graph] + shuffled)
+    return float(np.max(np.abs(probs - probs[0])))
+
+
+def size_ratio_gap(row, w_read):
+    """max |z4 / z3 - 4/3| for the attention readouts z3, z4 of 3 and 4
+    copies of ``row``, packed in one batch; exactly 0 in exact arithmetic
+    and nan when the readout is zero."""
+    h = ad.Tensor(np.tile(row, (7, 1)))
+    z3, z4 = attn_pool(h, ad.Tensor(w_read), ad.Segments([3, 4])).data
+    return float(np.max(np.abs(z4 / z3 - 4.0 / 3.0)))
+
+
+def rate_zero_gaps(model, graphs, rng, copies=1):
+    """Scoring of a model at dropout rate 0: the largest gap of MC
+    inference (13 samples) from deterministic scoring, and of a train-mode
+    forward of ``copies`` packed copies of ``graphs`` drawing masks from
+    ``rng``.  Both are 0.0 when they agree bitwise."""
+    det = predict_probabilities(model, graphs, "deterministic", 13, 0, 32)
+    mc = predict_probabilities(model, graphs, "mc_dropout", 13, 0, 32)
+    trained = model.forward(pack_graphs(graphs * copies), training=True,
+                            rng=rng).data
+    return (float(np.max(np.abs(mc - det))),
+            float(np.max(np.abs(trained - np.tile(det, copies)))))
+
+
+# -- the selftest checks ---------------------------------------------
 
 
 def check_gradients_finite_difference():
-    """Model+loss gradient on a 3-graph batch matches central differences
-    at rtol 1e-4."""
+    """Model+loss gradient on a 3-graph GAT batch matches central
+    differences in every parameter entry."""
     rng = np.random.default_rng(1)
-    batch = pack_graphs([_random_graph(rng, nodes=n, width=8)
-                         for n in (5, 2, 4)])
-    targets = [1.0, 0.0, 1.0]
     config = ModelConfig(node_embedding="gat", readout="attn", num_layers=2,
                          hidden_dim=6, graph_dim=4, input_dim=8)
-    model = GnnModel(config, seed=0)
-
-    def loss_value():
-        return bce_loss(targets, model.forward(batch)).item()
-
-    model.zero_grad()
-    ad.backward(bce_loss(targets, model.forward(batch)))
-    for name in ("w_in", "w_conv_0", "w_attn_1", "w_read_0", "w_clf"):
-        tensor = model.params[name]
-        flat = tensor.data.ravel()
-        grad = np.zeros_like(tensor.data).ravel() \
-            if tensor.grad is None else tensor.grad.ravel()
-        idx = np.argmax(np.abs(grad))
-        keep = flat[idx]
-        step = 1e-6 * max(1.0, abs(keep))
-        flat[idx] = keep + step
-        up = loss_value()
-        flat[idx] = keep - step
-        down = loss_value()
-        flat[idx] = keep
-        fd = (up - down) / (2.0 * step)
-        rel = abs(fd - grad[idx]) / max(abs(fd), abs(grad[idx]), 1e-10)
-        assert rel < 1e-4, f"{name}: fd {fd:.6e} vs grad {grad[idx]:.6e}"
+    graphs = [random_graph(rng, n, 8) for n in (5, 2, 4)]
+    problems = gradient_mismatches(GnnModel(config, seed=0), graphs,
+                                   [1.0, 0.0, 1.0], LossConfig())
+    assert not problems, "; ".join(problems)
 
 
 def check_loss_identities():
@@ -86,19 +251,8 @@ def check_loss_identities():
     n = 64
     y = (rng.random(n) < 0.5).astype(np.float64)
     p = rng.random(n) * 0.98 + 0.01
-    bce = bce_loss(y, ad.Tensor(p)).item()
-    pairs = [
-        ("focal(0) vs bce", focal_loss(y, ad.Tensor(p), 0.0).item(), bce),
-        ("smoothing(0) vs bce",
-         label_smoothing_loss(y, ad.Tensor(p), 0.0).item(), bce),
-        ("entropy(0) vs bce",
-         entropy_regularized_loss(y, ad.Tensor(p), 0.0).item(), bce),
-        ("weighted(0.5) vs half focal",
-         weighted_focal_loss(y, ad.Tensor(p), 0.5, 2.0).item(),
-         0.5 * focal_loss(y, ad.Tensor(p), 2.0).item()),
-    ]
-    for label, got, want in pairs:
-        assert abs(got - want) <= 1e-12, f"{label}: {got} vs {want}"
+    for label, gap in loss_identity_gaps(y, p):
+        assert gap <= 1e-12, f"{label}: gap {gap:.2e}"
     r = ls_kl_residual(y, p, 0.1)
     assert abs(r - 0.1 * n * math.log(2.0)) <= 1e-10, f"ls residual {r}"
     r = erl_kl_residual(y, p, 0.1)
@@ -106,80 +260,45 @@ def check_loss_identities():
 
 
 def check_metric_oracles():
-    """Vectorized metrics equal loop-based recomputation at 1e-12."""
+    """Vectorized metrics equal the loop oracles at 1e-12, on scores
+    rounded to a coarse grid so that ties abound."""
     rng = np.random.default_rng(3)
-    rows = []  # (p_hat, y_pred, y_true)
-    for _ in range(200):
-        p = round(float(rng.random()), 1)  # coarse grid forces ties
-        rows.append((p, int(p > 0.5), int(rng.random() < 0.4)))
-    arrays = [np.array(column) for column in zip(*rows)]
-
-    n = len(rows)
-    width = 0.1
-    slow_ece = 0.0
-    for m in range(10):
-        lo, hi = m * width, (m + 1) * width
-        members = [r for r in rows
-                   if (lo < r[0] <= hi) or (m == 0 and r[0] == 0.0)]
-        if members:
-            positives = sum(yt for _, _, yt in members) / len(members)
-            conf = sum(p for p, _, _ in members) / len(members)
-            slow_ece += len(members) / n * abs(positives - conf)
-    assert abs(ece(*arrays, 10) - slow_ece) <= 1e-12
-
-    pos = [p for p, _, yt in rows if yt == 1]
-    neg = [p for p, _, yt in rows if yt == 0]
-    wins = sum(1.0 if a > b else 0.5 if a == b else 0.0
-               for a in pos for b in neg)
-    assert abs(auroc(*arrays) - wins / (len(pos) * len(neg))) <= 1e-12
-
-    ranked = sorted(range(n), key=lambda i: -rows[i][0])
-    for point in screening_curve(*arrays, (10, 50, 100)):
-        taken = math.ceil(n * point.k_percent / 100.0)
-        hits = sum(rows[i][2] for i in ranked[:taken])
-        assert point.screened == taken
-        assert abs(point.success_rate - hits / taken) <= 1e-12
+    p = np.round(rng.random(200), 1)
+    recs = (p, (p > 0.5).astype(np.int64),
+            (rng.random(200) < 0.4).astype(np.int64))
+    wrong = metric_oracle_mismatches(recs, 10, (10, 50, 100))
+    assert not wrong, f"{', '.join(wrong)} differ from the oracles"
 
 
 def check_permutation_invariance():
     """Predicted probability ignores node numbering to 1e-12, also when
     the permuted copies share a batch with the original."""
     rng = np.random.default_rng(4)
-    graph = _random_graph(rng, nodes=7, width=9)
     config = ModelConfig(node_embedding="gcn", readout="attn", num_layers=2,
                          hidden_dim=6, graph_dim=5, input_dim=9)
-    model = GnnModel(config, seed=1)
-    shuffled = [permute_graph(graph, rng.permutation(graph.num_nodes))
-                for _ in range(3)]
-    probs = model.predict_proba([graph] + shuffled)
-    assert np.max(np.abs(probs - probs[0])) <= 1e-12
+    gap = permutation_gap(GnnModel(config, seed=1), random_graph(rng, 7, 9),
+                          rng, copies=3)
+    assert gap <= 1e-12, f"permutation gap {gap:.2e}"
 
 
 def check_attention_size_sensitivity():
     """Attention pooling separates 3 vs 4 identical nodes at ratio 4/3."""
     rng = np.random.default_rng(5)
-    row = rng.normal(size=4)
-    w = ad.Tensor(rng.normal(size=(4, 3)))
-    h = ad.Tensor(np.tile(row, (7, 1)))
-    pools = attn_pool(h, w, ad.Segments([3, 4])).data
-    ratio = pools[1] / pools[0]
-    assert np.max(np.abs(ratio - 4.0 / 3.0)) <= 1e-12
+    gap = size_ratio_gap(rng.normal(size=4), rng.normal(size=(4, 3)))
+    assert gap <= 1e-12, f"size ratio off 4/3 by {gap:.2e}"
 
 
 def check_mc_dropout_zero_rate():
     """MC inference with rate 0 is deterministic scoring, bitwise, and a
     packed train-mode forward agrees with it to 1e-12."""
     rng = np.random.default_rng(6)
-    graphs = [_random_graph(rng, nodes=n, width=8) for n in (5, 3)]
+    graphs = [random_graph(rng, n, 8) for n in (5, 3)]
     config = ModelConfig(num_layers=2, hidden_dim=6, graph_dim=4,
                          input_dim=8, dropout_rate=0.0)
-    model = GnnModel(config, seed=2)
-    det = predict_probabilities(model, graphs, "deterministic", 13, 0, 32)
-    mc = predict_probabilities(model, graphs, "mc_dropout", 13, 0, 32)
-    assert np.array_equal(mc, det)
-    packed = model.forward(pack_graphs(graphs * 13), training=True,
-                           rng=np.random.default_rng(0)).data
-    assert np.max(np.abs(packed - np.tile(det, 13))) <= 1e-12
+    mc_gap, train_gap = rate_zero_gaps(GnnModel(config, seed=2), graphs,
+                                       np.random.default_rng(0), copies=13)
+    assert mc_gap == 0.0, f"mc scoring off by {mc_gap:.2e}"
+    assert train_gap <= 1e-12, f"train-mode forward off by {train_gap:.2e}"
 
 
 def check_checkpoint_roundtrip():
@@ -195,19 +314,21 @@ def check_checkpoint_roundtrip():
         assert np.array_equal(p.data, clone.params[name].data), name
 
 
-def check_decay_decoupling():
-    """Weight decay leaves Adam's moment estimates untouched."""
-    histories = []
+def check_decay_decoupling(start=(1.0, -2.0),
+                           grads=((0.5, -1.0), (1.0, -2.0), (1.5, -3.0)),
+                           lr=0.1):
+    """Weight decay leaves Adam's moment estimates untouched: AdamW at
+    decay 0 and 0.3 from ``start`` through ``grads`` keeps equal moments."""
+    moments = []
     for wd in (0.0, 0.3):
-        p = {"w": ad.Tensor(np.array([1.0, -2.0]), requires_grad=True)}
-        opt = AdamW(p, lr=0.1, weight_decay=wd,
-                    decay_exclude=frozenset())
-        for step in range(3):
-            p["w"].grad = np.array([0.5, -1.0]) * (step + 1)
+        w = ad.Tensor(np.array(start, dtype=np.float64), requires_grad=True)
+        opt = AdamW({"w": w}, lr=lr, weight_decay=wd)
+        for g in grads:
+            w.grad = np.array(g, dtype=np.float64)
             opt.step()
-        histories.append((opt.m["w"].copy(), opt.v["w"].copy()))
-    assert np.array_equal(histories[0][0], histories[1][0])
-    assert np.array_equal(histories[0][1], histories[1][1])
+        moments.append((opt.m["w"], opt.v["w"]))
+    assert np.array_equal(moments[0][0], moments[1][0]), "first moment"
+    assert np.array_equal(moments[0][1], moments[1][1]), "second moment"
 
 
 CHECKS = [
@@ -223,16 +344,16 @@ CHECKS = [
 
 
 def run_selftest(log=print) -> int:
-    """Run every check; returns the number of failures."""
+    """Run every check; returns the number of failures.  A check fails by
+    raising any exception, which its line reports by type and message."""
     failures = 0
     for name, check in CHECKS:
         try:
-            note = check()
-        except AssertionError as err:
+            check()
+        except Exception as err:
             failures += 1
-            log(f"[SELFTEST] {name:32s} FAIL  {err}")
+            log(f"[SELFTEST] {name:32s} FAIL  {type(err).__name__}: {err}")
         else:
-            suffix = f"  ({note})" if note else ""
-            log(f"[SELFTEST] {name:32s} ok{suffix}")
+            log(f"[SELFTEST] {name:32s} ok")
     log(f"[SELFTEST] {len(CHECKS) - failures}/{len(CHECKS)} checks passed")
     return failures

@@ -18,27 +18,26 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from molcalib import autodiff as ad
 from molcalib import losses
 from molcalib import metrics
 from molcalib.config import load_raw, resolve_config
 from molcalib.errors import SmilesError
-from molcalib.featurize import MolecularGraph, permute_graph
 from molcalib.losses import LossConfig
 from molcalib.metrics import DEFAULT_K_GRID
-from molcalib.model import GnnModel, ModelConfig, attn_pool, pack_graphs
-from molcalib.runner import predict_probabilities, run_ablation, train_run
+from molcalib.model import GnnModel, ModelConfig
+from molcalib.runner import run_ablation, train_run
+from molcalib.selftest import (
+    gradient_mismatches,
+    loss_identity_gaps,
+    metric_oracle_mismatches,
+    permutation_gap,
+    random_graph,
+    rate_zero_gaps,
+    size_ratio_gap,
+)
 from molcalib.smiles import parse_smiles
 
-from test_autodiff import numeric_gradient, random_bonds
-from test_metrics import (
-    oracle_auroc,
-    oracle_bins,
-    oracle_ece,
-    oracle_screening,
-    random_records,
-    records,
-)
+from test_metrics import quantized, random_records, records
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -80,11 +79,6 @@ def require_datasets(announce, gate, names):
 # -- gate 1: analytic gradients vs central differences ---------------
 
 
-def random_graph(rng, n, d0):
-    x = rng.standard_normal((n, d0))
-    return MolecularGraph(node_features=x, bonds=random_bonds(rng, n, p=0.75))
-
-
 GRAD_DIMS = dict(num_layers=2, hidden_dim=4, graph_dim=4, input_dim=5)
 
 GRAD_LOSSES = (
@@ -96,24 +90,10 @@ GRAD_LOSSES = (
 )
 
 
-def check_model_gradients(model, graphs, targets, loss_cfg, problems, tag):
-    """One finite-difference pass over every parameter of the model, with
-    all graphs packed into one batch."""
-    batch = pack_graphs(graphs)
-
-    def batch_loss():
-        return loss_cfg.compute(targets, model.forward(batch))
-
-    loss = batch_loss()
-    ad.backward(loss)
-    for name, param in model.params.items():
-        fd = numeric_gradient(lambda: batch_loss().item(),
-                              np.atleast_1d(param.data))
-        got = np.atleast_1d(np.asarray(param.grad))
-        if not np.allclose(got, fd, rtol=1e-4, atol=1e-7):
-            gap = float(np.max(np.abs(got - fd)))
-            problems.append(f"{tag} {name} off by {gap:.2e}")
-    model.zero_grad()
+def random_graphs(rng, count, width):
+    """`count` graphs of 3 to 6 nodes, each node pair bonded at 0.75."""
+    return [random_graph(rng, int(rng.integers(3, 7)), width, p=0.75)
+            for _ in range(count)]
 
 
 def test_gradient_suite_every_layer_and_loss(announce):
@@ -128,14 +108,12 @@ def test_gradient_suite_every_layer_and_loss(announce):
             for seed in (0, 1, 2):
                 cfg = ModelConfig(node_embedding=embed, readout=readout,
                                   **GRAD_DIMS)
-                model = GnnModel(cfg, seed=seed)
-                graphs = [random_graph(graph_rng,
-                                       int(graph_rng.integers(3, 7)),
-                                       cfg.input_dim) for _ in range(5)]
+                graphs = random_graphs(graph_rng, 5, cfg.input_dim)
                 targets = (np.arange(5) % 2).astype(np.float64)
-                check_model_gradients(model, graphs, targets,
-                                      GRAD_LOSSES[0], problems,
-                                      f"{embed}+{readout} seed {seed}")
+                problems += [f"{embed}+{readout} seed {seed} {problem}"
+                             for problem in gradient_mismatches(
+                                 GnnModel(cfg, seed=seed), graphs, targets,
+                                 GRAD_LOSSES[0])]
                 checks += 1
 
     # loss sweep on one architecture
@@ -143,13 +121,12 @@ def test_gradient_suite_every_layer_and_loss(announce):
         for seed in (3, 4, 5):
             cfg = ModelConfig(node_embedding="gcn", readout="sum",
                               **GRAD_DIMS)
-            model = GnnModel(cfg, seed=seed)
-            graphs = [random_graph(graph_rng,
-                                   int(graph_rng.integers(3, 7)),
-                                   cfg.input_dim) for _ in range(5)]
+            graphs = random_graphs(graph_rng, 5, cfg.input_dim)
             targets = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
-            check_model_gradients(model, graphs, targets, loss_cfg,
-                                  problems, f"{loss_cfg.kind} seed {seed}")
+            problems += [f"{loss_cfg.kind} seed {seed} {problem}"
+                         for problem in gradient_mismatches(
+                             GnnModel(cfg, seed=seed), graphs, targets,
+                             loss_cfg)]
             checks += 1
 
     elapsed = time.perf_counter() - t0
@@ -170,20 +147,8 @@ def test_loss_identities_and_residuals(announce):
     for trial in range(100):
         n = int(rng.integers(3, 41))
         y = rng.integers(0, 2, size=n).astype(np.float64)
-        p = ad.Tensor(rng.uniform(1e-6, 1.0 - 1e-6, size=n))
-        base = losses.bce_loss(y, p).item()
-        pairs = [
-            ("focal(0)", losses.focal_loss(y, p, 0.0).item(), base),
-            ("smoothing(0)", losses.label_smoothing_loss(y, p, 0.0).item(),
-             base),
-            ("entropy(0)", losses.entropy_regularized_loss(y, p, 0.0).item(),
-             base),
-            ("half-weight focal",
-             losses.weighted_focal_loss(y, p, 0.5, 2.0).item(),
-             0.5 * losses.focal_loss(y, p, 2.0).item()),
-        ]
-        for name, got, want in pairs:
-            gap = abs(got - want)
+        p = rng.uniform(1e-6, 1.0 - 1e-6, size=n)
+        for name, gap in loss_identity_gaps(y, p):
             worst = max(worst, gap)
             if gap > 1e-12:
                 problems.append(f"trial {trial}: {name} gap {gap:.2e}")
@@ -242,31 +207,17 @@ def test_metrics_match_independent_oracles(announce):
         recs = random_records(rng, int(rng.integers(3, 50)))
         # pin one of each class so ranking metrics stay defined
         recs = pinned_classes(recs, rng.random(), rng.random())
+        if trial % 2:
+            recs = quantized(recs)  # tied scores, for ranks and stable sorts
         num_bins = int(rng.choice([5, 10, 20]))
 
-        got_bins = metrics.bin_predictions(*recs, num_bins)
-        for got, want in zip(got_bins, oracle_bins(recs, num_bins)):
-            count, positives, conf, defined = want
-            if (got.count != count or got.defined != defined
-                    or abs(got.positive_fraction - positives) > tol
-                    or abs(got.confidence - conf) > tol):
-                problems.append(f"trial {trial}: bin mismatch")
-                break
-        if abs(metrics.ece(*recs, num_bins)
-               - oracle_ece(recs, num_bins)) > tol:
-            problems.append(f"trial {trial}: ece mismatch")
-        if abs(metrics.auroc(*recs) - oracle_auroc(recs)) > tol:
-            problems.append(f"trial {trial}: auroc mismatch")
+        problems += [f"trial {trial}: {what} mismatch" for what in
+                     metric_oracle_mismatches(recs, num_bins, DEFAULT_K_GRID)]
         cm = metrics.classification_metrics(*recs)
         acc, prec, rec, f1 = oracle_confusion(recs)
         if (abs(cm.accuracy - acc) > tol or abs(cm.precision - prec) > tol
                 or abs(cm.recall - rec) > tol or abs(cm.f1 - f1) > tol):
             problems.append(f"trial {trial}: confusion metrics mismatch")
-        for point in metrics.screening_curve(*recs, DEFAULT_K_GRID):
-            taken, rate = oracle_screening(recs, point.k_percent)
-            if point.screened != taken or abs(point.success_rate - rate) > tol:
-                problems.append(f"trial {trial}: screening mismatch")
-                break
         if problems:
             break
 
@@ -304,39 +255,29 @@ def test_model_invariances(announce):
                              **GRAD_DIMS), seed=2),
     ]
     for trial in range(100):
-        model = models[trial % 2]
-        g = random_graph(rng, int(rng.integers(3, 9)), GRAD_DIMS["input_dim"])
-        perm = rng.permutation(g.node_features.shape[0])
-        p, p_perm = model.predict_proba([g, permute_graph(g, perm)])
-        gap = abs(p - p_perm)
-        worst_perm = max(worst_perm, gap)
+        g = random_graph(rng, int(rng.integers(3, 9)), GRAD_DIMS["input_dim"],
+                         p=0.75)
+        worst_perm = max(worst_perm, permutation_gap(models[trial % 2], g,
+                                                     rng))
     if worst_perm > 1e-12:
         problems.append(f"permutation gap {worst_perm:.2e}")
 
     # dropout at rate zero must be the identity, so a train-mode forward
     # and MC inference reproduce deterministic scoring bitwise
-    model = models[0]
-    g = random_graph(rng, 6, GRAD_DIMS["input_dim"])
-    det = predict_probabilities(model, [g], "deterministic", 13, 0, 32)
-    trained = model.forward(pack_graphs([g]), training=True,
-                            rng=np.random.default_rng(7)).data
-    mc = predict_probabilities(model, [g], "mc_dropout", 13, 0, 32)
-    if not np.array_equal(trained, det):
+    g = random_graph(rng, 6, GRAD_DIMS["input_dim"], p=0.75)
+    mc_gap, train_gap = rate_zero_gaps(models[0], [g],
+                                       np.random.default_rng(7))
+    if train_gap != 0.0:
         problems.append("train-mode forward at rate 0 differs")
-    if not np.array_equal(mc, det):
+    if mc_gap != 0.0:
         problems.append("sampled inference at rate 0 differs")
 
     # complete graphs of identical nodes: the pre-sigmoid attention
     # readout scales with the node count, so 4 nodes vs 3 gives 4/3
     for seed in (0, 1, 2):
-        wrng = np.random.default_rng(seed)
-        w = ad.Tensor(wrng.standard_normal((6, 5)))
-        z3, z4 = attn_pool(ad.Tensor(np.full((7, 6), 0.37)), w,
-                           ad.Segments([3, 4])).data
-        if not np.allclose(3.0 * z4, 4.0 * z3, rtol=1e-12, atol=1e-13):
+        w = np.random.default_rng(seed).standard_normal((6, 5))
+        if not size_ratio_gap(np.full(6, 0.37), w) <= 1e-12:
             problems.append(f"attention size ratio off for seed {seed}")
-        if float(np.max(np.abs(z4 - z3))) == 0.0:
-            problems.append("attention readout blind to graph size")
 
     verdict(announce, "4/8 model invariances", problems,
             f"100 permuted graphs, worst gap {worst_perm:.1e}; "

@@ -10,23 +10,7 @@ import pytest
 
 from molcalib import autodiff as ad
 from molcalib.errors import NumericalError, ShapeError, TapeError
-
-
-def numeric_gradient(f, x, eps=1e-6):
-    """Central-difference gradient of scalar f() with respect to array x."""
-    g = np.zeros_like(x)
-    flat = x.ravel()
-    gf = g.ravel()
-    for i in range(flat.size):
-        keep = flat[i]
-        step = eps * max(1.0, abs(keep))
-        flat[i] = keep + step
-        fp = f()
-        flat[i] = keep - step
-        fm = f()
-        flat[i] = keep
-        gf[i] = (fp - fm) / (2.0 * step)
-    return g
+from molcalib.selftest import numeric_gradient, random_bonds
 
 
 def check_grads(build, params, rtol=1e-4, atol=1e-7):
@@ -286,17 +270,6 @@ class TestDropout:
         blocks = [(np.random.default_rng(i), n) for i, n in enumerate(rows)]
         with pytest.raises(ShapeError, match="do not tile the rows"):
             ad.dropout(x, 0.4, True, blocks)
-
-
-def random_bonds(rng, n, p=0.6):
-    """Each of the n(n-1)/2 node pairs bonded with probability p, listed
-    in shuffled order and orientation."""
-    first, second = np.triu_indices(n, k=1)
-    keep = rng.random(first.size) < p
-    bonds = np.stack([first[keep], second[keep]], axis=1)
-    flip = rng.random(len(bonds)) < 0.5
-    bonds[flip] = bonds[flip, ::-1]
-    return bonds[rng.permutation(len(bonds))].astype(np.int32)
 
 
 def dense_adjacency(bonds, n):

@@ -5,6 +5,7 @@ import csv
 import json
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 import yaml
 
-from molcalib import autodiff as ad, cli, runner
+from molcalib import autodiff as ad, cli, runner, selftest
 from molcalib.config import manifest_fingerprint, resolve_config
 from molcalib.data import load_dataset, split_dataset
 from molcalib.errors import NumericalError
@@ -603,6 +604,22 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         assert lines[-1] == "[SELFTEST] 8/8 checks passed"
 
+    def test_selftest_reports_failing_and_raising_checks(self, monkeypatch,
+                                                         capsys):
+        def failing():
+            raise AssertionError("gap 1.0e-03")
+
+        def raising():
+            raise NumericalError("inf in matmul")
+
+        monkeypatch.setattr(selftest, "CHECKS",
+                            [("failing", failing), ("raising", raising)])
+        assert cli.main(["selftest"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"[SELFTEST] {'failing':32s} FAIL  AssertionError: gap 1.0e-03",
+            f"[SELFTEST] {'raising':32s} FAIL  NumericalError: inf in matmul",
+            "[SELFTEST] 0/2 checks passed"]
+
     def test_parse_check_reports_failures(self, tmp_path, capsys):
         for name in ("mols.csv", "MOLS.CSV"):  # suffix case is ignored
             path = tmp_path / name
@@ -685,10 +702,15 @@ class TestCli:
         assert cli.main(["ablate", "--config", "x.yaml",
                          "--axis", "bogus"]) == 1
 
-    def test_exit_code_config_error(self, toy_raw_config, tmp_path):
-        raw = dict(toy_raw_config, optimiser={"learning_rate": 0.1})
-        cfg = self.write_config(tmp_path, raw)
-        assert cli.main(["train", "--config", str(cfg)]) == 1
+    def test_exit_code_config_error(self, toy_raw_config, tmp_path, capsys):
+        # a loss parameter its loss function would refuse is refused
+        # before training starts
+        for section in ({"optimiser": {"learning_rate": 0.1}},
+                        {"loss": {"kind": "label_smoothing",
+                                  "smoothing": 1.0}}):
+            cfg = self.write_config(tmp_path, dict(toy_raw_config, **section))
+            assert cli.main(["train", "--config", str(cfg)]) == 1
+            assert "epoch" not in capsys.readouterr().out
 
     def test_exit_code_data_error(self, toy_raw_config, tmp_path):
         raw = {k: (dict(v) if isinstance(v, dict) else v)
@@ -700,7 +722,10 @@ class TestCli:
     def test_exit_code_numerical(self, toy_raw_config, tmp_path):
         raw = dict(toy_raw_config, optimizer={"learning_rate": 1e200})
         cfg = self.write_config(tmp_path, raw)
-        assert cli.main(["train", "--config", str(cfg)]) == 3
+        # the replayed forward raises at its op, with no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["train", "--config", str(cfg)]) == 3
 
     def test_module_entry_point(self, toy_raw_config, tmp_path):
         cfg = self.write_config(tmp_path, dict(toy_raw_config))

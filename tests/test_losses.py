@@ -22,8 +22,7 @@ from molcalib.losses import (
     smooth_labels,
     weighted_focal_loss,
 )
-
-from test_autodiff import numeric_gradient
+from molcalib.selftest import numeric_gradient
 
 
 def rand_batch(rng, n):
@@ -233,8 +232,14 @@ class TestLossConfig:
             LossConfig(kind="hinge")
 
     def test_range_validation(self):
-        with pytest.raises(ConfigError):
-            LossConfig(kind="label_smoothing", smoothing=1.5)
+        # exactly the ranges the loss functions accept
+        for smoothing in (1.5, 1.0):
+            with pytest.raises(ConfigError):
+                LossConfig(kind="label_smoothing", smoothing=smoothing)
+        for weight in (0.0, 1.0):
+            with pytest.raises(ConfigError):
+                LossConfig(kind="weighted_focal", focusing=2.0,
+                           positive_weight=weight)
         with pytest.raises(ConfigError):
             LossConfig(kind="entropy_regularized", entropy_weight=-0.1)
         with pytest.raises(ConfigError):

@@ -1,16 +1,14 @@
 """Reliability metric tests against independent brute-force oracles.
 
 Every metric takes the arrays (p_hat, y_pred, y_true); index i of the
-three is one record.  The oracles below recompute every quantity with
-per-record loops and interval arithmetic, sharing no code with the
-library implementation:
+three is one record.  The oracles in ``molcalib.selftest`` recompute
+every quantity with per-record loops and interval arithmetic, sharing no
+code with the library implementation:
 binning walks records one by one against (lower, upper] intervals, AUROC
 counts all positive/negative pairs in O(n^2), screening re-sorts with
 python's stable sort.  Agreement is required to 1e-12 across seeded
 random record sets.
 """
-
-import math
 
 import numpy as np
 import pytest
@@ -30,6 +28,11 @@ from molcalib.metrics import (
     outcome_histograms,
     output_histogram,
     screening_curve,
+)
+from molcalib.selftest import (
+    metric_oracle_mismatches,
+    oracle_auroc,
+    oracle_ece,
 )
 
 TOL = 1e-12
@@ -58,57 +61,6 @@ def quantized(recs, decimals=1):
     """Round the probabilities to force plenty of exact ties."""
     p, y_pred, y_true = recs
     return np.round(p, decimals), y_pred, y_true
-
-
-# -- oracles ---------------------------------------------------------
-
-
-def oracle_bins(recs, num_bins):
-    """Brute-force interval membership: bin m is (m/M, (m+1)/M], with 0
-    folded into bin 0."""
-    width = 1.0 / num_bins
-    out = []
-    for m in range(num_bins):
-        lo, hi = m * width, (m + 1) * width
-        members = [(p, yp, yt) for p, yp, yt in zip(*recs)
-                   if (lo < p <= hi) or (m == 0 and p == 0.0)]
-        if members:
-            positives = sum(yt for _, _, yt in members) / len(members)
-            conf = sum(p for p, _, _ in members) / len(members)
-            out.append((len(members), positives, conf, True))
-        else:
-            out.append((0, 0.0, 0.0, False))
-    return out
-
-
-def oracle_ece(recs, num_bins):
-    n = len(recs[0])
-    return sum((count / n) * abs(positives - conf)
-               for count, positives, conf, defined
-               in oracle_bins(recs, num_bins)
-               if defined)
-
-
-def oracle_auroc(recs):
-    """All positive/negative pairs; ties worth one half."""
-    pos = [p for p, _, yt in zip(*recs) if yt == 1]
-    neg = [p for p, _, yt in zip(*recs) if yt == 0]
-    total = 0.0
-    for pp in pos:
-        for pn in neg:
-            if pp > pn:
-                total += 1.0
-            elif pp == pn:
-                total += 0.5
-    return total / (len(pos) * len(neg))
-
-
-def oracle_screening(recs, k):
-    p, _, y_true = recs
-    ranked = sorted(range(len(p)), key=lambda i: -p[i])  # stable sort
-    taken = math.ceil(len(p) * k / 100.0)
-    hits = sum(y_true[i] for i in ranked[:taken])
-    return taken, hits / taken
 
 
 # -- entropy ---------------------------------------------------------
@@ -162,15 +114,8 @@ class TestBinning:
     @pytest.mark.parametrize("num_bins", [1, 5, 10, 15])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_oracle(self, num_bins, seed):
-        rng = np.random.default_rng(seed)
-        recs = random_records(rng, 400)
-        got = bin_predictions(*recs, num_bins)
-        want = oracle_bins(recs, num_bins)
-        for g, (count, positives, conf, defined) in zip(got, want):
-            assert g.count == count
-            assert g.defined == defined
-            assert g.positive_fraction == pytest.approx(positives, abs=TOL)
-            assert g.confidence == pytest.approx(conf, abs=TOL)
+        recs = random_records(np.random.default_rng(seed), 400)
+        assert metric_oracle_mismatches(recs, num_bins, DEFAULT_K_GRID) == []
 
     def test_rejects_out_of_range_probability(self):
         with pytest.raises(ValueError):
@@ -361,13 +306,9 @@ class TestScreening:
 
     @pytest.mark.parametrize("seed", [0, 3, 9])
     def test_matches_stable_sort_oracle(self, seed):
-        rng = np.random.default_rng(seed)
         # quantized scores create ties that only a stable order resolves
-        recs = quantized(random_records(rng, 500))
-        for point in screening_curve(*recs, DEFAULT_K_GRID):
-            taken, rate = oracle_screening(recs, point.k_percent)
-            assert point.screened == taken
-            assert point.success_rate == pytest.approx(rate, abs=TOL)
+        recs = quantized(random_records(np.random.default_rng(seed), 500))
+        assert metric_oracle_mismatches(recs, 10, DEFAULT_K_GRID) == []
 
     def test_rejects_bad_percentages(self):
         recs = records([(0.5, 1, 1)])

@@ -5,6 +5,7 @@ import pytest
 
 from molcalib import autodiff as ad
 from molcalib.optim import AdamW, StepDecaySchedule
+from molcalib.selftest import check_decay_decoupling
 
 
 class TestAdamW:
@@ -28,16 +29,7 @@ class TestAdamW:
     def test_decay_never_touches_moments(self):
         rng = np.random.default_rng(1)
         grads = [rng.standard_normal(3) for _ in range(5)]
-        trajectories = []
-        for wd in (0.0, 0.3):
-            p = ad.Tensor([1.0, -2.0, 0.5], requires_grad=True)
-            opt = AdamW({"w": p}, lr=1e-2, weight_decay=wd)
-            for g in grads:
-                p.grad = g.copy()
-                opt.step()
-            trajectories.append((opt.m["w"].copy(), opt.v["w"].copy()))
-        np.testing.assert_array_equal(trajectories[0][0], trajectories[1][0])
-        np.testing.assert_array_equal(trajectories[0][1], trajectories[1][1])
+        check_decay_decoupling(start=(1.0, -2.0, 0.5), grads=grads, lr=1e-2)
 
     def test_quadratic_convergence(self):
         target = np.array([3.0, -1.0, 0.25])
