@@ -10,15 +10,15 @@ By default every forward result is checked for NaN/Inf and raises
 :class:`NumericalError` naming the op that produced it, which keeps
 diverging runs from producing silent garbage.  :func:`checked_forward`
 runs a whole forward pass with those checks deferred: ops skip the
-per-result check, only the ops that can map a non-finite input to a
-finite output (relu, sigmoid, tanh, clamp, segment_softmax, pow_const
-with exponent <= 0, and the attention scores before their tanh) check
-their input, and the pass's result is checked once.  On any failure the
-pass is replayed with per-result checks on, so it raises the same error
-at the same op as a fully checked pass.  Shape violations raise
-:class:`ShapeError`; asking for gradients of a value no recorded op
-produced raises :class:`TapeError`.  Inside a :func:`no_grad` scope ops
-compute values only and record nothing, so inference keeps no tape alive.
+per-result check, the ops that can map a non-finite input to a finite
+output (relu, sigmoid, segment_softmax, and the attention scores before
+their tanh) check their input, as does logit_loss, and the pass's
+result is checked once.  On any failure the pass is replayed with
+per-result checks on, so it raises the same error at the same op as a
+fully checked pass.  Shape violations raise :class:`ShapeError`; asking
+for gradients of a value no recorded op produced raises
+:class:`TapeError`.  Inside a :func:`no_grad` scope ops compute values
+only and record nothing, so inference keeps no tape alive.
 
 Packed graphs: a batch of graphs is one disjoint union whose node rows
 are stacked.  :class:`Segments` names each graph's row range and
@@ -77,32 +77,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, as_tensor(other))
 
-    def __radd__(self, other):
-        return add(as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(as_tensor(other), self)
-
     def __mul__(self, other):
         return mul(self, as_tensor(other))
 
     def __rmul__(self, other):
         return mul(as_tensor(other), self)
-
-    def __neg__(self):
-        return mul(self, as_tensor(-1.0))
-
-    def __pow__(self, exponent):
-        return pow_const(self, exponent)
-
-    def __matmul__(self, other):
-        return matmul(self, as_tensor(other))
-
-    def sum(self, axis: int | None = None):
-        return tensor_sum(self, axis)
 
 
 def as_tensor(value) -> Tensor:
@@ -139,9 +118,9 @@ _CHECKING = contextvars.ContextVar("molcalib_autodiff_checking",
 
 
 def _check_input(arr: np.ndarray, op: str) -> None:
-    """Inside :func:`checked_forward`, check the input of an op that can
-    map a non-finite value to a finite one, which the one check of the
-    pass's result would miss."""
+    """Inside :func:`checked_forward`, check an op's input: where the op
+    can map a non-finite value to a finite one, the one check of the
+    pass's result would miss it."""
     if not _CHECKING.get():
         _check_finite(arr, f"the input of {op}")
 
@@ -228,19 +207,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _node(data, (a, b), backward, "add")
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        data = a.data - b.data
-    except ValueError as err:
-        raise ShapeError(f"sub: {a.shape} - {b.shape}") from err
-
-    def backward(out):
-        _accum(a, _unbroadcast(out.grad, a.data.shape))
-        _accum(b, _unbroadcast(-out.grad, b.data.shape))
-
-    return _node(data, (a, b), backward, "sub")
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     try:
         data = a.data * b.data
@@ -252,28 +218,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         _accum(b, _unbroadcast(out.grad * a.data, b.data.shape))
 
     return _node(data, (a, b), backward, "mul")
-
-
-def pow_const(a: Tensor, exponent: float) -> Tensor:
-    """Elementwise power with a constant exponent.
-
-    Non-integer exponents need a positive base; exponent 0 has exact
-    value 1 and zero gradient.
-    """
-    c = float(exponent)
-    if c <= 0.0:  # inf ** 0 is 1 and inf ** -1 is 0
-        _check_input(a.data, "pow")
-    data = np.power(a.data, c)
-
-    def backward(out):
-        if c == 0.0:
-            return
-        if c == 1.0:
-            _accum(a, out.grad)
-            return
-        _accum(a, out.grad * c * np.power(a.data, c - 1.0))
-
-    return _node(data, (a,), backward, "pow")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -386,35 +330,37 @@ def sigmoid(a: Tensor) -> Tensor:
     return _node(data, (a,), backward, "sigmoid")
 
 
-def tanh(a: Tensor) -> Tensor:
-    _check_input(a.data, "tanh")
-    data = np.tanh(a.data)
+def logit_loss(z: Tensor, t: np.ndarray, pos_weight: float = 1.0,
+               neg_weight: float = 1.0, gamma: float = 0.0,
+               beta: float = 0.0) -> Tensor:
+    """Summed binary loss of logits `z` against targets `t` in [0, 1]:
+
+        sum  -w+ t (1-p)^gamma log p - w- (1-t) p^gamma log(1-p) - beta H(p)
+
+    with p = sigmoid(z) and H the binary entropy.  Both logarithms are
+    -softplus(-+z), so no rounded probability is ever logged, and the
+    gradient is in closed form: a confidently wrong logit keeps a slope
+    of about w+ or w-, however far it saturates.
+    """
+    if t.shape != z.data.shape:
+        raise ShapeError(f"logit_loss: targets {t.shape}, logits {z.shape}")
+    # checked as the absorbing ops' inputs are, so that a non-finite logit
+    # is caught whatever these formulas make of it
+    _check_input(z.data, "logit_loss")
+    x = z.data
+    nlp = np.logaddexp(0.0, -x)  # -log p
+    nlq = np.logaddexp(0.0, x)  # -log(1 - p)
+    p, q = np.exp(-nlp), np.exp(-nlq)
+    pos = pos_weight * t * q ** gamma
+    neg = neg_weight * (1.0 - t) * p ** gamma
+    data = np.sum(pos * nlp + neg * nlq - beta * (p * nlp + q * nlq))
 
     def backward(out):
-        _accum(a, out.grad * (1.0 - data * data))
+        g = (neg * (gamma * q * nlq + p) - pos * (gamma * p * nlp + q)
+             + beta * p * q * x)
+        _accum(z, out.grad * g)
 
-    return _node(data, (a,), backward, "tanh")
-
-
-def log(a: Tensor) -> Tensor:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        data = np.log(a.data)
-
-    def backward(out):
-        _accum(a, out.grad / a.data)
-
-    return _node(data, (a,), backward, "log")
-
-
-def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
-    _check_input(a.data, "clamp")
-    data = np.clip(a.data, lo, hi)
-
-    def backward(out):
-        inside = (a.data >= lo) & (a.data <= hi)
-        _accum(a, out.grad * inside)
-
-    return _node(data, (a,), backward, "clamp")
+    return _node(data, (z,), backward, "logit_loss")
 
 
 DropoutRng = np.random.Generator | Sequence[tuple[np.random.Generator, int]]

@@ -185,8 +185,7 @@ def _cmd_evaluate(args) -> int:
           f"ece {report.ece:.4f}  f1 {report.metrics.f1:.4f}")
     if args.out_dir:
         emit_report_csvs(report, args.out_dir)
-        emit_predictions_csv(test_graphs, probs,
-                             config.evaluation.threshold, args.out_dir)
+        emit_predictions_csv(test_graphs, probs, report.y_pred, args.out_dir)
         print(f"reports -> {args.out_dir}/reports")
     return EXIT_OK
 

@@ -269,6 +269,7 @@ class ReliabilityReport:
     output_hist: Histogram
     outcome_hists: dict[str, Histogram]
     screening: list[ScreeningPoint]
+    y_pred: np.ndarray  # the thresholded labels, one per record
 
     def to_dict(self) -> dict:
         return {
@@ -330,4 +331,5 @@ def build_report(p_hat, y_pred, y_true, num_bins: int = 10,
         output_hist=output_histogram(p, yp, yt, histogram_bins),
         outcome_hists=outcome_histograms(p, yp, yt, histogram_bins),
         screening=screening_curve(p, yp, yt, k_grid),
+        y_pred=yp,
     )

@@ -4,8 +4,10 @@ Architecture: a learned input projection, then L embedding blocks, each a
 graph layer (convolutional or attention-based) wrapped in dropout and a
 residual connection.  After every block a per-layer readout (plain sum or
 attention-weighted sum over nodes, sigmoid-squashed) produces a graph
-vector; the L vectors are concatenated and a linear head plus sigmoid gives
-the positive-class probability.
+vector; the L vectors are concatenated and a linear head gives the
+positive-class logit.  The model never applies the final sigmoid: the
+losses take the logit, and ``runner.predict_probabilities`` turns it into a
+probability at the scoring edge.
 
 The model runs on a packed batch (:func:`pack_graphs`): the disjoint union
 of the batch's graphs, so one forward and one tape serve every graph in a
@@ -146,11 +148,6 @@ def attn_pool(h: ad.Tensor, w_read: ad.Tensor,
     return ad.matmul(ad.segment_sum(weighted, seg), w_read)
 
 
-def threshold_label(p_hat: float, threshold: float = 0.5) -> int:
-    """Predicted label: 1 iff the probability strictly exceeds the threshold."""
-    return 1 if p_hat > threshold else 0
-
-
 # -- the model -------------------------------------------------------
 
 
@@ -196,8 +193,8 @@ class GnnModel:
 
     def forward(self, batch: GraphBatch, training: bool = False,
                 rng: ad.DropoutRng | None = None) -> ad.Tensor:
-        """Positive-class probability of every graph in the batch, shape
-        (B,), on the tape.  Training-mode dropout draws each layer's mask
+        """Positive-class logit of every graph in the batch, shape (B,),
+        on the tape.  Training-mode dropout draws each layer's mask
         at once, from `rng` as :func:`autodiff.dropout` describes."""
         cfg = self.config
         h = ad.matmul(ad.Tensor(batch.x), self.params["w_in"])
@@ -215,13 +212,7 @@ class GnnModel:
             readouts.append(ad.sigmoid(pool(h, self.params[f"w_read_{layer}"],
                                             batch.segments)))
         z = ad.concat(readouts, axis=1)
-        logit = ad.matmul(z, self.params["w_clf"]) + self.params["b_clf"]
-        return ad.sigmoid(logit)
-
-    def predict_proba(self, graphs: Sequence[MolecularGraph]) -> np.ndarray:
-        """Deterministic probabilities of `graphs`, scored as one batch."""
-        with ad.no_grad():
-            return self.forward(pack_graphs(graphs)).data
+        return ad.matmul(z, self.params["w_clf"]) + self.params["b_clf"]
 
 
 # -- checkpoints -----------------------------------------------------

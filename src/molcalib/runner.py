@@ -36,7 +36,7 @@ from .errors import EmptyDatasetError, NumericalError
 from .featurize import MolecularGraph
 from .losses import LossConfig, l2_penalty
 from .metrics import ReliabilityReport, build_report
-from .model import GnnModel, pack_graphs, save_checkpoint, threshold_label
+from .model import GnnModel, pack_graphs, save_checkpoint
 from .optim import AdamW, StepDecaySchedule
 
 MANIFEST_VERSION = 1
@@ -121,16 +121,16 @@ def emit_report_csvs(report: ReliabilityReport, out_dir: str) -> list[str]:
     return written
 
 
-def emit_predictions_csv(graphs, probs, threshold: float,
-                         out_dir: str) -> str:
-    """Ranked compound list, most probable first; ties keep input order."""
+def emit_predictions_csv(graphs, probs, y_pred, out_dir: str) -> str:
+    """Ranked compound list, most probable first; ties keep input order.
+    `y_pred` holds the predicted labels, as :func:`evaluate_model` puts
+    them in the report."""
     order = np.argsort(-np.asarray(probs), kind="stable")
     rows = []
     for rank, i in enumerate(order, start=1):
         g = graphs[i]
         rows.append([rank, g.source_id or "", g.smiles, probs[i],
-                     threshold_label(probs[i], threshold),
-                     "" if g.label is None else g.label])
+                     int(y_pred[i]), "" if g.label is None else g.label])
     path = os.path.join(out_dir, "reports", "predictions.csv")
     _write_csv(path, ["rank", "source_id", "smiles", "p_hat", "y_pred",
                       "y_true"], rows)
@@ -147,7 +147,8 @@ def predict_probabilities(model: GnnModel, graphs, mode: str,
 
     A graph runs as `copies` packed copies (`mc_samples` train-mode passes
     for MC dropout at a nonzero rate, else one deterministic pass) and
-    scores the mean of its copies.  A forward packs
+    scores the mean of its copies' probabilities, the sigmoid of the
+    model's logits.  A forward packs
     max(1, batch_size // copies) graphs.  Graph i draws its dropout masks
     from the stream (seed, i), so scores do not depend on chunking.
     Each forward is one :func:`autodiff.checked_forward` pass.
@@ -163,7 +164,7 @@ def predict_probabilities(model: GnnModel, graphs, mode: str,
         def chunk_forward():
             blocks = [(np.random.default_rng([seed, i]), copies * g.num_nodes)
                       for i, g in enumerate(chunk, start)] if mc else None
-            return model.forward(packed, training=mc, rng=blocks)
+            return ad.sigmoid(model.forward(packed, training=mc, rng=blocks))
 
         with ad.no_grad():
             out = ad.checked_forward(chunk_forward).data
@@ -212,8 +213,8 @@ def _epoch_pass(model, train_graphs, loss_cfg: LossConfig, optimizer,
 
         def batch_loss():
             dropout_rng.bit_generator.state = rng_state  # replay, same masks
-            p_vec = model.forward(packed, training=True, rng=dropout_rng)
-            return loss_cfg.compute(targets, p_vec)
+            logits = model.forward(packed, training=True, rng=dropout_rng)
+            return loss_cfg.compute(targets, logits)
 
         batch_sum = ad.checked_forward(batch_loss)
         # objective is the per-sample mean; the summed form stays in the
@@ -315,8 +316,7 @@ def train_run(config: ExperimentConfig, seed: int, graphs=None,
             json.dump(manifest, fh, indent=2)
         save_checkpoint(model, os.path.join(out_dir, "checkpoint.json"))
         emit_report_csvs(report, out_dir)
-        emit_predictions_csv(test_graphs, test_probs,
-                             config.evaluation.threshold, out_dir)
+        emit_predictions_csv(test_graphs, test_probs, report.y_pred, out_dir)
         _write_csv(os.path.join(out_dir, "reports", "epoch_loss.csv"),
                    ["epoch", "mean_loss", "learning_rate"],
                    [[e, loss, schedule.lr_at(e)]
@@ -344,8 +344,7 @@ def screen_library(model: GnnModel, config: ExperimentConfig,
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         emit_report_csvs(report, out_dir)
-        emit_predictions_csv(graphs, probs, config.evaluation.threshold,
-                             out_dir)
+        emit_predictions_csv(graphs, probs, report.y_pred, out_dir)
     if log is not None:
         for point in report.screening:
             log(f"top {point.k_percent:6.2f}%  screened {point.screened:6d}"

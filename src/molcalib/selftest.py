@@ -21,16 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .featurize import MolecularGraph, permute_graph
-from .losses import (
-    LossConfig,
-    bce_loss,
-    entropy_regularized_loss,
-    erl_kl_residual,
-    focal_loss,
-    label_smoothing_loss,
-    ls_kl_residual,
-    weighted_focal_loss,
-)
+from .losses import LossConfig, erl_kl_residual, ls_kl_residual
 from .metrics import auroc, bin_predictions, ece, screening_curve
 from .model import (
     GnnModel,
@@ -158,20 +149,30 @@ def gradient_mismatches(model, graphs, targets, loss: LossConfig):
     return problems
 
 
-def loss_identity_gaps(y, p):
+def logits_of(p):
+    """The logits log p - log(1 - p) of probabilities ``p``."""
+    p = np.asarray(p, dtype=np.float64)
+    return np.log(p) - np.log1p(-p)
+
+
+def loss_identity_gaps(y, z):
     """(identity, |got - want|) for each degenerate-parameter identity
-    on the batch of targets ``y`` and probabilities ``p``."""
-    p = ad.Tensor(p)
-    bce = bce_loss(y, p).item()
-    half_focal = 0.5 * focal_loss(y, p, 2.0).item()
+    on the batch of targets ``y`` and logits ``z``."""
+    z = ad.Tensor(z)
+
+    def loss(kind="bce", **knobs):
+        return LossConfig(kind, **knobs).compute(y, z).item()
+
+    bce = loss()
     return [
-        ("focal(0) vs bce", abs(focal_loss(y, p, 0.0).item() - bce)),
+        ("focal(0) vs bce", abs(loss("focal", focusing=0.0) - bce)),
         ("smoothing(0) vs bce",
-         abs(label_smoothing_loss(y, p, 0.0).item() - bce)),
+         abs(loss("label_smoothing", smoothing=0.0) - bce)),
         ("entropy(0) vs bce",
-         abs(entropy_regularized_loss(y, p, 0.0).item() - bce)),
+         abs(loss("entropy_regularized", entropy_weight=0.0) - bce)),
         ("weighted(0.5) vs half focal",
-         abs(weighted_focal_loss(y, p, 0.5, 2.0).item() - half_focal)),
+         abs(loss("weighted_focal", focusing=2.0, positive_weight=0.5)
+             - 0.5 * loss("focal", focusing=2.0))),
     ]
 
 
@@ -204,7 +205,9 @@ def permutation_gap(model, graph, rng, copies=1):
     ``copies`` randomly renumbered copies of it, all in one batch."""
     shuffled = [permute_graph(graph, rng.permutation(graph.num_nodes))
                 for _ in range(copies)]
-    probs = model.predict_proba([graph] + shuffled)
+    graphs = [graph] + shuffled
+    probs = predict_probabilities(model, graphs, "deterministic", 1, 0,
+                                  len(graphs))
     return float(np.max(np.abs(probs - probs[0])))
 
 
@@ -224,8 +227,8 @@ def rate_zero_gaps(model, graphs, rng, copies=1):
     ``rng``.  Both are 0.0 when they agree bitwise."""
     det = predict_probabilities(model, graphs, "deterministic", 13, 0, 32)
     mc = predict_probabilities(model, graphs, "mc_dropout", 13, 0, 32)
-    trained = model.forward(pack_graphs(graphs * copies), training=True,
-                            rng=rng).data
+    trained = ad.sigmoid(model.forward(pack_graphs(graphs * copies),
+                                       training=True, rng=rng)).data
     return (float(np.max(np.abs(mc - det))),
             float(np.max(np.abs(trained - np.tile(det, copies)))))
 
@@ -250,12 +253,12 @@ def check_loss_identities():
     rng = np.random.default_rng(2)
     n = 64
     y = (rng.random(n) < 0.5).astype(np.float64)
-    p = rng.random(n) * 0.98 + 0.01
-    for label, gap in loss_identity_gaps(y, p):
+    z = logits_of(rng.random(n) * 0.98 + 0.01)
+    for label, gap in loss_identity_gaps(y, z):
         assert gap <= 1e-12, f"{label}: gap {gap:.2e}"
-    r = ls_kl_residual(y, p, 0.1)
+    r = ls_kl_residual(y, z, 0.1)
     assert abs(r - 0.1 * n * math.log(2.0)) <= 1e-10, f"ls residual {r}"
-    r = erl_kl_residual(y, p, 0.1)
+    r = erl_kl_residual(y, z, 0.1)
     assert abs(r + 0.1 * n * math.log(2.0)) <= 1e-10, f"erl residual {r}"
 
 

@@ -28,6 +28,7 @@ from molcalib.model import GnnModel, ModelConfig
 from molcalib.runner import run_ablation, train_run
 from molcalib.selftest import (
     gradient_mismatches,
+    logits_of,
     loss_identity_gaps,
     metric_oracle_mismatches,
     permutation_gap,
@@ -147,8 +148,8 @@ def test_loss_identities_and_residuals(announce):
     for trial in range(100):
         n = int(rng.integers(3, 41))
         y = rng.integers(0, 2, size=n).astype(np.float64)
-        p = rng.uniform(1e-6, 1.0 - 1e-6, size=n)
-        for name, gap in loss_identity_gaps(y, p):
+        z = logits_of(rng.uniform(1e-6, 1.0 - 1e-6, size=n))
+        for name, gap in loss_identity_gaps(y, z):
             worst = max(worst, gap)
             if gap > 1e-12:
                 problems.append(f"trial {trial}: {name} gap {gap:.2e}")
@@ -158,9 +159,9 @@ def test_loss_identities_and_residuals(announce):
     y = rng.integers(0, 2, size=n).astype(np.float64)
     ls_vals, erl_vals = [], []
     for _ in range(30):
-        p = rng.uniform(1e-6, 1.0 - 1e-6, size=n)
-        ls_vals.append(losses.ls_kl_residual(y, p, alpha))
-        erl_vals.append(losses.erl_kl_residual(y, p, beta))
+        z = logits_of(rng.uniform(1e-6, 1.0 - 1e-6, size=n))
+        ls_vals.append(losses.ls_kl_residual(y, z, alpha))
+        erl_vals.append(losses.erl_kl_residual(y, z, beta))
     if max(ls_vals) - min(ls_vals) > 1e-10:
         problems.append("smoothing residual varies with predictions")
     if max(erl_vals) - min(erl_vals) > 1e-10:

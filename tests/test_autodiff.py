@@ -36,9 +36,11 @@ class TestForwardSemantics:
 
     def test_sum_axes(self):
         a = ad.Tensor([[1.0, 2.0], [3.0, 4.0]])
-        assert a.sum().item() == 10.0
-        np.testing.assert_array_equal(a.sum(axis=0).data, [4.0, 6.0])
-        np.testing.assert_array_equal(a.sum(axis=1).data, [3.0, 7.0])
+        assert ad.tensor_sum(a).item() == 10.0
+        np.testing.assert_array_equal(ad.tensor_sum(a, axis=0).data,
+                                      [4.0, 6.0])
+        np.testing.assert_array_equal(ad.tensor_sum(a, axis=1).data,
+                                      [3.0, 7.0])
 
     def test_concat_1d(self):
         out = ad.concat([ad.Tensor([1.0]), ad.Tensor([2.0, 3.0])])
@@ -55,21 +57,10 @@ class TestForwardSemantics:
         out = h + bias
         np.testing.assert_array_equal(out.data, np.tile(np.arange(4.0), (3, 1)))
 
-    def test_clamp(self):
-        a = ad.Tensor([-1.0, 0.5, 2.0])
-        np.testing.assert_array_equal(
-            ad.clamp(a, 0.0, 1.0).data, [0.0, 0.5, 1.0]
-        )
-
-    def test_pow_zero_exponent_is_exactly_one(self):
-        a = ad.Tensor([0.3, 0.9], requires_grad=True)
-        out = a ** 0.0
-        np.testing.assert_array_equal(out.data, [1.0, 1.0])
-
     def test_scalar_mul(self):
         a = ad.Tensor([1.0, 2.0])
         np.testing.assert_array_equal((2.5 * a).data, [2.5, 5.0])
-        np.testing.assert_array_equal((-a).data, [-1.0, -2.0])
+        np.testing.assert_array_equal((a * -1.0).data, [-1.0, -2.0])
 
 
 class TestErrors:
@@ -84,12 +75,6 @@ class TestErrors:
     def test_add_mismatch(self):
         with pytest.raises(ShapeError):
             ad.Tensor(np.ones((2, 3))) + ad.Tensor(np.ones((3, 2)))
-
-    def test_log_nonpositive(self):
-        with pytest.raises(NumericalError):
-            ad.log(ad.Tensor([1.0, 0.0]))
-        with pytest.raises(NumericalError):
-            ad.log(ad.Tensor([-1.0]))
 
     def test_overflow_caught(self):
         big = ad.Tensor(np.full((2, 2), 1e308))
@@ -114,7 +99,7 @@ class TestTapeSemantics:
 
     def test_leaf_accumulation_doubles(self):
         a = ad.Tensor([1.0, 2.0], requires_grad=True)
-        loss = (a * a).sum()
+        loss = ad.tensor_sum(a * a)
         ad.backward(loss)
         first = a.grad.copy()
         ad.backward(loss)
@@ -125,13 +110,13 @@ class TestTapeSemantics:
     def test_diamond_reuse(self):
         # f = sum(x*x) + sum(x): d/dx = 2x + 1, x feeding two branches
         x = ad.Tensor([1.0, -2.0, 3.0], requires_grad=True)
-        loss = (x * x).sum() + x.sum()
+        loss = ad.tensor_sum(x * x) + ad.tensor_sum(x)
         ad.backward(loss)
         np.testing.assert_allclose(x.grad, 2.0 * x.data + 1.0)
 
     def test_constant_subgraph_not_tracked(self):
         a = ad.Tensor([1.0, 2.0])
-        out = (a * 3.0).sum()
+        out = ad.tensor_sum(a * 3.0)
         assert not out.requires_grad
         assert out._parents == ()
 
@@ -140,7 +125,8 @@ class TestTapeSemantics:
         w = ad.Tensor([[1.0], [2.0]], requires_grad=True)
         x1 = ad.Tensor(np.array([[1.0, 0.0]]))
         x2 = ad.Tensor(np.array([[0.0, 1.0]]))
-        loss = ad.matmul(x1, w).sum() + ad.matmul(x2, w).sum()
+        loss = (ad.tensor_sum(ad.matmul(x1, w))
+                + ad.tensor_sum(ad.matmul(x2, w)))
         ad.backward(loss)
         np.testing.assert_array_equal(w.grad, [[1.0], [1.0]])
 
@@ -152,7 +138,8 @@ class TestGradientOracle:
             x = ad.Tensor(rng.standard_normal((4, 3)), requires_grad=True)
 
             def build():
-                return (ad.tanh(x) * ad.sigmoid(x) + x * 0.5).sum()
+                return ad.tensor_sum(ad.sigmoid(x * 2.0) * ad.sigmoid(x)
+                                     + x * 0.5)
 
             check_grads(build, [x])
 
@@ -160,11 +147,11 @@ class TestGradientOracle:
         rng = np.random.default_rng(6)
         a = ad.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         b = ad.Tensor(rng.standard_normal((4, 2)), requires_grad=True)
-        check_grads(lambda: ad.matmul(a, b).sum(), [a, b])
+        check_grads(lambda: ad.tensor_sum(ad.matmul(a, b)), [a, b])
         v = ad.Tensor(rng.standard_normal(3), requires_grad=True)
-        check_grads(lambda: ad.matmul(v, a).sum(), [v, a])
+        check_grads(lambda: ad.tensor_sum(ad.matmul(v, a)), [v, a])
         w = ad.Tensor(rng.standard_normal(4), requires_grad=True)
-        check_grads(lambda: ad.matmul(a, w).sum(), [a, w])
+        check_grads(lambda: ad.tensor_sum(ad.matmul(a, w)), [a, w])
         u = ad.Tensor(rng.standard_normal(4), requires_grad=True)
         check_grads(lambda: ad.matmul(w, u), [w, u])
 
@@ -174,23 +161,9 @@ class TestGradientOracle:
         x = ad.Tensor(rng.standard_normal(15), requires_grad=True)
         t = rng.standard_normal(15)
         seg = ad.Segments([5, 5, 5])
-        check_grads(lambda: (ad.segment_softmax(x, seg) * ad.Tensor(t)).sum(),
-                    [x])
-
-    def test_log_clamp_pow_gradient(self):
-        rng = np.random.default_rng(8)
-        x = ad.Tensor(rng.random(6) * 0.8 + 0.1, requires_grad=True)
-
-        def build():
-            c = ad.clamp(x, 1e-12, 1.0 - 1e-12)
-            return (ad.log(c) * (c ** 1.7)).sum()
-
-        check_grads(build, [x])
-
-    def test_clamp_blocks_gradient_outside(self):
-        x = ad.Tensor([-0.5, 0.5, 1.5], requires_grad=True)
-        ad.backward(ad.clamp(x, 0.0, 1.0).sum())
-        np.testing.assert_array_equal(x.grad, [0.0, 1.0, 0.0])
+        check_grads(
+            lambda: ad.tensor_sum(ad.segment_softmax(x, seg) * ad.Tensor(t)),
+            [x])
 
     def test_concat_gradient(self):
         rng = np.random.default_rng(9)
@@ -199,15 +172,23 @@ class TestGradientOracle:
         u = ad.Tensor(rng.standard_normal(2), requires_grad=True)
         v = ad.Tensor(rng.standard_normal(3), requires_grad=True)
         t = ad.Tensor(rng.standard_normal((4, 5)))
-        check_grads(lambda: (ad.concat([a, b], axis=1) ** 2.0 * t).sum(),
-                    [a, b])
-        check_grads(lambda: (ad.concat([u, v]) ** 3.0).sum(), [u, v])
+
+        def build_2d():
+            c = ad.concat([a, b], axis=1)
+            return ad.tensor_sum(c * c * t)
+
+        def build_1d():
+            c = ad.concat([u, v])
+            return ad.tensor_sum(c * c * c)
+
+        check_grads(build_2d, [a, b])
+        check_grads(build_1d, [u, v])
 
     def test_broadcast_bias_gradient(self):
         rng = np.random.default_rng(10)
         h = ad.Tensor(rng.standard_normal((5, 3)), requires_grad=True)
         bias = ad.Tensor(rng.standard_normal(3), requires_grad=True)
-        check_grads(lambda: (ad.relu(h + bias)).sum(), [h, bias])
+        check_grads(lambda: ad.tensor_sum(ad.relu(h + bias)), [h, bias])
 
     def test_small_mlp_end_to_end(self):
         rng = np.random.default_rng(12)
@@ -218,7 +199,7 @@ class TestGradientOracle:
 
         def build():
             hidden = ad.relu(ad.matmul(x, w1) + b1)
-            return ad.sigmoid(ad.matmul(hidden, w2)).sum()
+            return ad.tensor_sum(ad.sigmoid(ad.matmul(hidden, w2)))
 
         check_grads(build, [w1, b1, w2])
 
@@ -227,7 +208,8 @@ class TestGradientOracle:
 
         def build():
             rng = np.random.default_rng(99)  # same mask every call
-            return (ad.dropout(x, 0.5, True, rng) ** 2.0).sum()
+            d = ad.dropout(x, 0.5, True, rng)
+            return ad.tensor_sum(d * d)
 
         check_grads(build, [x])
 
@@ -261,7 +243,7 @@ class TestDropout:
         bottom = ad.dropout(ad.Tensor(np.ones((7, 4))), 0.4, True,
                             np.random.default_rng(2)).data
         np.testing.assert_array_equal(out.data, np.vstack([top, bottom]))
-        ad.backward(out.sum())
+        ad.backward(ad.tensor_sum(out))
         np.testing.assert_array_equal(x.grad, out.data)
 
     @pytest.mark.parametrize("rows", [(2, 6), (2, 8)])
@@ -321,13 +303,13 @@ class TestPackedGraphOps:
 
         def build():
             out = ad.neighbor_attention(q, p, nb, 0.7)
-            return (out * out).sum()
+            return ad.tensor_sum(out * out)
 
         def build_shared():
             # as in a GAT layer: the queries are a product of the values
             h = ad.neighbor_sum(x, nb)
             out = ad.neighbor_attention(ad.matmul(h, w), h, nb, 0.7)
-            return (out * out).sum()
+            return ad.tensor_sum(out * out)
 
         check_grads(build, [q, p])
         check_grads(build_shared, [x, w])
@@ -353,7 +335,8 @@ class TestPackedGraphOps:
 
         def build():
             w = ad.reshape(ad.segment_softmax(v, seg), (-1, 1))
-            return (ad.segment_sum(w * x, seg) ** 2.0).sum()
+            s = ad.segment_sum(w * x, seg)
+            return ad.tensor_sum(s * s)
 
         check_grads(build, [x, v])
 
@@ -379,8 +362,8 @@ class TestNoGrad:
         w = ad.Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(NumericalError):
             with ad.no_grad():
-                ad.log(w - 1.0)
-        out = (w * w).sum()
+                w * np.inf
+        out = ad.tensor_sum(w * w)
         assert out.requires_grad and out._parents
         ad.backward(out)
         np.testing.assert_array_equal(w.grad, [2.0, 2.0, 2.0])
@@ -398,14 +381,10 @@ class TestCheckedForward:
     ABSORBING = {
         "relu": lambda: ad.relu(overflowing(-1.0)),
         "sigmoid": lambda: ad.sigmoid(overflowing(1.0)),
-        "tanh": lambda: ad.tanh(overflowing(-1.0)),
-        "clamp": lambda: ad.clamp(overflowing(1.0), 0.0, 1.0),
         "segment_softmax": lambda: ad.segment_softmax(
             ad.concat([ad.Tensor([0.0]),
                        ad.reshape(overflowing(-1.0), (-1,))]),
             ad.Segments([5])),
-        "pow 0": lambda: overflowing(1.0) ** 0.0,
-        "pow -1": lambda: overflowing(1.0) ** -1.0,
         "attention": lambda: ad.neighbor_attention(
             overflowing(1.0), ad.Tensor(np.ones((2, 2))),
             ad.Neighbors(np.zeros((0, 2), dtype=np.intp), 2), 0.5),

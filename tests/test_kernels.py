@@ -22,7 +22,7 @@ class TestKernelSemantics:
         out = ad.relu(x)
         np.testing.assert_array_equal(out.data, [0.0, 0.0, 3.5])
         # gradient passes only where the input is strictly positive
-        ad.backward(out.sum())
+        ad.backward(ad.tensor_sum(out))
         np.testing.assert_array_equal(x.grad, [0.0, 0.0, 1.0])
 
     def test_sigmoid_range_and_midpoint(self):
@@ -50,5 +50,5 @@ class TestKernelSemantics:
         kept = out.data != 0.0
         np.testing.assert_array_equal(out.data,
                                       np.where(kept, 2.0 * x.data, 0.0))
-        ad.backward(out.sum())
+        ad.backward(ad.tensor_sum(out))
         np.testing.assert_array_equal(x.grad, np.where(kept, 2.0, 0.0))

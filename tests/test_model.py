@@ -2,11 +2,13 @@
 
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from molcalib import autodiff as ad
+from molcalib import autodiff as ad, runner
+from molcalib.config import resolve_config
 from molcalib.errors import ConfigError, IoError, SchemaError, ShapeError
 from molcalib.featurize import featurize, permute_graph, MolecularGraph
 from molcalib.model import (
@@ -19,15 +21,20 @@ from molcalib.model import (
     pack_graphs,
     save_checkpoint,
     sum_pool,
-    threshold_label,
 )
-from molcalib.runner import predict_probabilities
+from molcalib.runner import evaluate_model, predict_probabilities
 from molcalib.selftest import numeric_gradient, random_graph, size_ratio_gap
 from molcalib.smiles import parse_smiles
 
 from test_autodiff import dense_adjacency
 
 NO_BONDS = np.zeros((0, 2), dtype=np.int32)
+
+
+def scores(model, graphs):
+    """Deterministic probabilities of `graphs`, scored as one batch."""
+    return predict_probabilities(model, graphs, "deterministic", 1, 0,
+                                 len(graphs))
 
 
 def complete_graph_of_identical_nodes(k, d, value=0.3):
@@ -113,7 +120,7 @@ class TestModelForward:
         cfg = ModelConfig(node_embedding=embed, readout=readout, **SMALL)
         model = GnnModel(cfg, seed=1)
         g = random_graph(np.random.default_rng(0), 7, cfg.input_dim)
-        p = model.predict_proba([g])
+        p = scores(model, [g])
         assert p.shape == (1,) and 0.0 < p[0] < 1.0
 
     def test_same_seed_same_params(self):
@@ -163,8 +170,8 @@ class TestBatching:
         cfg = ModelConfig(node_embedding=embed, readout=readout, **SMALL)
         model = GnnModel(cfg, seed=5)
         graphs = mixed_graphs(cfg.input_dim)
-        together = model.predict_proba(graphs)
-        alone = np.array([model.predict_proba([g])[0] for g in graphs])
+        together = scores(model, graphs)
+        alone = np.array([scores(model, [g])[0] for g in graphs])
         np.testing.assert_allclose(together, alone, rtol=0, atol=1e-12)
 
     def test_batch_of_smiles_matches_batches_of_one(self):
@@ -172,8 +179,8 @@ class TestBatching:
                                      **dict(SMALL, input_dim=58)), seed=6)
         graphs = [featurize(parse_smiles(s)) for s in
                   ("CC(=O)Oc1ccccc1C(=O)O", "N", "C1CCOC1", "[Na+]", "CCN")]
-        together = model.predict_proba(graphs)
-        alone = [model.predict_proba([g])[0] for g in graphs]
+        together = scores(model, graphs)
+        alone = [scores(model, [g])[0] for g in graphs]
         np.testing.assert_allclose(together, alone, rtol=0, atol=1e-12)
 
     def test_pack_layout(self):
@@ -252,10 +259,10 @@ class TestInvariances:
         rng = np.random.default_rng(8)
         for s in self.SMILES:
             g = featurize(parse_smiles(s))
-            p = model.predict_proba([g])[0]
+            p = scores(model, [g])[0]
             for _ in range(3):
                 gp = permute_graph(g, rng.permutation(g.num_nodes))
-                assert abs(model.predict_proba([gp])[0] - p) <= 1e-12
+                assert abs(scores(model, [gp])[0] - p) <= 1e-12
 
 
 def mc_scores(model, graphs, samples, seed=9, batch_size=32):
@@ -284,7 +291,7 @@ class TestMcDropout:
         graphs = [random_graph(rng, n, cfg.input_dim) for n in (6, 1, 4)]
         det = predict_probabilities(model, graphs, "deterministic", 30, 9,
                                     32)
-        np.testing.assert_array_equal(det, model.predict_proba(graphs))
+        np.testing.assert_array_equal(det, scores(model, graphs))
         for samples in (1, 3, 30):
             np.testing.assert_array_equal(mc_scores(model, graphs, samples),
                                           det)
@@ -298,7 +305,7 @@ class TestMcDropout:
         passes = mc_scores(model, [g] * 16, samples=1)
         assert len(np.unique(passes)) == 16
         assert np.all((passes > 0.0) & (passes < 1.0))
-        assert model.predict_proba([g])[0] not in passes
+        assert scores(model, [g])[0] not in passes
 
     def test_mc_reproducible_from_seed(self):
         cfg = ModelConfig(dropout_rate=0.4, **SMALL)
@@ -336,12 +343,19 @@ class TestMcDropout:
 
 
 class TestThreshold:
-    def test_strictly_greater(self):
-        assert threshold_label(0.5, 0.5) == 0
-        assert threshold_label(0.5000001, 0.5) == 1
-        assert threshold_label(0.2, 0.5) == 0
-        assert threshold_label(0.9, 0.5) == 1
-        assert threshold_label(0.3, 0.25) == 1
+    def test_strictly_greater(self, toy_raw_config, monkeypatch):
+        # the labels the metrics and the predictions CSV use: 1 iff the
+        # probability strictly exceeds the evaluation threshold
+        for threshold, probs, y_pred in (
+                (0.5, [0.5, 0.5000001, 0.2, 0.9], [0, 1, 0, 1]),
+                (0.25, [0.3, 0.25], [1, 0])):
+            monkeypatch.setattr(runner, "predict_probabilities",
+                                lambda *args, p=probs: np.array(p))
+            raw = dict(toy_raw_config, evaluation={"threshold": threshold})
+            report, _ = evaluate_model(
+                None, [SimpleNamespace(label=y) for y in y_pred],
+                resolve_config(raw), seed=0)
+            assert report.y_pred.tolist() == y_pred
 
 
 class TestCheckpoints:
@@ -356,7 +370,7 @@ class TestCheckpoints:
             np.testing.assert_array_equal(clone.params[name].data,
                                           model.params[name].data)
         g = random_graph(np.random.default_rng(3), 8, cfg.input_dim)
-        assert clone.predict_proba([g]) == model.predict_proba([g])
+        assert scores(clone, [g]) == scores(model, [g])
 
     def test_file_is_json_dumps_of_payload(self, tmp_path):
         import dataclasses
@@ -413,13 +427,13 @@ class TestModelGradients:
         batch = pack_graphs([random_graph(np.random.default_rng(14), 6,
                                           cfg.input_dim)])
 
-        def loss_value():
-            return ((model.forward(batch) - 0.3) ** 2.0).sum().item()
+        def loss():
+            gap = ad.sigmoid(model.forward(batch)) + -0.3
+            return ad.tensor_sum(gap * gap)
 
-        loss = ((model.forward(batch) - 0.3) ** 2.0).sum()
-        ad.backward(loss)
+        ad.backward(loss())
         for name, p in model.params.items():
-            fd = numeric_gradient(lambda: loss_value(), p.data)
+            fd = numeric_gradient(lambda: loss().item(), p.data)
             np.testing.assert_allclose(
                 p.grad, fd, rtol=1e-4, atol=1e-8,
                 err_msg=f"{embed}/{readout} gradient mismatch for {name}",
