@@ -3,22 +3,26 @@
 Define-by-run: every operation builds a node holding its parents and a
 backward closure; :func:`backward` topologically sorts the graph reachable
 from a scalar loss and runs the closures in reverse, accumulating into
-``.grad``.  Leaf gradients keep accumulating across backward calls until
-zeroed, so mini-batch sums and repeated calls behave the same way.
+``.grad``.  An interior node's gradient is released as soon as its closure
+has passed it on to the node's parents, so a pass never holds a gradient
+for every activation at once.  Leaf gradients keep accumulating across
+backward calls until zeroed, so mini-batch sums and repeated calls behave
+the same way.
 
 By default every forward result is checked for NaN/Inf and raises
 :class:`NumericalError` naming the op that produced it, which keeps
 diverging runs from producing silent garbage.  :func:`checked_forward`
 runs a whole forward pass with those checks deferred: ops skip the
 per-result check, the ops that can map a non-finite input to a finite
-output (relu, sigmoid, segment_softmax, and the attention scores before
-their tanh) check their input, as does logit_loss, and the pass's
-result is checked once.  On any failure the pass is replayed with
-per-result checks on, so it raises the same error at the same op as a
-fully checked pass.  Shape violations raise :class:`ShapeError`; asking
-for gradients of a value no recorded op produced raises
-:class:`TapeError`.  Inside a :func:`no_grad` scope ops compute values
-only and record nothing, so inference keeps no tape alive.
+output (relu, sigmoid) check their input, as does logit_loss, the two
+attention ops check their scores before the softmax or tanh in every
+mode, and the pass's result is checked once.  On any failure the pass is
+replayed with per-result checks on, so it raises the same error at the
+same op as a fully checked pass.  Shape violations raise
+:class:`ShapeError`; asking for gradients of a value no recorded op
+produced raises :class:`TapeError`.  Inside a :func:`no_grad` scope ops
+compute values only and record nothing, so inference keeps no tape
+alive.
 
 Packed graphs: a batch of graphs is one disjoint union whose node rows
 are stacked.  :class:`Segments` names each graph's row range and
@@ -247,20 +251,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(data, (a, b), backward, "matmul")
 
 
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    try:
-        data = a.data.reshape(shape)
-    except ValueError as err:
-        raise ShapeError(f"reshape: {a.shape} to {shape}") from err
-    if data.ndim > 2:
-        raise ShapeError(f"tensors are at most 2-D, got shape {data.shape}")
-
-    def backward(out):
-        _accum(a, out.grad.reshape(a.data.shape))
-
-    return _node(data, (a,), backward, "reshape")
-
-
 def tensor_sum(a: Tensor, axis: int | None = None) -> Tensor:
     if axis is not None and not (0 <= axis < a.ndim):
         raise ShapeError(f"sum axis {axis} out of range for shape {a.shape}")
@@ -434,12 +424,13 @@ class Neighbors:
 
     ``index[i, k]`` is the k-th neighbour of row i; unused slots hold N,
     which names an all-zero pad row.  ``mirror[i, k]`` is the slot that
-    lists i among the neighbours of ``index[i, k]``.  Symmetry is what
-    lets every backward pass below run as a gather: the rows that list j
-    are exactly the rows j lists.
+    lists i among the neighbours of ``index[i, k]``; only the backward
+    pass of :func:`neighbor_attention` reads it, so it is built on first
+    use.  Symmetry is what lets every backward pass below run as a
+    gather: the rows that list j are exactly the rows j lists.
     """
 
-    __slots__ = ("index", "mirror")
+    __slots__ = ("index", "_by_slot", "_mirror")
 
     def __init__(self, bonds, num_rows: int) -> None:
         """`bonds` is an (E, 2) array of row pairs in [0, N), each bond
@@ -455,28 +446,40 @@ class Neighbors:
         if np.any(key[1:] == key[:-1]):
             raise ShapeError("bond list has a self-bond or a repeated pair")
         rows, cols = np.divmod(key, num_rows)
-        # pair p of the column-major order is the mirror of pair p of the
-        # row-major order
-        by_col = np.argsort(cols * num_rows + rows)
         degree = np.bincount(rows, minlength=num_rows)
         width = max(int(degree.max(initial=0)), 1)
         slot = np.arange(rows.size) - (np.cumsum(degree) - degree)[rows]
         self.index = np.full((num_rows, width), num_rows, dtype=np.intp)
         self.index[rows, slot] = cols
-        self.mirror = np.zeros((num_rows, width), dtype=np.intp)
-        self.mirror[rows, slot] = slot[by_col]
+        # slot k's neighbour of every row, contiguous for np.take
+        self._by_slot = np.ascontiguousarray(self.index.T)
+        self._mirror = None
+
+    @property
+    def mirror(self) -> np.ndarray:
+        if self._mirror is None:
+            num_rows = self.index.shape[0]
+            # the listed pairs in row-major order, as __init__ sorted them
+            rows, slot = np.nonzero(self.index < num_rows)
+            cols = self.index[rows, slot]
+            # pair p of the column-major order is the mirror of pair p of
+            # the row-major order
+            by_col = np.argsort(cols * num_rows + rows)
+            self._mirror = np.zeros_like(self.index)
+            self._mirror[rows, slot] = slot[by_col]
+        return self._mirror
 
     def sum(self, x: np.ndarray) -> np.ndarray:
         """out[i] = sum over slots k of x[index[i, k]]."""
         xp = _pad_row(x)
-        out = xp[self.index[:, 0]]
-        for k in range(1, self.index.shape[1]):
-            out += xp[self.index[:, k]]
+        out = np.take(xp, self._by_slot[0], axis=0)
+        for neighbor in self._by_slot[1:]:
+            out += np.take(xp, neighbor, axis=0)
         return out
 
     def gather(self, x: np.ndarray) -> np.ndarray:
         """(N, K, d) rows: out[i, k] = x[index[i, k]]; 0 on unused slots."""
-        return _pad_row(x)[self.index]
+        return np.take(_pad_row(x), self.index, axis=0)
 
     def transpose(self, w: np.ndarray) -> np.ndarray:
         """Per-slot values of the mirrored pair: out[i, k] = w[j, m] for
@@ -537,21 +540,38 @@ def segment_sum(a: Tensor, seg: Segments) -> Tensor:
     return _node(data, (a,), backward, "segment_sum")
 
 
-def segment_softmax(a: Tensor, seg: Segments) -> Tensor:
-    """Softmax of a vector within each segment."""
-    if a.ndim != 1 or a.data.shape[0] != seg.num_rows:
-        raise ShapeError(
-            f"segment_softmax: {a.shape} over {seg.num_rows} rows")
-    _check_input(a.data, "segment_softmax")  # exp(-inf) is 0
+def attention_pool(h: Tensor, v: Tensor, seg: Segments,
+                   scale: float) -> Tensor:
+    """Attention-weighted row sum of each segment of `h`, shape (B, d).
+
+    Row i scores scale * h[i] . v; within each segment the softmax of the
+    scores, times the segment's row count, weights the rows, so uniform
+    scores give the plain segment sum.  Only the (N,) weights are kept
+    for the backward pass, not the weighted (N, d) rows.
+    """
+    if h.ndim != 2 or h.data.shape[0] != seg.num_rows or v.ndim != 1:
+        raise ShapeError(f"attention_pool: {h.shape} and {v.shape} over "
+                         f"{seg.num_rows} rows")
+    scores = np.dot(h.data, v.data) * scale
+    # checked in every mode: exp maps -inf to 0, and the scores are no
+    # other op's result whose check would see them
+    _check_finite(scores, "attention_scores")
     # subtracting each segment's max keeps exp from overflowing
-    e = np.exp(a.data - np.maximum.reduceat(a.data, seg.starts)[seg.ids])
+    e = np.exp(scores - np.maximum.reduceat(scores, seg.starts)[seg.ids])
     s = e / np.add.reduceat(e, seg.starts)[seg.ids]
+    size = seg.sizes[seg.ids]
+    weights = s * size
+    data = np.add.reduceat(weights[:, None] * h.data, seg.starts, axis=0)
 
     def backward(out):
-        g = out.grad
-        _accum(a, s * (g - np.add.reduceat(g * s, seg.starts)[seg.ids]))
+        g_rows = out.grad[seg.ids]
+        g_s = (g_rows * h.data).sum(axis=1) * size
+        g_scores = s * (g_s - np.add.reduceat(g_s * s, seg.starts)[seg.ids]) \
+            * scale
+        _accum(h, g_rows * weights[:, None] + np.outer(g_scores, v.data))
+        _accum(v, np.dot(h.data.T, g_scores))
 
-    return _node(s, (a,), backward, "segment_softmax")
+    return _node(data, (h, v), backward, "attention_pool")
 
 
 # -- backward pass ---------------------------------------------------
@@ -579,8 +599,10 @@ def _topo_order(loss: Tensor) -> list[Tensor]:
 def backward(loss: Tensor) -> None:
     """Run reverse mode from a scalar loss.
 
-    Intermediate gradients are rebuilt per call; leaf gradients accumulate
-    until their owner zeroes them.
+    Each interior gradient is dropped once its node's closure has passed
+    it on to the parents, so afterwards only leaves hold a ``.grad``; the
+    graph itself stays, and a second call on the same loss runs the same
+    pass again.  Leaf gradients accumulate until their owner zeroes them.
     """
     if loss.data.size != 1:
         raise TapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -594,3 +616,4 @@ def backward(loss: Tensor) -> None:
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node)
+            node.grad = None

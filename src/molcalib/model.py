@@ -138,14 +138,12 @@ def attn_pool(h: ad.Tensor, w_read: ad.Tensor,
     Node scores are the scaled row sums of H W, that is H (W 1); within
     each graph the softmax weights are multiplied by the node count so
     that uniform attention reduces to the plain sum readout.  The pooled
-    vector sum_i a_i (H W)_i is taken as (sum_i a_i H_i) W.
+    vector sum_i a_i (H W)_i is taken as (sum_i a_i H_i) W, the sum
+    being one :func:`autodiff.attention_pool` op.
     """
-    d_g = w_read.shape[1]
-    scores = ad.matmul(h, ad.tensor_sum(w_read, axis=1)) * (
-        1.0 / math.sqrt(d_g))
-    weights = ad.segment_softmax(scores, seg) * seg.sizes[seg.ids]
-    weighted = ad.reshape(weights, (-1, 1)) * h
-    return ad.matmul(ad.segment_sum(weighted, seg), w_read)
+    scale = 1.0 / math.sqrt(w_read.shape[1])
+    pooled = ad.attention_pool(h, ad.tensor_sum(w_read, axis=1), seg, scale)
+    return ad.matmul(pooled, w_read)
 
 
 # -- the model -------------------------------------------------------

@@ -115,6 +115,21 @@ def oracle_auroc(recs):
     return wins / (len(pos) * len(neg))
 
 
+def oracle_attention_readout(h, w_read, sizes):
+    """Pre-sigmoid attention readout of each graph on its own: graph b's
+    n_b rows H_b score the row sums of H_b W over sqrt(d_g), and the
+    pooled vector sums n_b softmax(scores)_i (H_b W)_i over its rows."""
+    pooled = []
+    start = 0
+    for n in sizes:
+        hw = h[start:start + n] @ w_read
+        start += n
+        scores = hw.sum(axis=1) / math.sqrt(w_read.shape[1])
+        e = np.exp(scores - scores.max())
+        pooled.append(sum(n * e[i] / e.sum() * hw[i] for i in range(n)))
+    return np.array(pooled)
+
+
 def oracle_screening(recs, k):
     """(records taken, success rate) at the top k percent."""
     p, _, y_true = recs
@@ -220,6 +235,14 @@ def size_ratio_gap(row, w_read):
     return float(np.max(np.abs(z4 / z3 - 4.0 / 3.0)))
 
 
+def readout_oracle_gap(h, w_read, sizes):
+    """Largest gap of :func:`model.attn_pool` over the graphs of ``sizes``,
+    packed in one batch, from :func:`oracle_attention_readout`."""
+    got = attn_pool(ad.Tensor(h), ad.Tensor(w_read), ad.Segments(sizes)).data
+    return float(np.max(np.abs(got - oracle_attention_readout(h, w_read,
+                                                              sizes))))
+
+
 def rate_zero_gaps(model, graphs, rng, copies=1):
     """Scoring of a model at dropout rate 0: the largest gap of MC
     inference (13 samples) from deterministic scoring, and of a train-mode
@@ -291,6 +314,15 @@ def check_attention_size_sensitivity():
     assert gap <= 1e-12, f"size ratio off 4/3 by {gap:.2e}"
 
 
+def check_attention_readout_oracle():
+    """The packed attention readout equals the per-graph oracle to 1e-12,
+    a one-node graph included."""
+    rng = np.random.default_rng(7)
+    gap = readout_oracle_gap(rng.standard_normal((9, 6)),
+                             rng.standard_normal((6, 4)), [5, 1, 3])
+    assert gap <= 1e-12, f"readout off the oracle by {gap:.2e}"
+
+
 def check_mc_dropout_zero_rate():
     """MC inference with rate 0 is deterministic scoring, bitwise, and a
     packed train-mode forward agrees with it to 1e-12."""
@@ -340,6 +372,7 @@ CHECKS = [
     ("metric oracles", check_metric_oracles),
     ("permutation invariance", check_permutation_invariance),
     ("attention size sensitivity", check_attention_size_sensitivity),
+    ("attention readout oracle", check_attention_readout_oracle),
     ("mc dropout zero rate", check_mc_dropout_zero_rate),
     ("checkpoint roundtrip", check_checkpoint_roundtrip),
     ("decay decoupling", check_decay_decoupling),

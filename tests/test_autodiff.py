@@ -5,12 +5,16 @@ oracle mutates the underlying parameter array in place and re-runs the
 forward closure, so it shares no code with the backward rules it checks.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from molcalib import autodiff as ad
 from molcalib.errors import NumericalError, ShapeError, TapeError
-from molcalib.selftest import numeric_gradient, random_bonds
+from molcalib.losses import LossConfig
+from molcalib.model import GnnModel, ModelConfig, pack_graphs
+from molcalib.selftest import numeric_gradient, random_bonds, random_graph
 
 
 def check_grads(build, params, rtol=1e-4, atol=1e-7):
@@ -131,6 +135,50 @@ class TestTapeSemantics:
         np.testing.assert_array_equal(w.grad, [[1.0], [1.0]])
 
 
+def training_step_loss():
+    """The loss of one step of the default GCN+attn model on a fixed batch
+    of 32 molecule-sized random graphs (about 1100 atoms), and the model."""
+    rng = np.random.default_rng(0)
+    config = ModelConfig()
+    graphs = [random_graph(rng, int(n), config.input_dim, p=2.2 / n)
+              for n in rng.integers(20, 50, size=32)]
+    batch = pack_graphs(graphs)
+    targets = (rng.random(32) < 0.5).astype(np.float64)
+    model = GnnModel(config, seed=0)
+
+    def loss():
+        return LossConfig().compute(targets,
+                                    model.forward(batch, training=True))
+
+    return loss, model
+
+
+class TestTapeLifetime:
+    def test_backward_leaves_only_leaf_gradients(self):
+        build, model = training_step_loss()
+        loss = build()
+        interior = [node for node in ad._topo_order(loss) if node._parents]
+        ad.backward(loss)
+        assert interior and all(node.grad is None for node in interior)
+        assert all(p.grad is not None for p in model.params.values())
+
+    def test_step_peak_stays_near_the_forward_tape(self):
+        # each interior gradient is freed once passed on, and the attention
+        # readout keeps no (N, d) rows, so backward adds little to the tape
+        build, _ = training_step_loss()
+        build()  # warm up, so that one-time allocations are not counted
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loss = build()
+            tape = tracemalloc.get_traced_memory()[0] - base
+            ad.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * tape, f"peak {peak} B over tape {tape} B"
+
+
 class TestGradientOracle:
     def test_elementwise_chain(self):
         rng = np.random.default_rng(5)
@@ -156,13 +204,15 @@ class TestGradientOracle:
         check_grads(lambda: ad.matmul(w, u), [w, u])
 
     def test_softmax_gradient(self):
-        # a softmax over each row of a (3, 5) matrix, as three segments
+        # a softmax over each row of a (3, 5) matrix, as three segments:
+        # pooling identity rows leaves 5 times each weight in its column
         rng = np.random.default_rng(7)
         x = ad.Tensor(rng.standard_normal(15), requires_grad=True)
-        t = rng.standard_normal(15)
+        t = ad.Tensor(rng.standard_normal((3, 15)))
         seg = ad.Segments([5, 5, 5])
+        eye = ad.Tensor(np.eye(15))
         check_grads(
-            lambda: ad.tensor_sum(ad.segment_softmax(x, seg) * ad.Tensor(t)),
+            lambda: ad.tensor_sum(ad.attention_pool(eye, x, seg, 1.0) * t),
             [x])
 
     def test_concat_gradient(self):
@@ -318,24 +368,25 @@ class TestPackedGraphOps:
         rng = np.random.default_rng(3)
         seg = ad.Segments([3, 1, 4])
         x = rng.standard_normal((8, 2))
-        v = rng.standard_normal(8)
+        v = rng.standard_normal(2)
         sums = ad.segment_sum(ad.Tensor(x), seg).data
-        soft = ad.segment_softmax(ad.Tensor(v), seg).data
+        pooled = ad.attention_pool(ad.Tensor(x), ad.Tensor(v), seg, 0.7).data
         for b, (lo, hi) in enumerate([(0, 3), (3, 4), (4, 8)]):
             np.testing.assert_allclose(sums[b], x[lo:hi].sum(axis=0),
                                        atol=1e-14)
-            e = np.exp(v[lo:hi])
-            np.testing.assert_allclose(soft[lo:hi], e / e.sum(), atol=1e-15)
+            e = np.exp(0.7 * (x[lo:hi] @ v))
+            weights = (hi - lo) * e / e.sum()
+            np.testing.assert_allclose(pooled[b], weights @ x[lo:hi],
+                                       atol=1e-14)
 
     def test_segment_gradients(self):
         rng = np.random.default_rng(4)
         seg = ad.Segments([2, 3, 1])
         x = ad.Tensor(rng.standard_normal((6, 2)), requires_grad=True)
-        v = ad.Tensor(rng.standard_normal(6), requires_grad=True)
+        v = ad.Tensor(rng.standard_normal(2), requires_grad=True)
 
         def build():
-            w = ad.reshape(ad.segment_softmax(v, seg), (-1, 1))
-            s = ad.segment_sum(w * x, seg)
+            s = ad.attention_pool(x, v, seg, 0.7) + ad.segment_sum(x, seg)
             return ad.tensor_sum(s * s)
 
         check_grads(build, [x, v])
@@ -381,10 +432,8 @@ class TestCheckedForward:
     ABSORBING = {
         "relu": lambda: ad.relu(overflowing(-1.0)),
         "sigmoid": lambda: ad.sigmoid(overflowing(1.0)),
-        "segment_softmax": lambda: ad.segment_softmax(
-            ad.concat([ad.Tensor([0.0]),
-                       ad.reshape(overflowing(-1.0), (-1,))]),
-            ad.Segments([5])),
+        "attention_pool": lambda: ad.attention_pool(
+            overflowing(-1.0), ad.Tensor([1.0, 1.0]), ad.Segments([2]), 0.5),
         "attention": lambda: ad.neighbor_attention(
             overflowing(1.0), ad.Tensor(np.ones((2, 2))),
             ad.Neighbors(np.zeros((0, 2), dtype=np.intp), 2), 0.5),
@@ -399,10 +448,33 @@ class TestCheckedForward:
             ad.checked_forward(build)
         assert str(checked.value) == "non-finite values produced by matmul"
         assert str(deferred.value) == str(checked.value)
-        if name != "attention":  # its scores are checked in every mode
+        # the attention ops check their scores in every mode
+        if name not in ("attention", "attention_pool"):
             # without the input check the deferred pass would miss it
             monkeypatch.setattr(ad, "_check_input", lambda arr, op: None)
             assert np.all(np.isfinite(ad.checked_forward(build).data))
+
+    # finite rows whose scores overflow to -inf: tanh or softmax would
+    # turn them into finite weights, and no other op computes the scores
+    BIG = np.array([[1e200, 1e200], [0.0, 0.0]])
+    OVERFLOWING_SCORES = {
+        "neighbor_dot": lambda big: ad.neighbor_attention(
+            ad.Tensor(big), ad.Tensor(-big),
+            ad.Neighbors(np.zeros((0, 2), dtype=np.intp), 2), 1.0),
+        "attention_scores": lambda big: ad.attention_pool(
+            ad.Tensor(big), ad.Tensor(-big[0]), ad.Segments([2]), 1.0),
+    }
+
+    @pytest.mark.parametrize("op", sorted(OVERFLOWING_SCORES))
+    def test_attention_scores_are_checked_in_every_mode(self, op):
+        def build():
+            return self.OVERFLOWING_SCORES[op](self.BIG)
+
+        with np.errstate(over="ignore"):
+            for run in (build, lambda: ad.checked_forward(build)):
+                with pytest.raises(NumericalError,
+                                   match=f"produced by {op}$"):
+                    run()
 
     def test_non_finite_leaf_keeps_the_per_op_outcome(self):
         # a relu of a -inf constant is finite and raises nowhere: the

@@ -261,7 +261,8 @@ class TestDeferredChecks:
         monkeypatch.setattr(ad, "_check_finite", counting)
         with ad.no_grad():
             ad.checked_forward(lambda: model.forward(batch))
-        layer = ["the input of relu", "the input of segment_softmax",
+        # the readout's scores before their softmax
+        layer = ["the input of relu", "attention_scores",
                  "the input of sigmoid"]
         if embed == "gat":
             layer.insert(0, "neighbor_dot")  # the scores before their tanh
@@ -607,7 +608,7 @@ class TestCli:
     def test_selftest_passes(self, capsys):
         assert cli.main(["selftest"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[-1] == "[SELFTEST] 8/8 checks passed"
+        assert lines[-1] == "[SELFTEST] 9/9 checks passed"
 
     def test_selftest_reports_failing_and_raising_checks(self, monkeypatch,
                                                          capsys):

@@ -2,7 +2,8 @@
 
 relu, sigmoid, softmax and dropout each have one numpy body inside
 ``molcalib.autodiff``; these cases pin their values, forward and backward.
-Softmax is the segment softmax, here with one segment per matrix row.
+Softmax is the segment softmax of the attention readout, here with one
+segment per matrix row.
 """
 
 import numpy as np
@@ -11,9 +12,14 @@ from molcalib import autodiff as ad
 
 
 def row_softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax weights of each row of `x`, read off the attention readout
+    of identity rows scored by `x`: row i of the identity pools to column
+    i, at the segment size times its weight."""
     rows, cols = x.shape
     seg = ad.Segments([cols] * rows)
-    return ad.segment_softmax(ad.Tensor(x.ravel()), seg).data.reshape(x.shape)
+    pooled = ad.attention_pool(ad.Tensor(np.eye(x.size)), ad.Tensor(x.ravel()),
+                               seg, 1.0).data
+    return pooled.sum(axis=0).reshape(x.shape) / cols
 
 
 class TestKernelSemantics:

@@ -23,7 +23,12 @@ from molcalib.model import (
     sum_pool,
 )
 from molcalib.runner import evaluate_model, predict_probabilities
-from molcalib.selftest import numeric_gradient, random_graph, size_ratio_gap
+from molcalib.selftest import (
+    numeric_gradient,
+    random_graph,
+    readout_oracle_gap,
+    size_ratio_gap,
+)
 from molcalib.smiles import parse_smiles
 
 from test_autodiff import dense_adjacency
@@ -105,6 +110,12 @@ class TestLayerAlgebra:
             pooled = attn_pool(h, w, one_graph(k))
             np.testing.assert_allclose(pooled.data[0], k * (row @ w.data),
                                        rtol=1e-13)
+
+    def test_attn_pool_matches_per_graph_oracle(self):
+        rng = np.random.default_rng(8)
+        h = rng.standard_normal((12, 5)) * 2.0
+        assert readout_oracle_gap(h, rng.standard_normal((5, 7)),
+                                  [4, 1, 7]) <= 1e-12
 
     def test_attn_pool_ratio_three_vs_four(self):
         # both graphs in one batch: segments keep their softmaxes apart
