@@ -304,7 +304,7 @@ def relu(a: Tensor) -> Tensor:
     data = np.maximum(a.data, 0.0)
 
     def backward(out):
-        _accum(a, np.where(a.data > 0.0, out.grad, 0.0))
+        _accum(a, out.grad * (a.data > 0.0))
 
     return _node(data, (a,), backward, "relu")
 

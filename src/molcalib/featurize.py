@@ -109,35 +109,52 @@ def featurize(mol: Molecule, schema: FeatureSchema = DEFAULT_SCHEMA,
     n = mol.num_atoms
     width = schema.width
     order_sums = [0.0] * n
+    ends: list[int] = []
     for b in mol.bonds:
-        order_sums[b.a1] += b.order
-        order_sums[b.a2] += b.order
+        a1 = b.a1
+        a2 = b.a2
+        order_sums[a1] += b.order
+        order_sums[a2] += b.order
+        ends += (a1, a2)
     ring = mol.ring_atoms()
 
     columns = schema.element_columns
     other = len(schema.elements)
     deg_off = other + 1
-    h_off = deg_off + schema.max_degree + 1
+    max_degree = schema.max_degree
+    h_off = deg_off + max_degree + 1
+    max_hydrogens = schema.max_hydrogens
     c = schema.max_abs_charge
-    charge_off = h_off + schema.max_hydrogens + 1 + c  # charge 0
+    charge_off = h_off + max_hydrogens + 1 + c  # charge 0
     aromatic_col = charge_off + c + 1
     bucket_off = aromatic_col + 1  # bucket b (1-based) lands at off + b
+    num_buckets = schema.num_buckets
+    floor = math.floor
     hot: list[int] = []
     for i, atom in enumerate(mol.atoms):
-        if atom.degree > schema.max_degree:
-            raise FeatureError(f"degree {atom.degree} exceeds schema "
-                               f"maximum {schema.max_degree}")
+        degree = atom.degree
+        if degree > max_degree:
+            raise FeatureError(f"degree {degree} exceeds schema "
+                               f"maximum {max_degree}")
         h = atom.implicit_hydrogens
-        if h > schema.max_hydrogens:
+        if h > max_hydrogens:
             raise FeatureError(f"hydrogen count {h} exceeds schema "
-                               f"maximum {schema.max_hydrogens}")
-        bucket = min(max(math.floor(order_sums[i] + h), 1),
-                     schema.num_buckets)
+                               f"maximum {max_hydrogens}")
+        bucket = floor(order_sums[i] + h)
+        if bucket < 1:
+            bucket = 1
+        if bucket > num_buckets:
+            bucket = num_buckets
+        charge = atom.formal_charge
+        if charge < -c:
+            charge = -c
+        if charge > c:
+            charge = c
         base = i * width
         hot += (base + columns.get(atom.symbol, other),
-                base + deg_off + atom.degree,
+                base + deg_off + degree,
                 base + h_off + h,
-                base + charge_off + min(max(atom.formal_charge, -c), c),
+                base + charge_off + charge,
                 base + bucket_off + bucket)
         if atom.aromatic:
             hot.append(base + aromatic_col)
@@ -146,8 +163,7 @@ def featurize(mol: Molecule, schema: FeatureSchema = DEFAULT_SCHEMA,
     x = np.zeros((n, width), dtype=np.uint8)
     x.put(hot, 1)
 
-    bonds = np.array([(b.a1, b.a2) for b in mol.bonds],
-                     dtype=np.int32).reshape(-1, 2)
+    bonds = np.array(ends, dtype=np.int32).reshape(-1, 2)
     return MolecularGraph(node_features=x, bonds=bonds, label=label,
                           source_id=source_id, smiles=mol.smiles)
 

@@ -13,6 +13,10 @@ The dialect covers what desk-scale property-prediction corpora actually use:
 * branches, ring-closure digits (including ``%nn``) and dot-separated
   fragments, which stay in one :class:`Molecule`.
 
+Digits are ASCII ``0-9`` only, in ring labels, isotopes, hydrogen counts,
+charges and atom maps; any other digit character (``²``, ``٣``) is a
+syntax error.
+
 Anything else (wildcard ``*``, reaction ``>``, out-of-vocabulary elements)
 raises :class:`UnsupportedFeatureError`; malformed input raises
 :class:`SmilesSyntaxError`.  Both carry a 1-based character position.
@@ -31,7 +35,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import SmilesSyntaxError, UnsupportedFeatureError
+from .errors import SmilesError, SmilesSyntaxError, UnsupportedFeatureError
 
 # Elements that may appear without brackets, and their standard valences.
 ORGANIC_VALENCES: dict[str, tuple[int, ...]] = {
@@ -58,8 +62,17 @@ VOCABULARY: tuple[str, ...] = (
     "Si", "Se", "As", "H", "Na", "K", "Li", "Ca", "Zn", "Fe", "Mg", "Al", "Sn",
 )
 
-_AROMATIC_BARE = frozenset("bcnops")
+# Bare (unbracketed) atom letters -> Atom(symbol, aromatic) arguments.  The
+# two-letter halogens Cl and Br are read by the parser from their first
+# letter.
+_BARE_ATOMS: dict[str, tuple[str, bool]] = {
+    **{s: (s, False) for s in ORGANIC_VALENCES if len(s) == 1},
+    **{s: (s.upper(), True) for s in "bcnops"},
+}
 _AROMATIC_BRACKET = frozenset({"b", "c", "n", "o", "p", "s", "se", "as"})
+
+# Only ASCII digits count: str.isdigit() also accepts "²" and "٣".
+_DIGITS = frozenset("0123456789")
 
 _BOND_ORDERS = {"-": 1.0, "=": 2.0, "#": 3.0, ":": 1.5, "/": 1.0, "\\": 1.0}
 
@@ -136,25 +149,25 @@ class Molecule:
         for start in range(len(self.atoms)):
             if seen[start]:
                 continue
-            stack = [start]
             seen[start] = True
-            comp = []
-            while stack:
-                v = stack.pop()
-                comp.append(v)
+            comp = [start]
+            for v in comp:  # breadth first: comp grows as it is read
                 for w, _ in adj[v]:
                     if not seen[w]:
                         seen[w] = True
-                        stack.append(w)
-            comps.append(sorted(comp))
+                        comp.append(w)
+            comp.sort()
+            comps.append(comp)
         return comps
 
     def ring_atoms(self) -> set[int]:
         """Indices of atoms lying on at least one cycle.
 
         An edge is a bridge iff removing it disconnects its endpoints; ring
-        atoms are exactly the endpoints of non-bridge edges.  Iterative DFS,
-        so long chains cannot hit the recursion limit.
+        atoms are exactly the endpoints of non-bridge edges.  Tarjan's
+        bridge search runs as an iterative DFS whose stack frames each hold
+        one iterator over their vertex's neighbours, so long chains cannot
+        hit the recursion limit and no neighbour is visited twice.
         """
         n = len(self.atoms)
         adj = self.neighbor_lists
@@ -165,32 +178,29 @@ class Molecule:
         for root in range(n):
             if disc[root] != -1:
                 continue
-            stack: list[tuple[int, int, int]] = [(root, -1, 0)]
+            disc[root] = low[root] = timer
+            timer += 1
+            # frame: (vertex, index of the bond it was reached by, iterator)
+            stack = [(root, -1, iter(adj[root]))]
             while stack:
-                v, parent_edge, ptr = stack.pop()
-                if ptr == 0:
-                    disc[v] = low[v] = timer
-                    timer += 1
-                advanced = False
-                while ptr < len(adj[v]):
-                    w, ei = adj[v][ptr]
-                    ptr += 1
-                    if ei == parent_edge:
-                        continue
+                v, parent_edge, neighbours = stack[-1]
+                for w, ei in neighbours:
                     if disc[w] == -1:
-                        stack.append((v, parent_edge, ptr))
-                        stack.append((w, ei, 0))
-                        advanced = True
+                        disc[w] = low[w] = timer
+                        timer += 1
+                        stack.append((w, ei, iter(adj[w])))
                         break
-                    low[v] = min(low[v], disc[w])
-                if not advanced and parent_edge != -1:
-                    # v is finished; propagate low to its parent
-                    u = self.bonds[parent_edge].a1
-                    if u == v:
-                        u = self.bonds[parent_edge].a2
-                    low[u] = min(low[u], low[v])
-                    if low[v] > disc[u]:
-                        bridges.add(parent_edge)
+                    if ei != parent_edge and disc[w] < low[v]:
+                        low[v] = disc[w]
+                else:
+                    # v is finished; propagate its low to its parent
+                    stack.pop()
+                    if stack:
+                        u = stack[-1][0]
+                        if low[v] < low[u]:
+                            low[u] = low[v]
+                        if low[v] > disc[u]:
+                            bridges.add(parent_edge)
         ring = set()
         for ei, b in enumerate(self.bonds):
             if ei not in bridges:
@@ -199,304 +209,284 @@ class Molecule:
         return ring
 
 
-class _Cursor:
-    """Character cursor over the input with 1-based position reporting."""
-
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.i = 0
-
-    @property
-    def pos(self) -> int:
-        return self.i + 1
-
-    def eof(self) -> bool:
-        return self.i >= len(self.text)
-
-    def peek(self) -> str:
-        return self.text[self.i] if self.i < len(self.text) else ""
-
-    def advance(self) -> str:
-        ch = self.text[self.i]
-        self.i += 1
-        return ch
-
-    def read_digits(self) -> str:
-        start = self.i
-        while self.i < len(self.text) and self.text[self.i].isdigit():
-            self.i += 1
-        return self.text[start:self.i]
-
-
 class SmilesParser:
     """Single-use parser; construct and call :meth:`parse` once."""
 
     def __init__(self, smiles: str) -> None:
         self._raw = smiles
-        self._cur = _Cursor(smiles.strip())
-        self._atoms: list[Atom] = []
-        self._bonds: list[Bond] = []
-        self._bond_set: set[frozenset[int]] = set()
-        self._prev: int | None = None
-        self._branch_stack: list[tuple[int, int]] = []  # (prev atom, '(' pos)
-        self._pending: tuple[str, int] | None = None  # (bond symbol, pos)
-        self._open_rings: dict[int, tuple[int, str | None, int]] = {}
 
     def parse(self) -> Molecule:
-        cur = self._cur
-        if cur.eof():
+        """One pass over the characters, with the text, the index and the
+        parser state in locals.  Bond order sums and degrees are summed as
+        each bond is added."""
+        text = self._raw.strip()
+        n = len(text)
+        if not n:
             raise SmilesSyntaxError("empty SMILES", 1)
-        while not cur.eof():
-            pos = cur.pos
-            ch = cur.peek()
-            if ch.isspace():
-                raise SmilesSyntaxError("whitespace inside SMILES", pos, ch)
-            if ch == "[":
-                self._add_atom(self._read_bracket_atom(), pos)
-            elif ch.isupper():
-                self._add_atom(self._read_organic_atom(), pos)
-            elif ch.islower():
-                cur.advance()
-                if ch not in _AROMATIC_BARE:
-                    raise SmilesSyntaxError("unknown aromatic atom", pos, ch)
-                self._add_atom(Atom(symbol=ch.upper(), aromatic=True), pos)
-            elif ch.isdigit() or ch == "%":
-                self._ring_closure(pos)
-            elif ch in _BOND_ORDERS:
-                cur.advance()
-                if self._pending is not None:
-                    raise SmilesSyntaxError("two bond symbols in a row", pos, ch)
-                self._pending = (ch, pos)
+        atoms: list[Atom] = []
+        bonds: list[Bond] = []
+        pairs: set[tuple[int, int]] = set()  # (low, high) atom index
+        sums: list[float] = []
+        degrees: list[int] = []
+        branches: list[tuple[int, int]] = []  # (prev atom, '(' position)
+        rings: dict[int, tuple[int, str | None, int]] = {}
+        prev = -1  # last atom of the current chain; -1 for none
+        pending: str | None = None  # bond symbol waiting for its next atom
+        pending_pos = 0
+        i = 0
+        while i < n:
+            ch = text[i]
+            pos = i = i + 1  # i now indexes the next character
+            if ch in _BARE_ATOMS:
+                if ch + text[i:i + 1] in ("Cl", "Br"):
+                    atom = Atom(ch + text[i])
+                    i += 1
+                else:
+                    atom = Atom(*_BARE_ATOMS[ch])
             elif ch == "(":
-                cur.advance()
-                if self._prev is None:
+                if prev < 0:
                     raise SmilesSyntaxError("branch before any atom", pos, ch)
-                if self._pending is not None:
+                if pending is not None:
                     raise SmilesSyntaxError("bond before branch open", pos, ch)
-                self._branch_stack.append((self._prev, pos))
+                branches.append((prev, pos))
+                continue
             elif ch == ")":
-                cur.advance()
-                if not self._branch_stack:
+                if not branches:
                     raise SmilesSyntaxError("unmatched ')'", pos, ch)
-                if self._pending is not None:
+                if pending is not None:
                     raise SmilesSyntaxError("dangling bond before ')'", pos, ch)
-                self._prev = self._branch_stack.pop()[0]
+                prev = branches.pop()[0]
+                continue
+            elif ch in _BOND_ORDERS:
+                if pending is not None:
+                    raise SmilesSyntaxError("two bond symbols in a row", pos, ch)
+                pending = ch
+                pending_pos = pos
+                continue
+            elif ch in _DIGITS or ch == "%":
+                if prev < 0:
+                    raise SmilesSyntaxError("ring closure before any atom", pos, ch)
+                if ch == "%":
+                    digits = text[i:i + 2]
+                    if len(digits) != 2 or not _DIGITS.issuperset(digits):
+                        raise SmilesSyntaxError("'%' needs two digits", pos,
+                                                "%" + digits)
+                    i += 2
+                    label = int(digits)
+                else:
+                    label = int(ch)
+                symbol = pending
+                pending = None
+                if label not in rings:
+                    rings[label] = (prev, symbol, pos)
+                    continue
+                other, other_symbol, _ = rings.pop(label)
+                if symbol and other_symbol and symbol != other_symbol:
+                    raise SmilesSyntaxError("ring bond symbols disagree", pos,
+                                            str(label))
+                if other == prev:
+                    raise SmilesSyntaxError("bond endpoints must be distinct", pos)
+                key = (other, prev) if other < prev else (prev, other)
+                if key in pairs:
+                    raise SmilesSyntaxError("duplicate bond between atom pair", pos)
+                pairs.add(key)
+                symbol = symbol or other_symbol
+                if symbol is not None:
+                    order = _BOND_ORDERS[symbol]
+                elif atoms[other].aromatic and atoms[prev].aromatic:
+                    order = 1.5
+                else:
+                    order = 1.0
+                bonds.append(Bond(other, prev, order))
+                sums[other] += order
+                sums[prev] += order
+                degrees[other] += 1
+                degrees[prev] += 1
+                continue
+            elif ch == "[":
+                atom, i = _read_bracket_atom(text, i)
             elif ch == ".":
-                cur.advance()
-                if self._pending is not None:
+                if pending is not None:
                     raise SmilesSyntaxError("bond before fragment dot", pos, ch)
-                if self._prev is None:
+                if prev < 0:
                     raise SmilesSyntaxError("fragment dot before any atom", pos, ch)
-                self._prev = None
+                prev = -1
+                continue
+            elif ch.isspace():
+                raise SmilesSyntaxError("whitespace inside SMILES", pos, ch)
+            elif ch.isupper():
+                raise _bare_atom_error(text, pos)
+            elif ch.islower():
+                raise SmilesSyntaxError("unknown aromatic atom", pos, ch)
             elif ch == "*":
                 raise UnsupportedFeatureError("wildcard atom", pos, ch)
             elif ch == ">":
                 raise UnsupportedFeatureError("reaction SMILES", pos, ch)
             else:
                 raise SmilesSyntaxError("unexpected character", pos, ch)
-        self._check_closed()
-        return self._finish()
 
-    # -- atom readers --------------------------------------------------
+            # an atom was read: append it and bond it to the chain
+            k = atom.index = len(atoms)
+            atoms.append(atom)
+            if prev < 0:
+                sums.append(0.0)
+                degrees.append(0)
+            else:
+                # a new atom cannot close a bond twice, so no check is due
+                if pending is not None:
+                    order = _BOND_ORDERS[pending]
+                elif atom.aromatic and atoms[prev].aromatic:
+                    order = 1.5
+                else:
+                    order = 1.0
+                bonds.append(Bond(prev, k, order))
+                pairs.add((prev, k))
+                sums[prev] += order
+                degrees[prev] += 1
+                sums.append(order)
+                degrees.append(1)
+            pending = None
+            prev = k
 
-    def _read_organic_atom(self) -> Atom:
-        cur = self._cur
-        pos = cur.pos
-        first = cur.advance()
-        two = first + cur.peek() if cur.peek().islower() else ""
-        if two in ("Cl", "Br"):
-            cur.advance()
-            return Atom(symbol=two)
-        # Outside brackets only organic-subset symbols exist, so "Cn" is a
-        # carbon bonded to aromatic nitrogen, never copernicium.
-        if first in ORGANIC_VALENCES:
-            return Atom(symbol=first)
-        if two and two in _ALL_ELEMENTS:
-            cur.advance()
-            raise UnsupportedFeatureError(
-                "element must be bracketed or is outside vocabulary", pos, two
-            )
-        if first in _ALL_ELEMENTS:
-            raise UnsupportedFeatureError(
-                "element must be bracketed or is outside vocabulary", pos, first
-            )
-        raise SmilesSyntaxError("unknown atom symbol", pos, first)
+        if pending is not None:
+            raise SmilesSyntaxError("dangling bond at end", pending_pos)
+        if branches:
+            raise SmilesSyntaxError("unclosed branch", branches[0][1], "(")
+        if rings:
+            label, (_, _, pos) = next(iter(rings.items()))
+            raise SmilesSyntaxError("unclosed ring bond", pos, str(label))
 
-    def _read_bracket_atom(self) -> Atom:
-        cur = self._cur
-        open_pos = cur.pos
-        cur.advance()  # consume '['
-        isotope: int | None = None
-        digits = cur.read_digits()
-        if digits:
-            isotope = int(digits)
-        sym_pos = cur.pos
-        symbol, aromatic = self._read_bracket_symbol(sym_pos)
-        # chirality: parsed and discarded
-        while cur.peek() == "@":
-            cur.advance()
-        explicit_h = 0
-        if cur.peek() == "H":
-            cur.advance()
-            digits = cur.read_digits()
-            explicit_h = int(digits) if digits else 1
-        charge = 0
-        if cur.peek() in ("+", "-"):
-            charge = self._read_charge()
-        if cur.peek() == ":":  # atom-map class, discarded
-            cur.advance()
-            if not cur.read_digits():
-                raise SmilesSyntaxError("atom map without digits", cur.pos, ":")
-        if cur.peek() != "]":
-            raise SmilesSyntaxError(
-                "unclosed or malformed bracket atom", open_pos, cur.peek() or ""
-            )
-        cur.advance()
-        return Atom(
-            symbol=symbol,
-            aromatic=aromatic,
-            formal_charge=charge,
-            explicit_hydrogens=explicit_h,
-            isotope=isotope,
-            bracketed=True,
-        )
+        table = _IMPLICIT_HYDROGENS
+        for atom, order_sum, degree in zip(atoms, sums, degrees):
+            atom.degree = degree
+            if not atom.bracketed:  # bracket atoms carry explicit counts only
+                h = table.get((atom.symbol, order_sum))
+                if h is None:
+                    h = _implicit_hydrogens(atom.symbol, order_sum)
+                atom.implicit_hydrogens = h
+        return Molecule(atoms=atoms, bonds=bonds, smiles=self._raw)
 
-    def _read_bracket_symbol(self, pos: int) -> tuple[str, bool]:
-        cur = self._cur
-        ch = cur.peek()
-        if not ch.isalpha():
-            raise SmilesSyntaxError("bracket atom missing element symbol", pos, ch)
-        cur.advance()
-        if ch.islower():
-            two = ch + cur.peek()
-            if two in _AROMATIC_BRACKET:
-                cur.advance()
-                return two.capitalize(), True
-            if ch in _AROMATIC_BRACKET:
-                return ch.upper(), True
-            if two.capitalize() in _ALL_ELEMENTS or ch.upper() in _ALL_ELEMENTS:
-                raise UnsupportedFeatureError(
-                    "aromatic element outside vocabulary", pos, ch
-                )
-            raise SmilesSyntaxError("unknown aromatic symbol", pos, ch)
-        two = ch + cur.peek() if cur.peek().islower() else ""
-        if two and two in _ALL_ELEMENTS:
-            # A bracket holds one atom, so two letters form one element here.
-            cur.advance()
-            if two in ORGANIC_VALENCES or two in BRACKET_ONLY:
-                return two, False
-            raise UnsupportedFeatureError("element outside vocabulary", pos, two)
-        if ch in ORGANIC_VALENCES or ch in BRACKET_ONLY:
-            return ch, False
-        if ch in _ALL_ELEMENTS:
-            raise UnsupportedFeatureError("element outside vocabulary", pos, ch)
-        raise SmilesSyntaxError("unknown element symbol", pos, ch)
 
-    def _read_charge(self) -> int:
-        cur = self._cur
-        pos = cur.pos
-        sign_ch = cur.advance()
-        sign = 1 if sign_ch == "+" else -1
-        digits = cur.read_digits()
-        if digits:
-            magnitude = int(digits)
+def _digits_end(text: str, i: int) -> int:
+    """Index just past the run of ASCII digits starting at ``text[i]``."""
+    n = len(text)
+    while i < n and text[i] in _DIGITS:
+        i += 1
+    return i
+
+
+def _read_bracket_atom(text: str, i: int) -> tuple[Atom, int]:
+    """Read the bracket atom whose ``[`` ends just before index ``i``;
+    return it with the index just past its ``]``."""
+    open_pos = i
+    end = _digits_end(text, i)
+    isotope = int(text[i:end]) if end > i else None
+    i = end
+    symbol, aromatic, i = _read_bracket_symbol(text, i)
+    while text[i:i + 1] == "@":  # chirality: parsed and discarded
+        i += 1
+    explicit_h = 0
+    if text[i:i + 1] == "H":
+        end = _digits_end(text, i + 1)
+        explicit_h = int(text[i + 1:end]) if end > i + 1 else 1
+        i = end
+    charge = 0
+    sign_ch = text[i:i + 1]
+    if sign_ch in ("+", "-"):
+        pos = i + 1  # the sign's 1-based position, and the index after it
+        end = _digits_end(text, pos)
+        if end > pos:
+            magnitude = int(text[pos:end])
         else:
-            magnitude = 1
-            while cur.peek() == sign_ch:
-                cur.advance()
-                magnitude += 1
+            while text[end:end + 1] == sign_ch:
+                end += 1
+            magnitude = end - i
+        i = end
         if magnitude > 4:
             raise SmilesSyntaxError(
                 "formal charge outside [-4, +4]", pos, sign_ch * min(magnitude, 9)
             )
-        return sign * magnitude
+        charge = magnitude if sign_ch == "+" else -magnitude
+    if text[i:i + 1] == ":":  # atom-map class, discarded
+        end = _digits_end(text, i + 1)
+        if end == i + 1:
+            raise SmilesSyntaxError("atom map without digits", i + 2, ":")
+        i = end
+    if text[i:i + 1] != "]":
+        raise SmilesSyntaxError(
+            "unclosed or malformed bracket atom", open_pos, text[i:i + 1]
+        )
+    atom = Atom(symbol, aromatic, charge, explicit_h, isotope,
+                implicit_hydrogens=explicit_h, bracketed=True)
+    return atom, i + 1
 
-    # -- graph assembly ------------------------------------------------
 
-    def _add_atom(self, atom: Atom, pos: int) -> None:
-        atom.index = len(self._atoms)
-        self._atoms.append(atom)
-        if self._prev is not None:
-            symbol = self._pending[0] if self._pending else None
-            self._add_bond(self._prev, atom.index, symbol, pos)
-        self._pending = None
-        self._prev = atom.index
-
-    def _add_bond(self, a1: int, a2: int, symbol: str | None, pos: int) -> None:
-        if a1 == a2:
-            raise SmilesSyntaxError("bond endpoints must be distinct", pos)
-        key = frozenset((a1, a2))
-        if key in self._bond_set:
-            raise SmilesSyntaxError("duplicate bond between atom pair", pos)
-        self._bond_set.add(key)
-        if symbol is None:
-            both_aromatic = self._atoms[a1].aromatic and self._atoms[a2].aromatic
-            order = 1.5 if both_aromatic else 1.0
-        else:
-            order = _BOND_ORDERS[symbol]
-        self._bonds.append(Bond(a1=a1, a2=a2, order=order))
-
-    def _ring_closure(self, pos: int) -> None:
-        cur = self._cur
-        if self._prev is None:
-            raise SmilesSyntaxError("ring closure before any atom", pos, cur.peek())
-        if cur.peek() == "%":
-            cur.advance()
-            digits = cur.text[cur.i:cur.i + 2]
-            if len(digits) != 2 or not digits.isdigit():
-                raise SmilesSyntaxError("'%' needs two digits", pos, "%" + digits)
-            cur.i += 2
-            label = int(digits)
-        else:
-            label = int(cur.advance())
-        symbol = self._pending[0] if self._pending else None
-        self._pending = None
-        if label in self._open_rings:
-            other, other_symbol, _ = self._open_rings.pop(label)
-            if symbol and other_symbol and symbol != other_symbol:
-                raise SmilesSyntaxError("ring bond symbols disagree", pos, str(label))
-            self._add_bond(other, self._prev, symbol or other_symbol, pos)
-        else:
-            self._open_rings[label] = (self._prev, symbol, pos)
-
-    def _check_closed(self) -> None:
-        if self._pending is not None:
-            raise SmilesSyntaxError("dangling bond at end", self._pending[1])
-        if self._branch_stack:
-            raise SmilesSyntaxError("unclosed branch", self._branch_stack[0][1], "(")
-        if self._open_rings:
-            label, (_, _, pos) = next(iter(self._open_rings.items()))
-            raise SmilesSyntaxError("unclosed ring bond", pos, str(label))
-
-    def _finish(self) -> Molecule:
-        mol = Molecule(atoms=self._atoms, bonds=self._bonds, smiles=self._raw)
-        order_sums = [0.0] * len(self._atoms)
-        degrees = [0] * len(self._atoms)
-        for b in self._bonds:
-            order_sums[b.a1] += b.order
-            order_sums[b.a2] += b.order
-            degrees[b.a1] += 1
-            degrees[b.a2] += 1
-        for atom in self._atoms:
-            atom.degree = degrees[atom.index]
-            atom.implicit_hydrogens = _implicit_hydrogens(
-                atom, order_sums[atom.index]
+def _read_bracket_symbol(text: str, i: int) -> tuple[str, bool, int]:
+    """Read the element at index ``i`` inside brackets; return its symbol,
+    its aromatic flag and the index just past it."""
+    pos = i + 1
+    ch = text[i:i + 1]
+    if not ch.isalpha():
+        raise SmilesSyntaxError("bracket atom missing element symbol", pos, ch)
+    nxt = text[i + 1:i + 2]
+    if ch.islower():
+        two = ch + nxt
+        if two in _AROMATIC_BRACKET:
+            return two.capitalize(), True, i + 2
+        if ch in _AROMATIC_BRACKET:
+            return ch.upper(), True, i + 1
+        if two.capitalize() in _ALL_ELEMENTS or ch.upper() in _ALL_ELEMENTS:
+            raise UnsupportedFeatureError(
+                "aromatic element outside vocabulary", pos, ch
             )
-        return mol
+        raise SmilesSyntaxError("unknown aromatic symbol", pos, ch)
+    two = ch + nxt if nxt.islower() else ""
+    if two and two in _ALL_ELEMENTS:
+        # A bracket holds one atom, so two letters form one element here.
+        if two in ORGANIC_VALENCES or two in BRACKET_ONLY:
+            return two, False, i + 2
+        raise UnsupportedFeatureError("element outside vocabulary", pos, two)
+    if ch in ORGANIC_VALENCES or ch in BRACKET_ONLY:
+        return ch, False, i + 1
+    if ch in _ALL_ELEMENTS:
+        raise UnsupportedFeatureError("element outside vocabulary", pos, ch)
+    raise SmilesSyntaxError("unknown element symbol", pos, ch)
 
 
-def _implicit_hydrogens(atom: Atom, order_sum: float) -> int:
-    """Valence-rule hydrogen count; bracket atoms carry explicit counts only."""
-    if atom.bracketed:
-        return atom.explicit_hydrogens or 0
-    valences = ORGANIC_VALENCES.get(atom.symbol)
-    if valences is None:
-        return 0
+def _bare_atom_error(text: str, pos: int) -> SmilesError:
+    """The error for the upper-case letter at ``pos`` (1-based) that starts
+    no organic-subset symbol."""
+    first = text[pos - 1]
+    nxt = text[pos:pos + 1]
+    two = first + nxt if nxt.islower() else ""
+    # Outside brackets only organic-subset symbols exist, so "Cn" is a
+    # carbon bonded to aromatic nitrogen, never copernicium.
+    if two and two in _ALL_ELEMENTS:
+        return UnsupportedFeatureError(
+            "element must be bracketed or is outside vocabulary", pos, two
+        )
+    if first in _ALL_ELEMENTS:
+        return UnsupportedFeatureError(
+            "element must be bracketed or is outside vocabulary", pos, first
+        )
+    return SmilesSyntaxError("unknown atom symbol", pos, first)
+
+
+def _implicit_hydrogens(symbol: str, order_sum: float) -> int:
+    """Valence-rule hydrogen count of a bare (unbracketed) atom."""
     occupied = math.floor(order_sum)
-    for v in valences:
+    for v in ORGANIC_VALENCES[symbol]:
         if v >= occupied:
             return v - occupied
     return 0
+
+
+#: (symbol, bond order sum) -> implicit hydrogen count, for every bare symbol
+#: and every order sum up to 12; the parser computes larger sums directly.
+_IMPLICIT_HYDROGENS: dict[tuple[str, float], int] = {
+    (s, k / 2): _implicit_hydrogens(s, k / 2)
+    for s in ORGANIC_VALENCES for k in range(25)
+}
 
 
 def parse_smiles(smiles: str) -> Molecule:

@@ -1,5 +1,7 @@
 """Dataset ingestion: row accounting, label rules, salt stripping, splits."""
 
+import hashlib
+
 import pytest
 
 from molcalib.config import DatasetSpec
@@ -52,6 +54,20 @@ class TestLoading:
         assert report["rows_total"] == 4
         assert len(report["skip_examples"]) == 2
         assert report["skip_examples"][0]["row"] == 2
+
+    def test_rows_that_crashed_the_parser_are_skipped(self, tmp_path):
+        path = tmp_path / "toy.csv"
+        write_csv(path, ["smiles", "label"],
+                  [["CCO", 1], ["C²", 0], ["CC[n", 1], ["C٣CCC٣", 0],
+                   ["CCN", 0]])
+        graphs, report = load_dataset(spec_for(path))
+        assert len(graphs) == 2
+        assert report["skipped"] == 3
+        assert [e["reason"] for e in report["skip_examples"]] == [
+            "unexpected character (position 2, token '²')",
+            "unclosed or malformed bracket atom (position 3)",
+            "unexpected character (position 2, token '٣')",
+        ]
 
     def test_label_rule_pic50_boundary_is_positive(self, tmp_path):
         path = tmp_path / "act.csv"
@@ -151,6 +167,48 @@ class TestIngestSmiles:
     def test_parse_errors_propagate(self):
         with pytest.raises(SmilesSyntaxError):
             ingest_smiles("C(")
+
+
+# Every token kind of the dialect: bare, aromatic and bracket atoms (isotope,
+# @/@@, H count, + ++ +2 - charges, atom maps), all six bond symbols,
+# branches, ring digits and %nn, and dot fragments with salts.
+GOLDEN_SMILES = [
+    "C", "CCO", "N#CC(Br)I", "ClC(F)(F)F", "OB(O)c1ccccc1", "CP(C)(C)C",
+    "CS(=O)(=O)C", "C-C=C#N", "c1:c:c:c:c:c1", "F/C=C/F", "F/C=C\\F",
+    "CC(=O)Oc1ccccc1C(=O)O", "c1ccncc1", "o1cccc1", "s1cccc1", "c1ccbcc1",
+    "c1ccpcc1", "c1cc[nH]c1", "c1cc[se]c1", "c1cc[as]c1",
+    "[13CH4]", "[2H]O[2H]", "N[C@@H](C)C(=O)O", "F[C@H](Cl)Br",
+    "[NH4+]", "[CH2]=C", "[Fe++]", "[Fe+2]", "[O-]C", "[S-2]", "[Zn+2]",
+    "[CH3:1]O", "[NH2:12]C(=O)C", "[SiH4]", "C[Si](C)(C)Cl",
+    "C1CCCCC1", "C=1CCCCC=1", "C1CCCCC=1", "c1ccc2ccccc2c1",
+    "C%10CCCCC%10", "c1ccc%12ccccc%12c1", "C1CC1C1CC1", "C1.C1",
+    "[Na+].[O-]C(=O)c1ccccc1", "Cl.CCN", "CC(=O)[O-].[NH4+]",
+    "O.O.c1ccccc1C(=O)O", "[K+].[K+].[O-]S(=O)(=O)[O-]",
+    "CCO.[Na+]", "[Ca+2].[O-]C(=O)C.[O-]C(=O)C", "C.N.O",
+    "Cn1cnc2c1c(=O)n(C)c(=O)n2C",
+]
+GOLDEN_DIGEST = (
+    "80f2dd803aed22f1342594eab57fe537d8683b7da1edb78894c52f2ce20fe450",
+    "eb3bd6822721a9d732957c3445923e450603bc389a93bec07a39fcc5a24d7b0f",
+)
+
+
+def golden_digest(strip_salts):
+    h = hashlib.sha256()
+    for smiles in GOLDEN_SMILES:
+        graph = ingest_smiles(smiles, strip_salts=strip_salts)
+        h.update(repr(graph.node_features.shape).encode())
+        h.update(graph.node_features.tobytes())
+        h.update(repr(graph.bonds.shape).encode())
+        h.update(graph.bonds.tobytes())
+    return h.hexdigest()
+
+
+class TestGoldenGraphs:
+    def test_graph_bytes_are_pinned(self):
+        # digests recorded before the parser became one loop over the
+        # text; a change to any graph byte fails here
+        assert (golden_digest(True), golden_digest(False)) == GOLDEN_DIGEST
 
 
 class TestSplit:

@@ -636,6 +636,17 @@ class TestCli:
             assert "2/3 parsed" in shown
             assert "row 2" in shown
 
+    def test_parse_check_rejects_non_ascii_digits(self, tmp_path, capsys):
+        path = tmp_path / "mols.csv"
+        path.write_text("smiles,label\nCCO,1\nC\u00b2,0\nCCN,1\n",
+                        encoding="utf-8")
+        assert cli.main(["parse-check", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "row 2: 'C\u00b2': unexpected character (position 2, "
+            "token '\u00b2')",
+            "2/3 parsed (66.67%), 1 rejected",
+        ]
+
     def test_parse_check_plain_text(self, tmp_path, capsys):
         path = tmp_path / "mols.smi"
         path.write_text("CCO\nc1ccccc1\n")

@@ -286,3 +286,114 @@ class TestErrors:
             parse_smiles("C&C")
         assert exc.value.token == "&"
         assert "position 2" in str(exc.value)
+
+
+SYNTAX, UNSUPPORTED = SmilesSyntaxError, UnsupportedFeatureError
+
+# One row per raise site in smiles.py, plus rows that pin which check wins
+# when two could fire.  The message text reaches an ingestion report's
+# skip_examples, and through it every manifest fingerprint.
+RAISE_SITES = [
+    # (smiles, class, message, position, token)
+    ("", SYNTAX, "empty SMILES", 1, ""),
+    ("   ", SYNTAX, "empty SMILES", 1, ""),
+    ("C C", SYNTAX, "whitespace inside SMILES", 2, " "),
+    ("C\tC", SYNTAX, "whitespace inside SMILES", 2, "\t"),
+    ("Cx", SYNTAX, "unknown aromatic atom", 2, "x"),
+    ("Cé", SYNTAX, "unknown aromatic atom", 2, "é"),
+    ("C==C", SYNTAX, "two bond symbols in a row", 3, "="),
+    ("(C)C", SYNTAX, "branch before any atom", 1, "("),
+    ("C=(C)C", SYNTAX, "bond before branch open", 3, "("),
+    ("CC)", SYNTAX, "unmatched ')'", 3, ")"),
+    ("C)=", SYNTAX, "unmatched ')'", 2, ")"),
+    ("C(C=)O", SYNTAX, "dangling bond before ')'", 5, ")"),
+    ("C=.C", SYNTAX, "bond before fragment dot", 3, "."),
+    (".C", SYNTAX, "fragment dot before any atom", 1, "."),
+    ("*CC", UNSUPPORTED, "wildcard atom", 1, "*"),
+    ("C>N", UNSUPPORTED, "reaction SMILES", 2, ">"),
+    ("C&C", SYNTAX, "unexpected character", 2, "&"),
+    ("Zn", UNSUPPORTED, "element must be bracketed or is outside "
+     "vocabulary", 1, "Zn"),
+    ("KCl", UNSUPPORTED, "element must be bracketed or is outside "
+     "vocabulary", 1, "K"),
+    ("Q", SYNTAX, "unknown atom symbol", 1, "Q"),
+    ("CÉ", SYNTAX, "unknown atom symbol", 2, "É"),
+    ("[C:]", SYNTAX, "atom map without digits", 4, ":"),
+    ("[CH3", SYNTAX, "unclosed or malformed bracket atom", 1, ""),
+    ("[C;]", SYNTAX, "unclosed or malformed bracket atom", 1, ";"),
+    ("[C:1;]", SYNTAX, "unclosed or malformed bracket atom", 1, ";"),
+    ("[]", SYNTAX, "bracket atom missing element symbol", 2, "]"),
+    ("[13]", SYNTAX, "bracket atom missing element symbol", 4, "]"),
+    ("[te]", UNSUPPORTED, "aromatic element outside vocabulary", 2, "t"),
+    ("[q]", SYNTAX, "unknown aromatic symbol", 2, "q"),
+    ("[ß]", SYNTAX, "unknown aromatic symbol", 2, "ß"),
+    ("[Te]", UNSUPPORTED, "element outside vocabulary", 2, "Te"),
+    ("[U]", UNSUPPORTED, "element outside vocabulary", 2, "U"),
+    ("[Q]", SYNTAX, "unknown element symbol", 2, "Q"),
+    ("[C+5]", SYNTAX, "formal charge outside [-4, +4]", 3, "+++++"),
+    ("[O-----]", SYNTAX, "formal charge outside [-4, +4]", 3, "-----"),
+    ("[C+12]", SYNTAX, "formal charge outside [-4, +4]", 3, "+" * 9),
+    ("C11", SYNTAX, "bond endpoints must be distinct", 3, ""),
+    ("C12CC12", SYNTAX, "duplicate bond between atom pair", 7, ""),
+    ("C1C1", SYNTAX, "duplicate bond between atom pair", 4, ""),
+    ("1CC", SYNTAX, "ring closure before any atom", 1, "1"),
+    ("=1C", SYNTAX, "ring closure before any atom", 2, "1"),
+    ("%12C", SYNTAX, "ring closure before any atom", 1, "%"),
+    ("C%1C", SYNTAX, "'%' needs two digits", 2, "%1C"),
+    ("C%a1", SYNTAX, "'%' needs two digits", 2, "%a1"),
+    ("C%", SYNTAX, "'%' needs two digits", 2, "%"),
+    ("C=1CCCCC-1", SYNTAX, "ring bond symbols disagree", 10, "1"),
+    ("CC=", SYNTAX, "dangling bond at end", 3, ""),
+    ("C(", SYNTAX, "unclosed branch", 2, "("),
+    ("C1CC", SYNTAX, "unclosed ring bond", 2, "1"),
+]
+
+
+def _expected_text(message, position, token):
+    if token:
+        return f"{message} (position {position}, token {token!r})"
+    return f"{message} (position {position})"
+
+
+class TestRaiseSites:
+    @pytest.mark.parametrize("smiles, cls, message, position, token",
+                             RAISE_SITES,
+                             ids=[repr(row[0]) for row in RAISE_SITES])
+    def test_class_message_position_and_token(self, smiles, cls, message,
+                                              position, token):
+        with pytest.raises(cls) as exc:
+            parse_smiles(smiles)
+        assert type(exc.value) is cls
+        assert str(exc.value) == _expected_text(message, position, token)
+        assert exc.value.position == position
+        assert exc.value.token == token
+
+
+# Inputs that escaped the parser as a raw ValueError or IndexError: digits
+# outside ASCII 0-9 (str.isdigit() accepts "²" and "٣"), and a one-letter
+# aromatic bracket symbol at the end of the text.
+FORMER_CRASHES = [
+    ("C²", SYNTAX, "unexpected character", 2, "²"),
+    ("C٣CCC٣", SYNTAX, "unexpected character", 2, "٣"),
+    ("C%1²", SYNTAX, "'%' needs two digits", 2, "%1²"),
+    ("[²C]", SYNTAX, "bracket atom missing element symbol", 2, "²"),
+    ("[CH²]", SYNTAX, "unclosed or malformed bracket atom", 1, "²"),
+    ("[C+²]", SYNTAX, "unclosed or malformed bracket atom", 1, "²"),
+    ("[CH3:1²]", SYNTAX, "unclosed or malformed bracket atom", 1, "²"),
+    ("[C:²]", SYNTAX, "atom map without digits", 4, ":"),
+    ("[n", SYNTAX, "unclosed or malformed bracket atom", 1, ""),
+    ("CC[c", SYNTAX, "unclosed or malformed bracket atom", 3, ""),
+]
+
+
+class TestFormerCrashes:
+    @pytest.mark.parametrize("smiles, cls, message, position, token",
+                             FORMER_CRASHES,
+                             ids=[repr(row[0]) for row in FORMER_CRASHES])
+    def test_raise_smiles_errors(self, smiles, cls, message, position,
+                                 token):
+        with pytest.raises(cls) as exc:
+            parse_smiles(smiles)
+        got = exc.value
+        assert (type(got), str(got), got.position, got.token) == \
+            (cls, _expected_text(message, position, token), position, token)
