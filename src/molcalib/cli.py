@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import load_raw, resolve_config
+from .config import check_seed, load_raw, resolve_config
 from .errors import (
     ConfigError,
     DegenerateError,
@@ -120,7 +120,7 @@ def _cmd_train(args) -> int:
     from .runner import train_run
 
     config = _overridden_config(args)
-    seeds = [args.seed] if args.seed is not None else \
+    seeds = [check_seed(args.seed)] if args.seed is not None else \
         list(config.training.seeds)
     from .data import load_dataset
 
@@ -168,24 +168,22 @@ def _load_scoring_checkpoint(path: str, expected):
 
 
 def _cmd_evaluate(args) -> int:
-    from .data import load_dataset, split_dataset
-    from .runner import emit_predictions_csv, emit_report_csvs, \
-        evaluate_model
+    from .data import load_dataset
+    from .runner import checked_split, emit_report_csvs, evaluate_model
 
     config = _overridden_config(args)
+    seed = check_seed(args.seed) if args.seed is not None \
+        else config.training.seeds[0]
     model = _load_scoring_checkpoint(args.checkpoint, config.model)
     graphs, _ = load_dataset(config.dataset)
-    seed = args.seed if args.seed is not None else config.training.seeds[0]
-    _, test_graphs = split_dataset(graphs, config.training.split_ratio,
-                                   seed)
-    report, probs = evaluate_model(model, test_graphs, config, seed)
+    _, test_graphs = checked_split(graphs, config, seed)
+    report, _ = evaluate_model(model, test_graphs, config, seed)
     roc = f"{report.auroc:.4f}" if report.auroc_defined else "undefined"
     print(f"test n={report.num_records}  "
           f"accuracy {report.metrics.accuracy:.4f}  auroc {roc}  "
           f"ece {report.ece:.4f}  f1 {report.metrics.f1:.4f}")
     if args.out_dir:
-        emit_report_csvs(report, args.out_dir)
-        emit_predictions_csv(test_graphs, probs, report.y_pred, args.out_dir)
+        emit_report_csvs(report, test_graphs, args.out_dir)
         print(f"reports -> {args.out_dir}/reports")
     return EXIT_OK
 

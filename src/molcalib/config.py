@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from typing import get_args, get_origin, get_type_hints
 
@@ -88,6 +89,13 @@ class ScheduleSettings:
             raise ConfigError("decay_epochs must be strictly increasing")
 
 
+def check_seed(seed: int) -> int:
+    """`seed`, refused unless numpy's generators take it (non-negative)."""
+    if seed < 0:
+        raise ConfigError(f"seed {seed} must be non-negative")
+    return seed
+
+
 @dataclass(frozen=True)
 class TrainingSettings:
     epochs: int = 200
@@ -102,6 +110,8 @@ class TrainingSettings:
             raise ConfigError("split_ratio must lie in (0, 1]")
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
+        for seed in self.seeds:
+            check_seed(seed)
 
 
 @dataclass(frozen=True)
@@ -171,10 +181,11 @@ def _reject_leftovers(section: dict, name: str) -> None:
 def _typed(value, hint, where: str):
     """Check `value` against a field annotation.
 
-    Bools never pass as numbers and ints widen to float.  ``X | None``
-    checks as ``X``: None is only ever the default, never written.
-    ``tuple[T, ...]`` takes a non-empty list of numbers, each checked as a
-    scalar T field is.
+    Bools never pass as numbers, ints widen to float and floats must be
+    finite, as NaN passes any range check written ``if x <= 0: raise``.
+    ``X | None`` checks as ``X``: None is only ever the default, never
+    written.  ``tuple[T, ...]`` takes a non-empty list of numbers, each
+    checked as a scalar T field is.
     """
     if get_origin(hint) is tuple:
         kind = get_args(hint)[0]
@@ -185,7 +196,7 @@ def _typed(value, hint, where: str):
             raise ConfigError(f"{where} entries must be numbers")
         if kind is int and not all(isinstance(item, int) for item in value):
             raise ConfigError(f"{where} entries must be ints")
-        return tuple(kind(item) for item in value)
+        return tuple(_typed(item, kind, where) for item in value)
     kind = get_args(hint)[0] if get_args(hint) else hint
     if kind is float and isinstance(value, int) \
             and not isinstance(value, bool):
@@ -193,6 +204,8 @@ def _typed(value, hint, where: str):
     if not isinstance(value, kind) or (kind is int
                                        and isinstance(value, bool)):
         raise ConfigError(f"{where} must be a {kind.__name__}")
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{where} must be finite, got {value}")
     return value
 
 

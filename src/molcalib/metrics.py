@@ -1,10 +1,10 @@
 """Reliability and screening metrics over prediction arrays.
 
-Every metric takes three equal-length arrays: the predicted
-positive-class probabilities ``p_hat``, the thresholded labels ``y_pred``
-and the ground truth ``y_true``.  Index i of the three is one scored
-example, a record.  Everything here is plain numpy; nothing touches the
-autodiff tape.
+Each metric takes only the arrays it reads, of one length: the
+predicted positive-class probabilities ``p_hat``, the thresholded labels
+``y_pred`` and the ground truth ``y_true``.  Index i of each is one
+scored example, a record.  Binned and per-depth results are arrays too.
+Everything here is plain numpy; nothing touches the autodiff tape.
 
 Calibration is positive-class reliability: records go into M
 equal-width bins by ``p_hat``, where bin m covers (m/M, (m+1)/M] and the
@@ -34,22 +34,22 @@ LN2 = math.log(2.0)
 DEFAULT_K_GRID: tuple[float, ...] = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
 
 
-def _arrays(p_hat, y_pred, y_true) -> tuple[np.ndarray, np.ndarray,
-                                             np.ndarray]:
-    """Validate the three metric inputs and return them as numpy arrays."""
-    p = np.asarray(p_hat, dtype=np.float64)
-    yp = np.asarray(y_pred)
-    yt = np.asarray(y_true)
-    if not (p.shape == yp.shape == yt.shape):
-        raise ValueError(
-            f"metric arrays must share one shape, got {p.shape}, "
-            f"{yp.shape} and {yt.shape}")
-    if not np.all((p >= 0.0) & (p <= 1.0)):  # NaN fails too
-        raise ValueError("probabilities must lie in [0, 1]")
-    for name, labels in (("y_pred", yp), ("y_true", yt)):
-        if not np.all((labels == 0) | (labels == 1)):
+def _checked(p_hat, **labels) -> list[np.ndarray]:
+    """The metric inputs as numpy arrays of one shape: ``p_hat`` as
+    float64 in [0, 1] unless it is None, then each label array, by name,
+    as int64 holding only 0 and 1."""
+    arrays = [] if p_hat is None else [np.asarray(p_hat, dtype=np.float64)]
+    if arrays and not np.all((arrays[0] >= 0.0) & (arrays[0] <= 1.0)):
+        raise ValueError("probabilities must lie in [0, 1]")  # or NaN
+    for name, values in labels.items():
+        y = np.asarray(values)
+        if not np.all((y == 0) | (y == 1)):
             raise ValueError(f"{name} must hold only 0 and 1")
-    return p, yp.astype(np.int64), yt.astype(np.int64)
+        arrays.append(y.astype(np.int64))
+    if len({a.shape for a in arrays}) > 1:
+        raise ValueError(f"metric arrays must share one shape, got "
+                         f"{', '.join(str(a.shape) for a in arrays)}")
+    return arrays
 
 
 # -- entropy ---------------------------------------------------------
@@ -70,51 +70,57 @@ def entropy(p):
 
 
 @dataclass(frozen=True)
-class CalibrationBin:
-    lower: float
-    upper: float
-    count: int
-    positive_fraction: float  # mean of y_true over the bin
-    confidence: float  # mean p_hat over the bin
-    defined: bool
+class CalibrationBins:
+    """Bin m covers (edges[m], edges[m + 1]], the first also 0, and holds
+    counts[m] records of mean ``y_true`` positive_fraction[m] and mean
+    ``p_hat`` confidence[m]; both read 0.0 in an empty bin."""
+
+    edges: np.ndarray  # num_bins + 1
+    counts: np.ndarray  # num_bins, as are the fields below
+    positive_fraction: np.ndarray
+    confidence: np.ndarray
+    defined: np.ndarray  # counts > 0
+
+    def ece(self) -> float:
+        """Count-weighted mean |positive fraction - confidence|; empty bins
+        contribute nothing."""
+        n = int(self.counts.sum())
+        if n == 0:
+            raise DegenerateError("calibration error of zero records")
+        gaps = self.counts / n * np.abs(self.positive_fraction
+                                         - self.confidence)
+        # summed in bin order, not pairwise: manifests keep ECE's last bit
+        return sum(gaps[self.defined].tolist())
 
 
-def bin_predictions(p_hat, y_pred, y_true,
-                    num_bins: int = 10) -> list[CalibrationBin]:
+def _bins(p, yt, num_bins: int) -> CalibrationBins:
     if num_bins < 1:
         raise ValueError("need at least one bin")
-    p, yp, yt = _arrays(p_hat, y_pred, y_true)
     edges = np.linspace(0.0, 1.0, num_bins + 1)
     # side="left" puts values sitting on an edge into the bin below it;
     # clipping pulls p = 0 into the first (closed) bin
     idx = np.clip(np.searchsorted(edges, p, side="left") - 1, 0, num_bins - 1)
-    bins = []
-    for m in range(num_bins):
-        mask = idx == m
-        count = int(mask.sum())
-        if count:
-            positives = float(yt[mask].mean())
-            conf = float(p[mask].mean())
-            bins.append(CalibrationBin(edges[m], edges[m + 1], count,
-                                       positives, conf, True))
-        else:
-            bins.append(CalibrationBin(edges[m], edges[m + 1], 0,
-                                       0.0, 0.0, False))
-    return bins
+    counts = np.bincount(idx, minlength=num_bins)
+    defined = counts > 0
+    # a weighted bincount of zeros and ones counts exactly
+    positives = np.bincount(idx, weights=yt, minlength=num_bins)
+    fraction = np.divide(positives, counts, out=np.zeros(num_bins),
+                         where=defined)
+    # np.mean's pairwise sum per bin, which a weighted bincount's running
+    # sum does not reproduce bit for bit
+    confidence = np.array([p[idx == m].mean() if defined[m] else 0.0
+                           for m in range(num_bins)])
+    return CalibrationBins(edges, counts, fraction, confidence, defined)
 
 
-def ece(p_hat, y_pred, y_true, num_bins: int = 10) -> float:
+def bin_predictions(p_hat, y_true, num_bins: int = 10) -> CalibrationBins:
+    return _bins(*_checked(p_hat, y_true=y_true), num_bins)
+
+
+def ece(p_hat, y_true, num_bins: int = 10) -> float:
     """Expected calibration error of the positive-class probability;
     empty bins contribute nothing."""
-    return _ece_of_bins(bin_predictions(p_hat, y_pred, y_true, num_bins))
-
-
-def _ece_of_bins(bins: list[CalibrationBin]) -> float:
-    n = sum(b.count for b in bins)
-    if n == 0:
-        raise DegenerateError("calibration error of zero records")
-    return sum((b.count / n) * abs(b.positive_fraction - b.confidence)
-               for b in bins if b.defined)
+    return bin_predictions(p_hat, y_true, num_bins).ece()
 
 
 # -- classification metrics ------------------------------------------
@@ -135,15 +141,16 @@ class ClassificationMetrics:
     f1_defined: bool
 
 
-def classification_metrics(p_hat, y_pred, y_true) -> ClassificationMetrics:
-    """Confusion-matrix metrics; undefined ratios carry 0.0 and a flag."""
-    _, yp, yt = _arrays(p_hat, y_pred, y_true)
+def _outcomes(yp, yt) -> dict[str, np.ndarray]:
+    """Each record's confusion outcome, as one mask per outcome."""
+    return {"tp": (yp == 1) & (yt == 1), "fp": (yp == 1) & (yt == 0),
+            "tn": (yp == 0) & (yt == 0), "fn": (yp == 0) & (yt == 1)}
+
+
+def _confusion(yp, yt) -> ClassificationMetrics:
     if yp.size == 0:
         raise DegenerateError("classification metrics of zero records")
-    tp = int(np.sum((yp == 1) & (yt == 1)))
-    fp = int(np.sum((yp == 1) & (yt == 0)))
-    tn = int(np.sum((yp == 0) & (yt == 0)))
-    fn = int(np.sum((yp == 0) & (yt == 1)))
+    tp, fp, tn, fn = (int(mask.sum()) for mask in _outcomes(yp, yt).values())
     accuracy = (tp + tn) / yp.size
     p_def = (tp + fp) > 0
     r_def = (tp + fn) > 0
@@ -155,12 +162,12 @@ def classification_metrics(p_hat, y_pred, y_true) -> ClassificationMetrics:
                                  tp, fp, tn, fn, p_def, r_def, f_def)
 
 
-def auroc(p_hat, y_pred, y_true) -> float:
-    """Mann-Whitney AUROC with ties counted half.
+def classification_metrics(y_pred, y_true) -> ClassificationMetrics:
+    """Confusion-matrix metrics; undefined ratios carry 0.0 and a flag."""
+    return _confusion(*_checked(None, y_pred=y_pred, y_true=y_true))
 
-    Raises :class:`DegenerateError` when only one class is present.
-    """
-    p, _, yt = _arrays(p_hat, y_pred, y_true)
+
+def _auroc(p, yt) -> float:
     n_pos = int(np.sum(yt == 1))
     n_neg = int(np.sum(yt == 0))
     if n_pos == 0 or n_neg == 0:
@@ -176,6 +183,14 @@ def auroc(p_hat, y_pred, y_true) -> float:
     rank_sum = float(ranks[yt == 1].sum())
     u = rank_sum - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
+
+
+def auroc(p_hat, y_true) -> float:
+    """Mann-Whitney AUROC with ties counted half.
+
+    Raises :class:`DegenerateError` when only one class is present.
+    """
+    return _auroc(*_checked(p_hat, y_true=y_true))
 
 
 # -- histograms ------------------------------------------------------
@@ -199,58 +214,42 @@ def fixed_histogram(values, upper: float, num_bins: int = 20) -> Histogram:
     return Histogram(edges=edges, counts=counts)
 
 
-def entropy_histogram(p_hat, y_pred, y_true,
-                      num_bins: int = 20) -> Histogram:
-    p, _, _ = _arrays(p_hat, y_pred, y_true)
-    return fixed_histogram(entropy(p), LN2, num_bins)
-
-
-def output_histogram(p_hat, y_pred, y_true,
-                     num_bins: int = 20) -> Histogram:
-    p, _, _ = _arrays(p_hat, y_pred, y_true)
-    return fixed_histogram(p, 1.0, num_bins)
-
-
 def outcome_histograms(p_hat, y_pred, y_true,
                        num_bins: int = 20) -> dict[str, Histogram]:
     """Output histograms split by confusion outcome (tp / fp / tn / fn)."""
-    p, yp, yt = _arrays(p_hat, y_pred, y_true)
-    masks = {
-        "tp": (yp == 1) & (yt == 1),
-        "fp": (yp == 1) & (yt == 0),
-        "tn": (yp == 0) & (yt == 0),
-        "fn": (yp == 0) & (yt == 1),
-    }
+    p, yp, yt = _checked(p_hat, y_pred=y_pred, y_true=y_true)
     return {name: fixed_histogram(p[mask], 1.0, num_bins)
-            for name, mask in masks.items()}
+            for name, mask in _outcomes(yp, yt).items()}
 
 
 # -- virtual screening -----------------------------------------------
 
 
 @dataclass(frozen=True)
-class ScreeningPoint:
-    k_percent: float
-    screened: int
-    success_rate: float
+class ScreeningCurve:
+    """The screening curve at each depth k_percent[j]: the top screened[j]
+    records by descending ``p_hat`` hold success_rate[j] true positives
+    per record."""
+
+    k_percent: np.ndarray
+    screened: np.ndarray  # int64
+    success_rate: np.ndarray
 
 
-def screening_curve(p_hat, y_pred, y_true,
-                    k_grid=DEFAULT_K_GRID) -> list[ScreeningPoint]:
-    p, _, yt = _arrays(p_hat, y_pred, y_true)
-    n = p.size
-    if n == 0:
+def _screening(p, yt, k_grid) -> ScreeningCurve:
+    if p.size == 0:
         raise DegenerateError("screening curve of zero records")
-    order = np.argsort(-p, kind="stable")
-    hits = np.cumsum(yt[order])
-    points = []
-    for k in k_grid:
-        if not (0.0 < k <= 100.0):
-            raise ValueError(f"screening percentage {k} outside (0, 100]")
-        taken = math.ceil(n * k / 100.0)
-        points.append(ScreeningPoint(float(k), taken,
-                                     float(hits[taken - 1]) / taken))
-    return points
+    k = np.asarray(k_grid, dtype=np.float64)
+    outside = k[~((k > 0.0) & (k <= 100.0))]
+    if outside.size:
+        raise ValueError(f"screening percentage {outside[0]} outside (0, 100]")
+    taken = np.ceil(p.size * k / 100.0).astype(np.int64)
+    hits = np.cumsum(yt[np.argsort(-p, kind="stable")])
+    return ScreeningCurve(k, taken, hits[taken - 1] / taken)
+
+
+def screening_curve(p_hat, y_true, k_grid=DEFAULT_K_GRID) -> ScreeningCurve:
+    return _screening(*_checked(p_hat, y_true=y_true), k_grid)
 
 
 # -- bundled report --------------------------------------------------
@@ -260,7 +259,7 @@ def screening_curve(p_hat, y_pred, y_true,
 class ReliabilityReport:
     num_records: int
     prevalence: float
-    bins: list[CalibrationBin]
+    bins: CalibrationBins
     ece: float
     metrics: ClassificationMetrics
     auroc: float
@@ -268,10 +267,12 @@ class ReliabilityReport:
     entropy_hist: Histogram
     output_hist: Histogram
     outcome_hists: dict[str, Histogram]
-    screening: list[ScreeningPoint]
+    screening: ScreeningCurve
+    p_hat: np.ndarray  # the scored probabilities, one per record
     y_pred: np.ndarray  # the thresholded labels, one per record
 
     def to_dict(self) -> dict:
+        bins = self.bins
         return {
             "num_records": self.num_records,
             "prevalence": self.prevalence,
@@ -289,47 +290,52 @@ class ReliabilityReport:
                 "f1_defined": self.metrics.f1_defined,
                 "auroc_defined": self.auroc_defined,
             },
-            "calibration_bins": [
-                {"lower": b.lower, "upper": b.upper, "count": b.count,
-                 "positive_fraction": b.positive_fraction,
-                 "confidence": b.confidence,
-                 "defined": b.defined} for b in self.bins
-            ],
-            "screening": [
-                {"k_percent": s.k_percent, "screened": s.screened,
-                 "success_rate": s.success_rate} for s in self.screening
-            ],
+            "calibration_bins": _rows(
+                lower=bins.edges[:-1], upper=bins.edges[1:],
+                count=bins.counts, positive_fraction=bins.positive_fraction,
+                confidence=bins.confidence, defined=bins.defined),
+            "screening": _rows(**vars(self.screening)),
         }
+
+
+def _rows(**columns) -> list[dict]:
+    """One dict of Python scalars per index of the equal-length arrays
+    `columns`, keyed by column name."""
+    return [dict(zip(columns, row))
+            for row in zip(*(column.tolist() for column in columns.values()))]
 
 
 def build_report(p_hat, y_pred, y_true, num_bins: int = 10,
                  k_grid=DEFAULT_K_GRID,
                  histogram_bins: int = 20) -> ReliabilityReport:
-    """Assemble every evaluation artifact from one set of arrays.
+    """Assemble every evaluation artifact from one set of arrays, checked
+    once.
 
     Single-class inputs leave AUROC unset (flagged) instead of
     propagating :class:`DegenerateError`, so end-of-run reporting cannot
     fall over on a pathological split.
     """
-    p, yp, yt = _arrays(p_hat, y_pred, y_true)
+    p, yp, yt = _checked(p_hat, y_pred=y_pred, y_true=y_true)
     if p.size == 0:
         raise DegenerateError("report of zero records")
     try:
-        roc, roc_defined = auroc(p, yp, yt), True
+        roc, roc_defined = _auroc(p, yt), True
     except DegenerateError:
         roc, roc_defined = 0.0, False
-    bins = bin_predictions(p, yp, yt, num_bins)
+    bins = _bins(p, yt, num_bins)
     return ReliabilityReport(
         num_records=p.size,
         prevalence=float(np.mean(yt == 1)),
         bins=bins,
-        ece=_ece_of_bins(bins),
-        metrics=classification_metrics(p, yp, yt),
+        ece=bins.ece(),
+        metrics=_confusion(yp, yt),
         auroc=roc,
         auroc_defined=roc_defined,
-        entropy_hist=entropy_histogram(p, yp, yt, histogram_bins),
-        output_hist=output_histogram(p, yp, yt, histogram_bins),
-        outcome_hists=outcome_histograms(p, yp, yt, histogram_bins),
-        screening=screening_curve(p, yp, yt, k_grid),
+        entropy_hist=fixed_histogram(entropy(p), LN2, histogram_bins),
+        output_hist=fixed_histogram(p, 1.0, histogram_bins),
+        outcome_hists={name: fixed_histogram(p[mask], 1.0, histogram_bins)
+                       for name, mask in _outcomes(yp, yt).items()},
+        screening=_screening(p, yt, k_grid),
+        p_hat=p,
         y_pred=yp,
     )

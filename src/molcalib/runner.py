@@ -66,75 +66,58 @@ def _histogram_rows(hist) -> list[list]:
             for i, c in enumerate(hist.counts)]
 
 
-def emit_report_csvs(report: ReliabilityReport, out_dir: str) -> list[str]:
-    """Write every figure-family data series; returns the paths written."""
+def emit_report_csvs(report: ReliabilityReport, graphs,
+                     out_dir: str) -> None:
+    """Write every figure-family data series, and the ranked compound list
+    of `graphs`, the molecules `report` scored in its order."""
     reports = os.path.join(out_dir, "reports")
-    written = []
+    summary = report.to_dict()  # as the manifest records it
 
-    path = os.path.join(reports, "calibration_curve.csv")
-    _write_csv(path,
+    _write_csv(os.path.join(reports, "calibration_curve.csv"),
                ["bin_index", "lower", "upper", "midpoint", "count",
                 "positive_fraction", "confidence", "defined"],
-               [[i, b.lower, b.upper, 0.5 * (b.lower + b.upper), b.count,
-                 b.positive_fraction, b.confidence, int(b.defined)]
-                for i, b in enumerate(report.bins)])
-    written.append(path)
-
-    path = os.path.join(reports, "entropy_histogram.csv")
-    _write_csv(path, ["bin_index", "lower", "upper", "count"],
+               [[i, b["lower"], b["upper"], 0.5 * (b["lower"] + b["upper"]),
+                 b["count"], b["positive_fraction"], b["confidence"],
+                 int(b["defined"])]
+                for i, b in enumerate(summary["calibration_bins"])])
+    _write_csv(os.path.join(reports, "entropy_histogram.csv"),
+               ["bin_index", "lower", "upper", "count"],
                _histogram_rows(report.entropy_hist))
-    written.append(path)
-
-    path = os.path.join(reports, "output_histogram.csv")
-    _write_csv(path, ["bin_index", "lower", "upper", "count"],
+    _write_csv(os.path.join(reports, "output_histogram.csv"),
+               ["bin_index", "lower", "upper", "count"],
                _histogram_rows(report.output_hist))
-    written.append(path)
-
-    path = os.path.join(reports, "outcome_histograms.csv")
-    rows = []
-    for outcome in ("tp", "fp", "tn", "fn"):
-        for row in _histogram_rows(report.outcome_hists[outcome]):
-            rows.append([outcome] + row)
-    _write_csv(path, ["outcome", "bin_index", "lower", "upper", "count"],
-               rows)
-    written.append(path)
-
-    path = os.path.join(reports, "screening_curve.csv")
-    _write_csv(path, ["k_percent", "screened", "success_rate"],
-               [[s.k_percent, s.screened, s.success_rate]
-                for s in report.screening])
-    written.append(path)
-
-    path = os.path.join(reports, "metrics.csv")
+    _write_csv(os.path.join(reports, "outcome_histograms.csv"),
+               ["outcome", "bin_index", "lower", "upper", "count"],
+               [[outcome] + row for outcome in ("tp", "fp", "tn", "fn")
+                for row in _histogram_rows(report.outcome_hists[outcome])])
+    _write_csv(os.path.join(reports, "screening_curve.csv"),
+               ["k_percent", "screened", "success_rate"],
+               [[s["k_percent"], s["screened"], s["success_rate"]]
+                for s in summary["screening"]])
     m = report.metrics
-    _write_csv(path, ["metric", "value", "defined"], [
-        ["accuracy", m.accuracy, 1],
-        ["precision", m.precision, int(m.precision_defined)],
-        ["recall", m.recall, int(m.recall_defined)],
-        ["f1", m.f1, int(m.f1_defined)],
-        ["auroc", report.auroc, int(report.auroc_defined)],
-        ["ece", report.ece, 1],
-        ["prevalence", report.prevalence, 1],
-        ["tp", m.tp, 1], ["fp", m.fp, 1], ["tn", m.tn, 1], ["fn", m.fn, 1],
-    ])
-    written.append(path)
-    return written
+    _write_csv(os.path.join(reports, "metrics.csv"),
+               ["metric", "value", "defined"],
+               [["accuracy", m.accuracy, 1],
+                ["precision", m.precision, int(m.precision_defined)],
+                ["recall", m.recall, int(m.recall_defined)],
+                ["f1", m.f1, int(m.f1_defined)],
+                ["auroc", report.auroc, int(report.auroc_defined)],
+                ["ece", report.ece, 1],
+                ["prevalence", report.prevalence, 1],
+                ["tp", m.tp, 1], ["fp", m.fp, 1],
+                ["tn", m.tn, 1], ["fn", m.fn, 1]])
 
-
-def emit_predictions_csv(graphs, probs, y_pred, out_dir: str) -> str:
-    """Ranked compound list, most probable first; ties keep input order.
-    `y_pred` holds the predicted labels, as :func:`evaluate_model` puts
-    them in the report."""
-    order = np.argsort(-np.asarray(probs), kind="stable")
+    # most probable first; ties keep input order
     rows = []
+    order = np.argsort(-report.p_hat, kind="stable")
     for rank, i in enumerate(order, start=1):
         g = graphs[i]
-        rows.append([rank, g.source_id or "", g.smiles, probs[i],
-                     int(y_pred[i]), "" if g.label is None else g.label])
-    path = os.path.join(out_dir, "reports", "predictions.csv")
-    _write_csv(path, ["rank", "source_id", "smiles", "p_hat", "y_pred",
-                      "y_true"], rows)
-    return path
+        rows.append([rank, g.source_id or "", g.smiles, report.p_hat[i],
+                     int(report.y_pred[i]),
+                     "" if g.label is None else g.label])
+    _write_csv(os.path.join(reports, "predictions.csv"),
+               ["rank", "source_id", "smiles", "p_hat", "y_pred", "y_true"],
+               rows)
 
 
 # -- inference -------------------------------------------------------
@@ -188,6 +171,18 @@ def evaluate_model(model: GnnModel, graphs, config: ExperimentConfig,
 # -- training --------------------------------------------------------
 
 
+def checked_split(graphs, config: ExperimentConfig, seed: int):
+    """The seeded train/test split of `graphs` at the configured ratio;
+    refuses a split that leaves either side empty."""
+    train, test = split_dataset(graphs, config.training.split_ratio, seed)
+    if not train or not test:
+        raise EmptyDatasetError(
+            f"split_ratio {config.training.split_ratio} on {len(graphs)} "
+            f"molecules leaves {len(train)} for training and {len(test)} "
+            f"for testing; both need at least one")
+    return train, test
+
+
 @dataclass
 class RunResult:
     model: GnnModel
@@ -239,13 +234,7 @@ def train_run(config: ExperimentConfig, seed: int, graphs=None,
     t_start = time.perf_counter()
     if graphs is None:
         graphs, data_report = load_dataset(config.dataset)
-    train_graphs, test_graphs = split_dataset(
-        graphs, config.training.split_ratio, seed)
-    if not train_graphs or not test_graphs:
-        raise EmptyDatasetError(
-            f"split_ratio {config.training.split_ratio} on {len(graphs)} "
-            f"molecules leaves {len(train_graphs)} for training and "
-            f"{len(test_graphs)} for testing; both need at least one")
+    train_graphs, test_graphs = checked_split(graphs, config, seed)
     test_classes = {g.label for g in test_graphs}
     if log is not None and len(test_classes) == 1:
         log(f"warning: all {len(test_graphs)} test molecules are class "
@@ -315,8 +304,7 @@ def train_run(config: ExperimentConfig, seed: int, graphs=None,
                   encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2)
         save_checkpoint(model, os.path.join(out_dir, "checkpoint.json"))
-        emit_report_csvs(report, out_dir)
-        emit_predictions_csv(test_graphs, test_probs, report.y_pred, out_dir)
+        emit_report_csvs(report, test_graphs, out_dir)
         _write_csv(os.path.join(out_dir, "reports", "epoch_loss.csv"),
                    ["epoch", "mean_loss", "learning_rate"],
                    [[e, loss, schedule.lr_at(e)]
@@ -340,16 +328,16 @@ def screen_library(model: GnnModel, config: ExperimentConfig,
     """
     graphs, data_report = load_dataset(config.dataset)
     seed = config.training.seeds[0]
-    report, probs = evaluate_model(model, graphs, config, seed)
+    report, _ = evaluate_model(model, graphs, config, seed)
+    summary = report.to_dict()
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        emit_report_csvs(report, out_dir)
-        emit_predictions_csv(graphs, probs, report.y_pred, out_dir)
+        emit_report_csvs(report, graphs, out_dir)
     if log is not None:
-        for point in report.screening:
-            log(f"top {point.k_percent:6.2f}%  screened {point.screened:6d}"
-                f"  success rate {point.success_rate:.4f}")
-    return {"data": data_report, "evaluation": report.to_dict()}
+        for s in summary["screening"]:
+            log(f"top {s['k_percent']:6.2f}%  screened {s['screened']:6d}"
+                f"  success rate {s['success_rate']:.4f}")
+    return {"data": data_report, "evaluation": summary}
 
 
 # -- ablation sweeps -------------------------------------------------
@@ -420,18 +408,6 @@ def ablation_variants(config: ExperimentConfig,
 SUMMARY_FIELDS = ("accuracy", "precision", "recall", "f1", "auroc", "ece")
 
 
-def _metric_row(report: ReliabilityReport) -> dict:
-    m = report.metrics
-    return {
-        "accuracy": m.accuracy,
-        "precision": m.precision,
-        "recall": m.recall,
-        "f1": m.f1,
-        "auroc": report.auroc if report.auroc_defined else float("nan"),
-        "ece": report.ece,
-    }
-
-
 def run_ablation(config: ExperimentConfig, axis: str,
                  out_dir: str | None = None, log=None) -> dict:
     """Train every variant on every seed; summarize by arithmetic mean.
@@ -449,7 +425,9 @@ def run_ablation(config: ExperimentConfig, axis: str,
         for seed in variant.training.seeds:
             result = train_run(variant, seed, graphs=graphs,
                                data_report=data_report)
-            row = _metric_row(result.report)
+            evaluation = result.manifest["evaluation"]
+            row = {field: float("nan") if evaluation[field] is None
+                   else evaluation[field] for field in SUMMARY_FIELDS}
             per_seed.append(row)
             raw_rows.append({"variant": name, "seed": seed, **row})
             if log is not None:

@@ -56,8 +56,8 @@ def random_graph(rng, n, width, p=0.6):
 
 # -- oracles ---------------------------------------------------------
 #
-# The metric oracles take records as the arrays (p_hat, y_pred, y_true)
-# and recompute each quantity with per-record loops, sharing no code with
+# The metric oracles take records as the arrays (p_hat, y_true) and
+# recompute each quantity with per-record loops, sharing no code with
 # ``molcalib.metrics``.
 
 
@@ -79,7 +79,7 @@ def numeric_gradient(f, x, eps=1e-6):
     return g
 
 
-def oracle_bins(recs, num_bins):
+def oracle_bins(p_hat, y_true, num_bins):
     """Brute-force interval membership: bin m is (m/M, (m+1)/M], with 0
     folded into bin 0.  Each bin is (count, positive fraction, mean
     confidence, defined)."""
@@ -87,29 +87,29 @@ def oracle_bins(recs, num_bins):
     out = []
     for m in range(num_bins):
         lo, hi = m * width, (m + 1) * width
-        members = [(p, yp, yt) for p, yp, yt in zip(*recs)
+        members = [(p, yt) for p, yt in zip(p_hat, y_true)
                    if (lo < p <= hi) or (m == 0 and p == 0.0)]
         if members:
-            positives = sum(yt for _, _, yt in members) / len(members)
-            conf = sum(p for p, _, _ in members) / len(members)
+            positives = sum(yt for _, yt in members) / len(members)
+            conf = sum(p for p, _ in members) / len(members)
             out.append((len(members), positives, conf, True))
         else:
             out.append((0, 0.0, 0.0, False))
     return out
 
 
-def oracle_ece(recs, num_bins):
-    n = len(recs[0])
+def oracle_ece(p_hat, y_true, num_bins):
+    n = len(p_hat)
     return sum((count / n) * abs(positives - conf)
                for count, positives, conf, defined
-               in oracle_bins(recs, num_bins)
+               in oracle_bins(p_hat, y_true, num_bins)
                if defined)
 
 
-def oracle_auroc(recs):
+def oracle_auroc(p_hat, y_true):
     """All positive/negative pairs; ties worth one half."""
-    pos = [p for p, _, yt in zip(*recs) if yt == 1]
-    neg = [p for p, _, yt in zip(*recs) if yt == 0]
+    pos = [p for p, yt in zip(p_hat, y_true) if yt == 1]
+    neg = [p for p, yt in zip(p_hat, y_true) if yt == 0]
     wins = sum(1.0 if a > b else 0.5 if a == b else 0.0
                for a in pos for b in neg)
     return wins / (len(pos) * len(neg))
@@ -130,11 +130,10 @@ def oracle_attention_readout(h, w_read, sizes):
     return np.array(pooled)
 
 
-def oracle_screening(recs, k):
+def oracle_screening(p_hat, y_true, k):
     """(records taken, success rate) at the top k percent."""
-    p, _, y_true = recs
-    ranked = sorted(range(len(p)), key=lambda i: -p[i])  # stable sort
-    taken = math.ceil(len(p) * k / 100.0)
+    ranked = sorted(range(len(p_hat)), key=lambda i: -p_hat[i])  # stable
+    taken = math.ceil(len(p_hat) * k / 100.0)
     hits = sum(y_true[i] for i in ranked[:taken])
     return taken, hits / taken
 
@@ -191,25 +190,29 @@ def loss_identity_gaps(y, z):
     ]
 
 
-def metric_oracle_mismatches(recs, num_bins, k_grid):
+def metric_oracle_mismatches(p_hat, y_true, num_bins, k_grid):
     """Name each of calibration bins, ECE, AUROC and the screening curve
     at ``k_grid`` that differs from its oracle by more than 1e-12."""
     tol = 1e-12
     wrong = []
-    for got, (count, positives, conf, defined) in zip(
-            bin_predictions(*recs, num_bins), oracle_bins(recs, num_bins)):
-        if (got.count != count or got.defined != defined
-                or abs(got.positive_fraction - positives) > tol
-                or abs(got.confidence - conf) > tol):
+    bins = bin_predictions(p_hat, y_true, num_bins)
+    for m, (count, positives, conf, defined) in enumerate(
+            oracle_bins(p_hat, y_true, num_bins)):
+        if (bins.counts[m] != count or bins.defined[m] != defined
+                or abs(bins.positive_fraction[m] - positives) > tol
+                or abs(bins.confidence[m] - conf) > tol):
             wrong.append("bin")
             break
-    if abs(ece(*recs, num_bins) - oracle_ece(recs, num_bins)) > tol:
+    if abs(ece(p_hat, y_true, num_bins)
+           - oracle_ece(p_hat, y_true, num_bins)) > tol:
         wrong.append("ece")
-    if abs(auroc(*recs) - oracle_auroc(recs)) > tol:
+    if abs(auroc(p_hat, y_true) - oracle_auroc(p_hat, y_true)) > tol:
         wrong.append("auroc")
-    for point in screening_curve(*recs, k_grid):
-        taken, rate = oracle_screening(recs, point.k_percent)
-        if point.screened != taken or abs(point.success_rate - rate) > tol:
+    curve = screening_curve(p_hat, y_true, k_grid)
+    for k, got_taken, got_rate in zip(k_grid, curve.screened,
+                                      curve.success_rate):
+        taken, rate = oracle_screening(p_hat, y_true, k)
+        if got_taken != taken or abs(got_rate - rate) > tol:
             wrong.append("screening")
             break
     return wrong
@@ -290,9 +293,8 @@ def check_metric_oracles():
     rounded to a coarse grid so that ties abound."""
     rng = np.random.default_rng(3)
     p = np.round(rng.random(200), 1)
-    recs = (p, (p > 0.5).astype(np.int64),
-            (rng.random(200) < 0.4).astype(np.int64))
-    wrong = metric_oracle_mismatches(recs, 10, (10, 50, 100))
+    y_true = (rng.random(200) < 0.4).astype(np.int64)
+    wrong = metric_oracle_mismatches(p, y_true, 10, (10, 50, 100))
     assert not wrong, f"{', '.join(wrong)} differ from the oracles"
 
 

@@ -212,9 +212,11 @@ def test_metrics_match_independent_oracles(announce):
             recs = quantized(recs)  # tied scores, for ranks and stable sorts
         num_bins = int(rng.choice([5, 10, 20]))
 
+        p, y_pred, y_true = recs
         problems += [f"trial {trial}: {what} mismatch" for what in
-                     metric_oracle_mismatches(recs, num_bins, DEFAULT_K_GRID)]
-        cm = metrics.classification_metrics(*recs)
+                     metric_oracle_mismatches(p, y_true, num_bins,
+                                              DEFAULT_K_GRID)]
+        cm = metrics.classification_metrics(y_pred, y_true)
         acc, prec, rec, f1 = oracle_confusion(recs)
         if (abs(cm.accuracy - acc) > tol or abs(cm.precision - prec) > tol
                 or abs(cm.recall - rec) > tol or abs(cm.f1 - f1) > tol):
@@ -226,15 +228,15 @@ def test_metrics_match_independent_oracles(announce):
     # == confidence
     calibrated = records([(tenth / 10.0, 1, int(i < tenth))
                           for tenth in range(5, 11) for i in range(10)])
-    cal_ece = metrics.ece(*calibrated, 10)
+    cal_ece = metrics.ece(calibrated[0], calibrated[2], 10)
     if not cal_ece < 1e-12:
         problems.append(f"calibrated construction has ece {cal_ece:.2e}")
 
     # screening the whole library must hand back the prevalence, exactly
     recs = pinned_classes(random_records(rng, 257), 0.9, 0.2)
-    full = metrics.screening_curve(*recs, (100.0,))[0]
+    full = metrics.screening_curve(recs[0], recs[2], (100.0,))
     prevalence = sum(recs[2].tolist()) / len(recs[2])
-    if full.success_rate != prevalence:
+    if full.success_rate.tolist() != [prevalence]:
         problems.append("success rate at the full library != prevalence")
 
     verdict(announce, "3/8 metrics vs brute-force oracles", problems,

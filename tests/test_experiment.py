@@ -3,6 +3,7 @@ reproducibility, ablation sweeps, screening output, and the CLI surface."""
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -78,11 +79,15 @@ class TestTrainRun:
         with open(out / "reports" / "calibration_curve.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 10
-        for row, b in zip(rows, result.report.bins):
-            assert int(row["count"]) == b.count
-            assert float(row["confidence"]) == pytest.approx(b.confidence)
-            mid = 0.5 * (b.lower + b.upper)
-            assert float(row["midpoint"]) == pytest.approx(mid)
+        bins = result.report.bins
+        assert [int(row["count"]) for row in rows] == bins.counts.tolist()
+        assert [int(row["defined"]) for row in rows] == \
+            bins.defined.astype(int).tolist()
+        # written with repr, so the text reads back bit for bit
+        assert [float(row["confidence"]) for row in rows] == \
+            bins.confidence.tolist()
+        mid = 0.5 * (bins.edges[:-1] + bins.edges[1:])
+        assert [float(row["midpoint"]) for row in rows] == mid.tolist()
 
     def test_divergence_reports_epoch(self, toy_raw_config, tmp_path):
         raw = dict(toy_raw_config, optimizer={"learning_rate": 1e200})
@@ -559,6 +564,58 @@ class TestCli:
         assert code == 2  # an escaping exception would fail the test
         assert "split_ratio" in captured.err
         assert "epoch" not in captured.out
+
+    def test_evaluate_split_leaving_no_test_molecules_is_data_error(
+            self, toy_raw_config, tmp_path, capsys):
+        ck = self.write_checkpoint(tmp_path, lambda p: None)
+        raw = dict(toy_raw_config,
+                   training=dict(toy_raw_config["training"], split_ratio=1.0))
+        assert self.evaluate(self.write_config(tmp_path, raw), ck) == 2
+        assert capsys.readouterr().err == (
+            "data error: split_ratio 1.0 on 40 molecules leaves 40 for "
+            "training and 0 for testing; both need at least one\n")
+
+    @pytest.mark.parametrize("seeds, argv", [
+        ([-1], ["train"]),
+        ([0], ["train", "--seed", "-3"]),
+        ([0], ["evaluate", "--seed", "-2", "--checkpoint", "absent.json"]),
+    ], ids=["config", "train-flag", "evaluate-flag"])
+    def test_negative_seed_is_config_error(self, toy_raw_config, tmp_path,
+                                           capsys, seeds, argv):
+        # an absent dataset shows that the seed is refused before ingestion
+        raw = dict(toy_raw_config,
+                   dataset=dict(toy_raw_config["dataset"],
+                                path=str(tmp_path / "absent.csv")),
+                   training=dict(toy_raw_config["training"], seeds=seeds))
+        code = cli.main(argv + ["--config",
+                                str(self.write_config(tmp_path, raw))])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("config error: seed -")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("optimizer", "learning_rate", float("nan")),
+        ("optimizer", "learning_rate", float("inf")),
+        ("loss", "l2_coefficient", float("nan")),
+        ("loss", "l2_coefficient", float("inf")),
+        ("optimizer", "eps", float("nan")),
+        ("loss", "entropy_weight", float("nan")),
+        ("loss", "focusing", float("nan")),
+        ("dataset", "pic50_threshold", float("nan")),
+    ])
+    def test_non_finite_float_is_config_error(self, toy_raw_config, tmp_path,
+                                              capsys, section, key, value):
+        raw = dict(toy_raw_config)
+        raw[section] = dict(raw.get(section, {}), **{key: value})
+        cfg = self.write_config(tmp_path, raw)
+        assert (".nan" if math.isnan(value) else ".inf") in cfg.read_text()
+        assert cli.main(["train", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"config error: {section}.{key} must be "
+                                f"finite, got {value}\n")
 
     UNREADABLE_CSVS = {
         "not-utf8": (b"smiles,label\nCCO,1\n\xff\xfeC,0\n",

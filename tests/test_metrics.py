@@ -1,14 +1,17 @@
 """Reliability metric tests against independent brute-force oracles.
 
-Every metric takes the arrays (p_hat, y_pred, y_true); index i of the
-three is one record.  The oracles in ``molcalib.selftest`` recompute
-every quantity with per-record loops and interval arithmetic, sharing no
-code with the library implementation:
+Records are the arrays (p_hat, y_pred, y_true); index i of the three is
+one record, and each metric takes the arrays it reads.  The oracles in
+``molcalib.selftest`` recompute every quantity with per-record loops and
+interval arithmetic, sharing no code with the library implementation:
 binning walks records one by one against (lower, upper] intervals, AUROC
 counts all positive/negative pairs in O(n^2), screening re-sorts with
 python's stable sort.  Agreement is required to 1e-12 across seeded
 random record sets.
 """
+
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,10 +26,8 @@ from molcalib.metrics import (
     classification_metrics,
     ece,
     entropy,
-    entropy_histogram,
     fixed_histogram,
     outcome_histograms,
-    output_histogram,
     screening_curve,
 )
 from molcalib.selftest import (
@@ -55,6 +56,11 @@ def random_records(rng, n, p_pred_agree=0.7):
             y_pred = 1 - y_pred
         triples.append((p, y_pred, y_true))
     return records(triples)
+
+
+def scored(recs):
+    """The arrays (p_hat, y_true) of records."""
+    return recs[0], recs[2]
 
 
 def quantized(recs, decimals=1):
@@ -96,51 +102,51 @@ class TestEntropy:
 
 class TestBinning:
     def test_edge_values_fall_into_lower_bin(self):
-        recs = records([(p, 1, 1) for p in (0.0, 0.1, 0.2, 1.0)])
-        bins = bin_predictions(*recs, 10)
-        counts = [b.count for b in bins]
+        bins = bin_predictions([0.0, 0.1, 0.2, 1.0], [1, 1, 1, 1], 10)
         # 0.0 joins the closed first bin; 0.1 and 0.2 sit on edges and
         # belong to the bin below; 1.0 tops out the last bin
-        assert counts == [2, 1, 0, 0, 0, 0, 0, 0, 0, 1]
+        assert bins.counts.tolist() == [2, 1, 0, 0, 0, 0, 0, 0, 0, 1]
+        assert bins.edges.tolist() == np.linspace(0.0, 1.0, 11).tolist()
 
     def test_empty_bins_flagged(self):
-        recs = records([(0.95, 1, 1)])
-        bins = bin_predictions(*recs, 10)
-        assert bins[0].defined is False
-        assert bins[0].count == 0
-        assert bins[0].positive_fraction == 0.0
-        assert bins[9].defined is True
+        bins = bin_predictions([0.95], [1], 10)
+        assert bins.defined.tolist() == [False] * 9 + [True]
+        assert bins.counts[0] == 0
+        assert bins.positive_fraction[0] == 0.0
+        assert bins.confidence[0] == 0.0
 
     @pytest.mark.parametrize("num_bins", [1, 5, 10, 15])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_oracle(self, num_bins, seed):
         recs = random_records(np.random.default_rng(seed), 400)
-        assert metric_oracle_mismatches(recs, num_bins, DEFAULT_K_GRID) == []
+        assert metric_oracle_mismatches(*scored(recs), num_bins,
+                                        DEFAULT_K_GRID) == []
 
     def test_rejects_out_of_range_probability(self):
         with pytest.raises(ValueError):
-            bin_predictions(*records([(1.5, 1, 1)]), 10)
+            bin_predictions([1.5], [1], 10)
         with pytest.raises(ValueError):
-            bin_predictions(*records([(float("nan"), 1, 1)]), 10)
+            bin_predictions([float("nan")], [1], 10)
 
 
 class TestEce:
     @pytest.mark.parametrize("seed", [0, 7, 21])
     def test_matches_oracle(self, seed):
         rng = np.random.default_rng(seed)
-        recs = random_records(rng, 1000)
-        assert ece(*recs, 10) == pytest.approx(oracle_ece(recs, 10), abs=TOL)
+        recs = scored(random_records(rng, 1000))
+        assert ece(*recs, 10) == pytest.approx(oracle_ece(*recs, 10),
+                                               abs=TOL)
 
     def test_perfectly_calibrated_is_zero(self):
         # each bin's mean confidence equals its fraction of positives by
         # construction, with binary-exact probabilities so the
-        # subtraction is exact; y_pred is the 0.5-thresholded label
-        triples = []
+        # subtraction is exact
+        p, y_true = [], []
         for conf, group in [(0.75, 4), (0.25, 4), (0.875, 8)]:
             positives = round(conf * group)
-            for i in range(group):
-                triples.append((conf, int(conf > 0.5), int(i < positives)))
-        assert ece(*records(triples), 10) < TOL
+            p += [conf] * group
+            y_true += [int(i < positives) for i in range(group)]
+        assert ece(p, y_true, 10) < TOL
 
     def test_calibrated_by_construction_is_near_zero(self):
         # y_true ~ Bernoulli(p_hat): calibrated whatever the threshold, so
@@ -148,18 +154,17 @@ class TestEce:
         rng = np.random.default_rng(12)
         p = rng.random(200_000)
         y_true = (rng.random(p.size) < p).astype(np.int64)
-        y_pred = (p > 0.5).astype(np.int64)
-        assert ece(p, y_pred, y_true, 10) < 0.01
-        for b in bin_predictions(p, y_pred, y_true, 10):
-            assert abs(b.positive_fraction - b.confidence) < 0.01
+        assert ece(p, y_true, 10) < 0.01
+        bins = bin_predictions(p, y_true, 10)
+        assert np.all(np.abs(bins.positive_fraction - bins.confidence)
+                      < 0.01)
 
     def test_maximally_miscalibrated(self):
-        recs = records([(1.0, 1, 0)] * 10)
-        assert ece(*recs, 10) == pytest.approx(1.0, abs=TOL)
+        assert ece([1.0] * 10, [0] * 10, 10) == pytest.approx(1.0, abs=TOL)
 
     def test_zero_records_degenerate(self):
         with pytest.raises(DegenerateError):
-            ece([], [], [], 10)
+            ece([], [], 10)
 
 
 # -- classification metrics ------------------------------------------
@@ -173,7 +178,7 @@ class TestClassificationMetrics:
             + [(0.2, 0, 0)] * 9  # tn
             + [(0.1, 0, 1)] * 3  # fn
         )
-        m = classification_metrics(*recs)
+        m = classification_metrics(recs[1], recs[2])
         assert (m.tp, m.fp, m.tn, m.fn) == (6, 2, 9, 3)
         assert m.accuracy == pytest.approx(15 / 20, abs=TOL)
         assert m.precision == pytest.approx(6 / 8, abs=TOL)
@@ -183,20 +188,18 @@ class TestClassificationMetrics:
         assert m.precision_defined and m.recall_defined and m.f1_defined
 
     def test_no_positive_predictions(self):
-        recs = records([(0.1, 0, 1), (0.2, 0, 0)])
-        m = classification_metrics(*recs)
+        m = classification_metrics([0, 0], [1, 0])
         assert m.precision == 0.0 and not m.precision_defined
         assert m.recall == 0.0 and m.recall_defined
         assert m.f1 == 0.0 and not m.f1_defined
 
     def test_no_true_positives_in_truth(self):
-        recs = records([(0.9, 1, 0), (0.1, 0, 0)])
-        m = classification_metrics(*recs)
+        m = classification_metrics([1, 0], [0, 0])
         assert not m.recall_defined
 
     def test_zero_records_degenerate(self):
         with pytest.raises(DegenerateError):
-            classification_metrics([], [], [])
+            classification_metrics([], [])
 
 
 # -- AUROC -----------------------------------------------------------
@@ -204,35 +207,34 @@ class TestClassificationMetrics:
 
 class TestAuroc:
     def test_perfect_separation(self):
-        recs = records([(0.9, 1, 1)] * 3 + [(0.1, 0, 0)] * 3)
-        assert auroc(*recs) == pytest.approx(1.0, abs=TOL)
+        assert auroc([0.9] * 3 + [0.1] * 3, [1] * 3 + [0] * 3) == \
+            pytest.approx(1.0, abs=TOL)
 
     def test_inverted_separation(self):
-        recs = records([(0.1, 0, 1)] * 3 + [(0.9, 1, 0)] * 3)
-        assert auroc(*recs) == pytest.approx(0.0, abs=TOL)
+        assert auroc([0.1] * 3 + [0.9] * 3, [1] * 3 + [0] * 3) == \
+            pytest.approx(0.0, abs=TOL)
 
     def test_all_tied_is_half(self):
-        recs = records([(0.5, 0, 1)] * 4 + [(0.5, 0, 0)] * 6)
-        assert auroc(*recs) == pytest.approx(0.5, abs=TOL)
+        assert auroc([0.5] * 10, [1] * 4 + [0] * 6) == \
+            pytest.approx(0.5, abs=TOL)
 
     @pytest.mark.parametrize("seed", [0, 5, 11, 19])
     def test_matches_pair_counting_oracle(self, seed):
         rng = np.random.default_rng(seed)
-        recs = quantized(random_records(rng, 300))
-        assert auroc(*recs) == pytest.approx(oracle_auroc(recs), abs=TOL)
+        recs = scored(quantized(random_records(rng, 300)))
+        assert auroc(*recs) == pytest.approx(oracle_auroc(*recs), abs=TOL)
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(13)
-        recs = random_records(rng, 200)
-        base = auroc(*recs)
-        p, y_pred, y_true = recs
-        assert auroc(p ** 3, y_pred, y_true) == pytest.approx(base, abs=TOL)
+        p, y_true = scored(random_records(rng, 200))
+        assert auroc(p ** 3, y_true) == pytest.approx(auroc(p, y_true),
+                                                      abs=TOL)
 
     def test_single_class_degenerate(self):
         with pytest.raises(DegenerateError):
-            auroc(*records([(0.5, 1, 1), (0.4, 0, 1)]))
+            auroc([0.5, 0.4], [1, 1])
         with pytest.raises(DegenerateError):
-            auroc(*records([(0.5, 1, 0), (0.4, 0, 0)]))
+            auroc([0.5, 0.4], [0, 0])
 
 
 # -- histograms ------------------------------------------------------
@@ -256,7 +258,7 @@ class TestHistograms:
 
     def test_entropy_histogram_range(self):
         recs = records([(p, 0, 0) for p in (0.0, 0.5, 1.0)])
-        h = entropy_histogram(*recs, 20)
+        h = build_report(*recs, histogram_bins=20).entropy_hist
         assert h.counts[0] == 2   # both endpoint entropies are zero
         assert h.counts[-1] == 1  # maximal entropy at one half
         assert h.edges[-1] == pytest.approx(LN2, abs=TOL)
@@ -264,7 +266,9 @@ class TestHistograms:
     def test_output_histogram_total(self):
         rng = np.random.default_rng(2)
         recs = random_records(rng, 137)
-        assert output_histogram(*recs, 20).total == 137
+        h = build_report(*recs, histogram_bins=20).output_hist
+        assert h.total == 137
+        assert h.edges[-1] == 1.0
 
     def test_outcome_histograms_partition_records(self):
         rng = np.random.default_rng(4)
@@ -272,7 +276,7 @@ class TestHistograms:
         split = outcome_histograms(*recs, 20)
         assert set(split) == {"tp", "fp", "tn", "fn"}
         assert sum(h.total for h in split.values()) == 250
-        m = classification_metrics(*recs)
+        m = classification_metrics(recs[1], recs[2])
         assert split["tp"].total == m.tp
         assert split["fn"].total == m.fn
 
@@ -282,44 +286,41 @@ class TestHistograms:
 
 class TestScreening:
     def test_hand_curve(self):
-        recs = records([(p, int(p > 0.5), y)
-                        for p, y in [(0.9, 1), (0.8, 0), (0.7, 1), (0.6, 0)]])
-        points = screening_curve(*recs, (25, 50, 100))
-        assert [s.screened for s in points] == [1, 2, 4]
-        assert points[0].success_rate == pytest.approx(1.0, abs=TOL)
-        assert points[1].success_rate == pytest.approx(0.5, abs=TOL)
-        assert points[2].success_rate == pytest.approx(0.5, abs=TOL)
+        curve = screening_curve([0.9, 0.8, 0.7, 0.6], [1, 0, 1, 0],
+                                (25, 50, 100))
+        assert curve.k_percent.tolist() == [25.0, 50.0, 100.0]
+        assert curve.screened.tolist() == [1, 2, 4]
+        np.testing.assert_allclose(curve.success_rate, [1.0, 0.5, 0.5],
+                                   atol=TOL, rtol=0)
 
     def test_full_depth_equals_prevalence_exactly(self):
         rng = np.random.default_rng(8)
-        recs = random_records(rng, 731)
-        prevalence = sum(recs[2].tolist()) / 731
-        (point,) = screening_curve(*recs, (100,))
-        assert point.screened == 731
-        assert point.success_rate == prevalence
+        recs = scored(random_records(rng, 731))
+        prevalence = sum(recs[1].tolist()) / 731
+        curve = screening_curve(*recs, (100,))
+        assert curve.screened.tolist() == [731]
+        assert curve.success_rate.tolist() == [prevalence]
 
     def test_ceiling_takes_at_least_one(self):
-        recs = records([(0.9, 1, 1)] + [(0.1, 0, 0)] * 99)
-        (point,) = screening_curve(*recs, (0.5,))
-        assert point.screened == 1
-        assert point.success_rate == pytest.approx(1.0, abs=TOL)
+        curve = screening_curve([0.9] + [0.1] * 99, [1] + [0] * 99, (0.5,))
+        assert curve.screened.tolist() == [1]
+        assert curve.success_rate.tolist() == [1.0]
 
     @pytest.mark.parametrize("seed", [0, 3, 9])
     def test_matches_stable_sort_oracle(self, seed):
         # quantized scores create ties that only a stable order resolves
         recs = quantized(random_records(np.random.default_rng(seed), 500))
-        assert metric_oracle_mismatches(recs, 10, DEFAULT_K_GRID) == []
+        assert metric_oracle_mismatches(*scored(recs), 10,
+                                        DEFAULT_K_GRID) == []
 
     def test_rejects_bad_percentages(self):
-        recs = records([(0.5, 1, 1)])
-        with pytest.raises(ValueError):
-            screening_curve(*recs, (0.0,))
-        with pytest.raises(ValueError):
-            screening_curve(*recs, (101.0,))
+        for k in (0.0, 101.0, float("nan")):
+            with pytest.raises(ValueError, match="outside"):
+                screening_curve([0.5], [1], (10.0, k))
 
     def test_zero_records_degenerate(self):
         with pytest.raises(DegenerateError):
-            screening_curve([], [], [], (10,))
+            screening_curve([], [], (10,))
 
 
 # -- bundled report --------------------------------------------------
@@ -331,14 +332,24 @@ class TestReport:
         recs = random_records(rng, 600)
         rep = build_report(*recs, num_bins=10)
         assert rep.num_records == 600
-        assert rep.bins == bin_predictions(*recs, 10)
-        assert rep.ece == ece(*recs, 10)  # bitwise: the same bins, summed
-        assert rep.auroc == pytest.approx(auroc(*recs), abs=TOL)
+        bins = bin_predictions(*scored(recs), 10)
+        for field in ("edges", "counts", "positive_fraction", "confidence",
+                      "defined"):
+            assert np.array_equal(getattr(rep.bins, field),
+                                  getattr(bins, field)), field
+        assert rep.ece == ece(*scored(recs), 10)  # bitwise
+        assert rep.auroc == auroc(*scored(recs))
         assert rep.auroc_defined
-        assert rep.metrics == classification_metrics(*recs)
+        assert rep.metrics == classification_metrics(recs[1], recs[2])
         assert rep.prevalence == pytest.approx(
             sum(recs[2].tolist()) / 600, abs=TOL)
-        assert len(rep.screening) == len(DEFAULT_K_GRID)
+        curve = screening_curve(*scored(recs), DEFAULT_K_GRID)
+        for field in ("k_percent", "screened", "success_rate"):
+            assert np.array_equal(getattr(rep.screening, field),
+                                  getattr(curve, field)), field
+        assert rep.screening.k_percent.tolist() == list(DEFAULT_K_GRID)
+        assert np.array_equal(rep.p_hat, recs[0])
+        assert np.array_equal(rep.y_pred, recs[1])
 
     def test_single_class_report_flags_auroc(self):
         recs = records([(0.8, 1, 1), (0.6, 1, 1)])
@@ -351,6 +362,8 @@ class TestReport:
 
         rng = np.random.default_rng(23)
         recs = random_records(rng, 50)
+        # json refuses numpy integers, so this also proves that none
+        # reaches a manifest
         blob = json.dumps(build_report(*recs).to_dict())
         assert "calibration_bins" in blob
 
@@ -360,17 +373,31 @@ class TestReport:
 
 
 class TestRecordConstruction:
-    """Records arrive as three arrays that every metric checks."""
+    """Records arrive as arrays that every metric checks."""
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             build_report([0.4, 0.5], [0, 0], [0])
         with pytest.raises(ValueError):
-            ece([0.4, 0.5], [0], [0, 1])
+            ece([0.4, 0.5], [0], 10)
+        with pytest.raises(ValueError):
+            classification_metrics([0, 1], [1])
         # labels outside {0, 1}
         with pytest.raises(ValueError):
             build_report([0.2, 0.9], [0, 1], [0, 2])
         with pytest.raises(ValueError):
-            ece([0.2, 0.9], [0, -1], [0, 1])
+            build_report([0.2, 0.9], [0, -1], [0, 1])
         with pytest.raises(ValueError):
-            ece([0.2, 0.9], [0, 1], [0.0, 0.5])
+            ece([0.2, 0.9], [0.0, 0.5], 10)
+        with pytest.raises(ValueError):
+            classification_metrics([0, 2], [0, 1])
+
+
+def test_readme_metrics_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1].split("\n## ", 1)[0]
+    (example,) = [block for block in
+                  re.findall(r"```python\n(.*?)```", section, re.S)
+                  if "molcalib.metrics" in block]
+    exec(compile(example, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("0.")
