@@ -376,11 +376,14 @@ def dropout(a: Tensor, rate: float, training: bool,
     else:
         if sum(rows for _, rows in rng) != a.data.shape[0]:
             raise ShapeError("dropout blocks do not tile the rows")
-        draws = np.concatenate([gen.random((rows, *a.data.shape[1:]))
-                                for gen, rows in rng])
-    keep = 1.0 - rate
-    mask = (draws >= rate).astype(np.float64)
-    scale = 1.0 / keep
+        draws = np.empty(a.data.shape)
+        start = 0
+        for gen, rows in rng:
+            gen.random(out=draws[start:start + rows])
+            start += rows
+    # a bool mask: multiplying by it gives the values a 0/1 float mask would
+    mask = draws >= rate
+    scale = 1.0 / (1.0 - rate)
     data = a.data * mask * scale
 
     def backward(out):
@@ -449,11 +452,32 @@ class Neighbors:
         degree = np.bincount(rows, minlength=num_rows)
         width = max(int(degree.max(initial=0)), 1)
         slot = np.arange(rows.size) - (np.cumsum(degree) - degree)[rows]
-        self.index = np.full((num_rows, width), num_rows, dtype=np.intp)
-        self.index[rows, slot] = cols
+        index = np.full((num_rows, width), num_rows, dtype=np.intp)
+        index[rows, slot] = cols
+        self._set_index(index)
+
+    def _set_index(self, index: np.ndarray) -> None:
+        self.index = index
         # slot k's neighbour of every row, contiguous for np.take
-        self._by_slot = np.ascontiguousarray(self.index.T)
+        self._by_slot = np.ascontiguousarray(index.T)
         self._mirror = None
+
+    def repeat(self, rows: np.ndarray) -> Neighbors:
+        """Neighbour lists over new rows, new row u a copy of row rows[u].
+
+        Each copy of a graph must hold its rows contiguously and in their
+        order, so that u - rows[u] is one offset across the copy: then row
+        u's neighbours are row rows[u]'s shifted by it.  The shift keeps
+        every list ascending, and unused slots name the new pad row, so
+        the result equals the lists built from the copies' bonds, with no
+        sort.
+        """
+        source = np.take(self.index, rows, axis=0)
+        index = source + (np.arange(rows.size) - rows)[:, None]
+        index[source == self.index.shape[0]] = rows.size
+        out = Neighbors.__new__(Neighbors)
+        out._set_index(index)
+        return out
 
     @property
     def mirror(self) -> np.ndarray:
@@ -485,6 +509,20 @@ class Neighbors:
         """Per-slot values of the mirrored pair: out[i, k] = w[j, m] for
         j = index[i, k], m = mirror[i, k]; 0 on unused slots."""
         return _pad_row(w)[self.index, self.mirror]
+
+
+def repeat_rows(a: Tensor, rows: np.ndarray) -> Tensor:
+    """Rows of `a` in the order `rows` names them, repeats allowed:
+    out[u] = a[rows[u]].  The backward pass sums the gradients of each
+    row's copies."""
+    data = np.take(a.data, rows, axis=0)
+
+    def backward(out):
+        g = np.zeros_like(a.data)
+        np.add.at(g, rows, out.grad)
+        _accum(a, g)
+
+    return _node(data, (a,), backward, "repeat_rows")
 
 
 def neighbor_sum(a: Tensor, nb: Neighbors) -> Tensor:

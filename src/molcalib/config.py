@@ -200,7 +200,11 @@ def _typed(value, hint, where: str):
     kind = get_args(hint)[0] if get_args(hint) else hint
     if kind is float and isinstance(value, int) \
             and not isinstance(value, bool):
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(f"{where} must be finite, got an int "
+                              f"beyond float range") from None
     if not isinstance(value, kind) or (kind is int
                                        and isinstance(value, bool)):
         raise ConfigError(f"{where} must be a {kind.__name__}")

@@ -207,10 +207,17 @@ class Histogram:
 
 
 def fixed_histogram(values, upper: float, num_bins: int = 20) -> Histogram:
-    """Equal-width histogram over [0, upper]; values at upper land in the
-    last bin."""
-    arr = np.clip(np.asarray(values, dtype=np.float64), 0.0, upper)
-    counts, edges = np.histogram(arr, bins=num_bins, range=(0.0, upper))
+    """Equal-width histogram over [0, upper], upper > 0; values at upper
+    land in the last bin, values outside the range in the end bins, and
+    NaN in none: the counts and edges of ``np.histogram`` of the clipped
+    values, at a fraction of its cost."""
+    edges = np.linspace(0.0, upper, num_bins + 1)
+    # the float below `upper` falls in the last bin, as `upper` does; NaN
+    # sorts past every edge into an extra bin that is dropped
+    arr = np.clip(np.asarray(values, dtype=np.float64), 0.0,
+                  np.nextafter(upper, 0.0))
+    index = np.searchsorted(edges, arr, side="right") - 1
+    counts = np.bincount(index, minlength=num_bins + 1)[:num_bins]
     return Histogram(edges=edges, counts=counts)
 
 

@@ -62,25 +62,45 @@ class ModelConfig:
 @dataclass(frozen=True)
 class GraphBatch:
     """Disjoint union of graphs: stacked node features, the self-looped
-    neighbour lists of the stacked bonds, and each graph's row range."""
+    neighbour lists of the stacked bonds, and each graph's row range.
+
+    A batch of `copies` > 1 holds each graph `copies` times, graph b's
+    copies after graph b-1's.  `x` and `prefix_neighbors` hold each graph
+    once, for the layers before the first dropout; `copy_rows[u]` is the
+    row of `x` that row u of the copies repeats, and `neighbors` and
+    `segments` cover the copies.  Where `copy_rows` is None (one copy,
+    or a lone one-atom graph), `x` already holds the copies' rows and
+    `prefix_neighbors` is `neighbors`.
+    """
 
     x: np.ndarray
     neighbors: ad.Neighbors
     segments: ad.Segments
+    prefix_neighbors: ad.Neighbors
+    copy_rows: np.ndarray | None = None
 
 
-def pack_graphs(graphs: Sequence[MolecularGraph]) -> GraphBatch:
-    """Pack graphs into one batch; graph b's nodes follow graph b-1's.
+def pack_graphs(graphs: Sequence[MolecularGraph],
+                copies: int = 1) -> GraphBatch:
+    """Pack graphs, each `copies` times; graph b's nodes follow graph b-1's.
 
     Each bond list must be an (E, 2) integer array of its own graph's node
     indices, with no self-bond and no pair listed twice in either
     orientation, as ``featurize`` builds it.  Node features of any real
     dtype (``featurize`` stores uint8 one-hot rows) are stacked into one
-    float64 matrix; this is the one place features become float64.
+    float64 matrix; this is the one place features become float64.  The
+    copies' neighbour lists and row ranges are those of packing each
+    graph `copies` times in a row, built from the graphs' own by offsets.
     """
     if len(graphs) == 0:
         raise ShapeError("cannot pack zero graphs")
+    if copies < 1:
+        raise ShapeError(f"cannot pack {copies} copies")
     segments = ad.Segments([g.num_nodes for g in graphs])
+    if copies > 1 and segments.num_rows == 1:
+        # numpy takes a one-row product as a matrix-vector product, which
+        # rounds differently from the matrix product of the copies' rows
+        return pack_graphs(list(graphs) * copies)
     try:
         bonds = np.concatenate([g.bonds for g in graphs])
     except ValueError:  # bond lists of mixed rank or width
@@ -94,7 +114,16 @@ def pack_graphs(graphs: Sequence[MolecularGraph]) -> GraphBatch:
     neighbors = ad.Neighbors(bonds + segments.starts[owner, None],
                              segments.num_rows)
     x = np.concatenate([g.node_features for g in graphs], dtype=np.float64)
-    return GraphBatch(x=x, neighbors=neighbors, segments=segments)
+    if copies == 1:
+        return GraphBatch(x=x, neighbors=neighbors, segments=segments,
+                          prefix_neighbors=neighbors)
+    copy_segments = ad.Segments(np.repeat(segments.sizes, copies))
+    ids = copy_segments.ids  # the copy each row belongs to
+    copy_rows = np.arange(ids.size) + (segments.starts[ids // copies]
+                                       - copy_segments.starts[ids])
+    return GraphBatch(x=x, neighbors=neighbors.repeat(copy_rows),
+                      segments=copy_segments, prefix_neighbors=neighbors,
+                      copy_rows=copy_rows)
 
 
 # -- layer and readout primitives ------------------------------------
@@ -191,21 +220,32 @@ class GnnModel:
 
     def forward(self, batch: GraphBatch, training: bool = False,
                 rng: ad.DropoutRng | None = None) -> ad.Tensor:
-        """Positive-class logit of every graph in the batch, shape (B,),
-        on the tape.  Training-mode dropout draws each layer's mask
-        at once, from `rng` as :func:`autodiff.dropout` describes."""
+        """Positive-class logit of every graph copy in the batch, shape
+        (B * copies,), on the tape.  Training-mode dropout draws each
+        layer's mask at once, from `rng` as :func:`autodiff.dropout`
+        describes.
+
+        The copies of a graph differ only from layer 0's dropout on, so
+        the input projection and layer 0's graph layer run on each graph
+        once; their rows are then repeated for the copies.
+        """
         cfg = self.config
         h = ad.matmul(ad.Tensor(batch.x), self.params["w_in"])
+        neighbors = batch.prefix_neighbors
         readouts = []
         pool = sum_pool if cfg.readout == "sum" else attn_pool
         for layer in range(cfg.num_layers):
             if cfg.node_embedding == "gcn":
-                out = gcn_layer(h, batch.neighbors,
+                out = gcn_layer(h, neighbors,
                                 self.params[f"w_conv_{layer}"])
             else:
-                out = gat_layer(h, batch.neighbors,
+                out = gat_layer(h, neighbors,
                                 self.params[f"w_conv_{layer}"],
                                 self.params[f"w_attn_{layer}"])
+            if layer == 0 and batch.copy_rows is not None:
+                h = ad.repeat_rows(h, batch.copy_rows)
+                out = ad.repeat_rows(out, batch.copy_rows)
+                neighbors = batch.neighbors
             h = embedding_block(h, out, cfg.dropout_rate, training, rng)
             readouts.append(ad.sigmoid(pool(h, self.params[f"w_read_{layer}"],
                                             batch.segments)))

@@ -131,10 +131,13 @@ def predict_probabilities(model: GnnModel, graphs, mode: str,
     A graph runs as `copies` packed copies (`mc_samples` train-mode passes
     for MC dropout at a nonzero rate, else one deterministic pass) and
     scores the mean of its copies' probabilities, the sigmoid of the
-    model's logits.  A forward packs
-    max(1, batch_size // copies) graphs.  Graph i draws its dropout masks
-    from the stream (seed, i), so scores do not depend on chunking.
-    Each forward is one :func:`autodiff.checked_forward` pass.
+    model's logits.  A forward packs max(1, batch_size // copies) graphs,
+    each once, and repeats them for the copies at the first dropout (see
+    :meth:`GnnModel.forward`).  Graph i draws its dropout masks from the
+    stream (seed, i), so scores do not depend on chunking up to float
+    rounding: BLAS may round a product's rows differently at another row
+    count, which moves a score by a few ulp at most.  Each forward is one
+    :func:`autodiff.checked_forward` pass.
     """
     mc = mode == "mc_dropout" and model.config.dropout_rate > 0
     copies = mc_samples if mc else 1
@@ -142,7 +145,7 @@ def predict_probabilities(model: GnnModel, graphs, mode: str,
     probs = np.empty(len(graphs))
     for start in range(0, len(graphs), per_forward):
         chunk = graphs[start:start + per_forward]
-        packed = pack_graphs([g for g in chunk for _ in range(copies)])
+        packed = pack_graphs(chunk, copies)
 
         def chunk_forward():
             blocks = [(np.random.default_rng([seed, i]), copies * g.num_nodes)

@@ -259,6 +259,22 @@ def rate_zero_gaps(model, graphs, rng, copies=1):
             float(np.max(np.abs(trained - np.tile(det, copies)))))
 
 
+def prefix_sharing_gap(model, graphs, copies, seed=0):
+    """Largest gap between the train-mode logits of ``graphs`` packed with
+    ``copies``, whose layers before the first dropout run once per graph,
+    and of the pack that lists each graph ``copies`` times in a row; in
+    both, graph i draws its masks from the stream (seed, i).  0.0 when
+    they agree bitwise."""
+    def logits(batch):
+        blocks = [(np.random.default_rng([seed, i]), copies * g.num_nodes)
+                  for i, g in enumerate(graphs)]
+        return model.forward(batch, training=True, rng=blocks).data
+
+    shared = logits(pack_graphs(graphs, copies))
+    repeated = logits(pack_graphs([g for g in graphs for _ in range(copies)]))
+    return float(np.max(np.abs(shared - repeated)))
+
+
 # -- the selftest checks ---------------------------------------------
 
 
@@ -338,6 +354,20 @@ def check_mc_dropout_zero_rate():
     assert train_gap <= 1e-12, f"train-mode forward off by {train_gap:.2e}"
 
 
+def check_mc_prefix_sharing():
+    """MC copies that share the layers before the first dropout score
+    bitwise as explicitly repeated copies, for each layer and readout."""
+    rng = np.random.default_rng(8)
+    graphs = [random_graph(rng, n, 8) for n in (5, 1, 3)]
+    for embed in ("gcn", "gat"):
+        for readout in ("sum", "attn"):
+            config = ModelConfig(node_embedding=embed, readout=readout,
+                                 num_layers=2, hidden_dim=6, graph_dim=4,
+                                 input_dim=8, dropout_rate=0.3)
+            gap = prefix_sharing_gap(GnnModel(config, seed=4), graphs, 5)
+            assert gap == 0.0, f"{embed}/{readout} off by {gap:.2e}"
+
+
 def check_checkpoint_roundtrip():
     """Saved parameters reload bit-for-bit."""
     config = ModelConfig(num_layers=2, hidden_dim=5, graph_dim=4,
@@ -376,6 +406,7 @@ CHECKS = [
     ("attention size sensitivity", check_attention_size_sensitivity),
     ("attention readout oracle", check_attention_readout_oracle),
     ("mc dropout zero rate", check_mc_dropout_zero_rate),
+    ("mc prefix sharing", check_mc_prefix_sharing),
     ("checkpoint roundtrip", check_checkpoint_roundtrip),
     ("decay decoupling", check_decay_decoupling),
 ]

@@ -253,6 +253,15 @@ class TestGradientOracle:
 
         check_grads(build, [w1, b1, w2])
 
+    def test_repeat_rows_gradient(self):
+        rng = np.random.default_rng(13)
+        a = ad.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        t = ad.Tensor(rng.standard_normal((7, 4)))
+        rows = np.array([0, 1, 2, 0, 1, 2, 2])
+        out = ad.repeat_rows(a, rows)
+        np.testing.assert_array_equal(out.data, a.data[rows])
+        check_grads(lambda: ad.tensor_sum(ad.repeat_rows(a, rows) * t), [a])
+
     def test_dropout_gradient_with_fixed_mask(self):
         x = ad.Tensor(np.linspace(-1, 1, 12).reshape(3, 4), requires_grad=True)
 
@@ -295,6 +304,22 @@ class TestDropout:
         np.testing.assert_array_equal(out.data, np.vstack([top, bottom]))
         ad.backward(ad.tensor_sum(out))
         np.testing.assert_array_equal(x.grad, out.data)
+
+    @pytest.mark.parametrize("shape", [(9, 4), (9,)])
+    def test_blocks_give_the_float_mask_values(self, shape):
+        # the blocks' draws in order, masked as a 0/1 float64 array would
+        x = ad.Tensor(np.random.default_rng(3).standard_normal(shape),
+                      requires_grad=True)
+        sizes = (2, 0, 7)
+        out = ad.dropout(x, 0.3, True, [(np.random.default_rng(i), n)
+                                        for i, n in enumerate(sizes)])
+        draws = np.concatenate([np.random.default_rng(i).random((n,)
+                                                                + shape[1:])
+                                for i, n in enumerate(sizes)])
+        mask = (draws >= 0.3).astype(np.float64)
+        assert out.data.tobytes() == (x.data * mask * (1.0 / 0.7)).tobytes()
+        ad.backward(ad.tensor_sum(out))
+        assert x.grad.tobytes() == (mask * (1.0 / 0.7)).tobytes()
 
     @pytest.mark.parametrize("rows", [(2, 6), (2, 8)])
     def test_row_blocks_must_tile_the_rows(self, rows):

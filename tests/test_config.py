@@ -164,6 +164,13 @@ class TestValidation:
         config = resolve_config(dict(MINIMAL, evaluation={"k_grid": [1, 50]}))
         assert config.evaluation.k_grid == (1.0, 50.0)
 
+    def test_int_beyond_float_range_refused(self):
+        # an int widens to float only where float can hold it
+        for raw in (dict(MINIMAL, optimizer={"learning_rate": 10 ** 400}),
+                    dict(MINIMAL, evaluation={"k_grid": [1, -10 ** 309]})):
+            with pytest.raises(ConfigError, match="beyond float range"):
+                resolve_config(raw)
+
     def test_threshold_range(self):
         rejects(dict(MINIMAL, evaluation={"threshold": 1.0}),
                 "threshold must lie in (0, 1)")

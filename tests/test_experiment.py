@@ -617,6 +617,16 @@ class TestCli:
         assert captured.err == (f"config error: {section}.{key} must be "
                                 f"finite, got {value}\n")
 
+    def test_int_beyond_float_range_is_config_error(self, toy_raw_config,
+                                                    tmp_path, capsys):
+        raw = dict(toy_raw_config, optimizer={"learning_rate": 10 ** 400})
+        cfg = self.write_config(tmp_path, raw)
+        assert cli.main(["train", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("config error: optimizer.learning_rate must "
+                                "be finite, got an int beyond float range\n")
+
     UNREADABLE_CSVS = {
         "not-utf8": (b"smiles,label\nCCO,1\n\xff\xfeC,0\n",
                      "codec can't decode"),
@@ -665,7 +675,7 @@ class TestCli:
     def test_selftest_passes(self, capsys):
         assert cli.main(["selftest"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[-1] == "[SELFTEST] 9/9 checks passed"
+        assert lines[-1] == "[SELFTEST] 10/10 checks passed"
 
     def test_selftest_reports_failing_and_raising_checks(self, monkeypatch,
                                                          capsys):

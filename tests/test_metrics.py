@@ -256,6 +256,25 @@ class TestHistograms:
         h = fixed_histogram([2.0], 1.0, 20)
         assert h.counts[-1] == 1 and h.total == 1
 
+    def test_fixed_histogram_equals_numpy_histogram(self):
+        # every edge, the floats either side of it, out-of-range values
+        # and NaN, which np.histogram leaves out of every bin
+        rng = np.random.default_rng(11)
+        for case in range(300):
+            upper = (1.0, LN2, float(rng.uniform(0.01, 10.0)))[case % 3]
+            bins = int(rng.integers(1, 60))
+            edges = np.linspace(0.0, upper, bins + 1)
+            values = np.concatenate([
+                rng.uniform(-0.2 * upper, 1.2 * upper, rng.integers(0, 50)),
+                edges, np.nextafter(edges, -1.0), np.nextafter(edges, 99.0),
+                [np.nan] * (case % 2)])
+            counts, want_edges = np.histogram(np.clip(values, 0.0, upper),
+                                              bins=bins, range=(0.0, upper))
+            h = fixed_histogram(values, upper, bins)
+            assert h.edges.tobytes() == want_edges.tobytes()
+            assert h.counts.dtype == counts.dtype
+            np.testing.assert_array_equal(h.counts, counts)
+
     def test_entropy_histogram_range(self):
         recs = records([(p, 0, 0) for p in (0.0, 0.5, 1.0)])
         h = build_report(*recs, histogram_bins=20).entropy_hist

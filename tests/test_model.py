@@ -25,6 +25,7 @@ from molcalib.model import (
 from molcalib.runner import evaluate_model, predict_probabilities
 from molcalib.selftest import (
     numeric_gradient,
+    prefix_sharing_gap,
     random_graph,
     readout_oracle_gap,
     size_ratio_gap,
@@ -164,6 +165,10 @@ class TestModelForward:
             ModelConfig(num_layers=0)
 
 
+def one_atom(d0):
+    return MolecularGraph(node_features=np.ones((1, d0)), bonds=NO_BONDS)
+
+
 def mixed_graphs(d0):
     """Graphs of several sizes, among them a single atom and a bond-free
     graph, so segment boundaries and empty neighbour slots both occur."""
@@ -214,6 +219,28 @@ class TestBatching:
                 dense[block, block], dense_adjacency(g.bonds, g.num_nodes))
             offset += g.num_nodes
         assert dense[:n, :n].sum() == n + sum(2 * len(g.bonds) for g in graphs)
+
+    @pytest.mark.parametrize("copies", [2, 3, 30])
+    def test_pack_copies_matches_repeated_pack(self, copies):
+        # the copies' lists come from the once-packed ones by offsets; they
+        # must equal those of sorting the copies' own bonds
+        rng = np.random.default_rng(copies)
+        cases = [[random_graph(rng, int(n), 3, p=float(rng.uniform()))
+                  for n in rng.integers(1, 9, size=rng.integers(1, 6))]
+                 for _ in range(20)]
+        cases += [mixed_graphs(3), [one_atom(3)], [one_atom(3)] * 2]
+        for graphs in cases:
+            batch = pack_graphs(graphs, copies)
+            want = pack_graphs([g for g in graphs for _ in range(copies)])
+            np.testing.assert_array_equal(batch.neighbors.index,
+                                          want.neighbors.index)
+            np.testing.assert_array_equal(batch.neighbors.mirror,
+                                          want.neighbors.mirror)
+            np.testing.assert_array_equal(batch.segments.sizes,
+                                          want.segments.sizes)
+            rows = (batch.x if batch.copy_rows is None
+                    else batch.x[batch.copy_rows])
+            np.testing.assert_array_equal(rows, want.x)
 
     def test_pack_builds_float64_from_uint8_rows(self):
         graphs = [featurize(parse_smiles(s)) for s in
@@ -281,13 +308,14 @@ def mc_scores(model, graphs, samples, seed=9, batch_size=32):
                                  seed, batch_size)
 
 
-def record_packed_sizes(monkeypatch, model):
-    """List, per forward of `model`, the node counts of its packed graphs."""
+def record_packs(monkeypatch, model):
+    """List, per forward of `model`, the node counts of its packed graph
+    copies and the rows of its input features."""
     packed = []
     forward = model.forward
 
     def recording(batch, **kwargs):
-        packed.append(batch.segments.sizes.tolist())
+        packed.append((batch.segments.sizes.tolist(), batch.x.shape[0]))
         return forward(batch, **kwargs)
 
     monkeypatch.setattr(model, "forward", recording)
@@ -332,9 +360,11 @@ class TestMcDropout:
         model = GnnModel(cfg, seed=2)
         rng = np.random.default_rng(1)
         graphs = [random_graph(rng, n, cfg.input_dim) for n in (5, 2, 4)]
-        packed = record_packed_sizes(monkeypatch, model)
+        packed = record_packs(monkeypatch, model)
         mc_scores(model, graphs, samples=7)
-        assert packed == [[5] * 7 + [2] * 7 + [4] * 7]
+        # one forward of 7 copies of each molecule, whose input rows hold
+        # each molecule once
+        assert packed == [([5] * 7 + [2] * 7 + [4] * 7, 11)]
 
     @pytest.mark.parametrize("mode, samples, forwards", [
         ("mc_dropout", 4, 2),  # 8 molecules of 4 copies each per forward
@@ -347,10 +377,43 @@ class TestMcDropout:
         rng = np.random.default_rng(1)
         graphs = [random_graph(rng, int(n), SMALL["input_dim"])
                   for n in rng.integers(1, 6, size=10)]
-        packed = record_packed_sizes(monkeypatch, model)
+        packed = record_packs(monkeypatch, model)
         predict_probabilities(model, graphs, mode, samples, 0, 32)
+        copies = samples if mode == "mc_dropout" else 1
         assert len(packed) == forwards
-        assert max(len(sizes) for sizes in packed) <= max(32, samples)
+        # each molecule's copies are adjacent, and every molecule is in
+        # exactly one forward
+        molecules = [sizes[::copies] for sizes, _ in packed]
+        for sizes, (copy_sizes, _) in zip(molecules, packed):
+            assert np.repeat(sizes, copies).tolist() == copy_sizes
+        assert sum(molecules, []) == [g.num_nodes for g in graphs]
+        assert max(len(sizes) for sizes, _ in packed) <= max(32, samples)
+
+    @pytest.mark.parametrize("embed", ["gcn", "gat"])
+    @pytest.mark.parametrize("readout", ["sum", "attn"])
+    def test_prefix_sharing_is_bitwise(self, embed, readout):
+        model = GnnModel(ModelConfig(node_embedding=embed, readout=readout,
+                                     dropout_rate=0.2), seed=3)
+        rng = np.random.default_rng(4)
+        graphs = [random_graph(rng, int(n), 58, p=2.2 / n)
+                  for n in rng.integers(2, 40, size=4)]
+        for chunk, copies in ((graphs, 2), (graphs[:1], 30),
+                              ([one_atom(58)], 30), ([one_atom(58)] * 2, 3)):
+            assert prefix_sharing_gap(model, chunk, copies, seed=5) == 0.0
+
+    def test_scores_move_with_chunking_by_float_rounding_only(self):
+        # BLAS rounds a product's rows by the row count, so chunking moves
+        # scores, by a few ulp at most
+        model = GnnModel(ModelConfig(node_embedding="gat", dropout_rate=0.2),
+                         seed=3)
+        rng = np.random.default_rng(6)
+        graphs = [random_graph(rng, int(n), 58, p=2.2 / n)
+                  for n in rng.integers(1, 40, size=40)]
+        for mode in ("deterministic", "mc_dropout"):
+            runs = [predict_probabilities(model, graphs, mode, 30, 7, size)
+                    for size in (1, 32, 960)]
+            for run in runs[1:]:
+                np.testing.assert_allclose(run, runs[0], rtol=0, atol=1e-14)
 
 
 class TestThreshold:
@@ -433,20 +496,24 @@ class TestModelGradients:
     @pytest.mark.parametrize("embed", ["gcn", "gat"])
     @pytest.mark.parametrize("readout", ["sum", "attn"])
     def test_full_model_finite_differences(self, embed, readout):
+        # two copies run layer 0 once and repeat its rows, so the gradient
+        # also passes the row repeat's backward
         cfg = ModelConfig(node_embedding=embed, readout=readout, **SMALL)
         model = GnnModel(cfg, seed=13)
-        batch = pack_graphs([random_graph(np.random.default_rng(14), 6,
-                                          cfg.input_dim)])
+        graph = random_graph(np.random.default_rng(14), 6, cfg.input_dim)
+        for copies in (1, 2):
+            batch = pack_graphs([graph], copies)
 
-        def loss():
-            gap = ad.sigmoid(model.forward(batch)) + -0.3
-            return ad.tensor_sum(gap * gap)
+            def loss():
+                gap = ad.sigmoid(model.forward(batch)) + -0.3
+                return ad.tensor_sum(gap * gap)
 
-        ad.backward(loss())
-        for name, p in model.params.items():
-            fd = numeric_gradient(lambda: loss().item(), p.data)
-            np.testing.assert_allclose(
-                p.grad, fd, rtol=1e-4, atol=1e-8,
-                err_msg=f"{embed}/{readout} gradient mismatch for {name}",
-            )
-        model.zero_grad()
+            ad.backward(loss())
+            for name, p in model.params.items():
+                fd = numeric_gradient(lambda: loss().item(), p.data)
+                np.testing.assert_allclose(
+                    p.grad, fd, rtol=1e-4, atol=1e-8,
+                    err_msg=f"{embed}/{readout} x{copies} gradient mismatch "
+                            f"for {name}",
+                )
+            model.zero_grad()
