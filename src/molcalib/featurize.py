@@ -32,13 +32,13 @@ fall outside their bins; charge clips, elements fall back to "other".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from .errors import FeatureError
-from .smiles import Atom, Bond, Molecule, VOCABULARY
+from .smiles import Bond, Molecule, VOCABULARY
 
 
 @dataclass(frozen=True)
@@ -104,19 +104,14 @@ def featurize(mol: Molecule, schema: FeatureSchema = DEFAULT_SCHEMA,
 
     Each atom's one-hot positions are computed as plain ints and the uint8
     X is filled with one flat-index write; the first atom out of the
-    schema's bins raises.
+    schema's bins raises.  Ring membership and bond order sums are read
+    from the atoms, where the parser stored them.
     """
     n = mol.num_atoms
     width = schema.width
-    order_sums = [0.0] * n
     ends: list[int] = []
     for b in mol.bonds:
-        a1 = b.a1
-        a2 = b.a2
-        order_sums[a1] += b.order
-        order_sums[a2] += b.order
-        ends += (a1, a2)
-    ring = mol.ring_atoms()
+        ends += (b.a1, b.a2)
 
     columns = schema.element_columns
     other = len(schema.elements)
@@ -140,7 +135,7 @@ def featurize(mol: Molecule, schema: FeatureSchema = DEFAULT_SCHEMA,
         if h > max_hydrogens:
             raise FeatureError(f"hydrogen count {h} exceeds schema "
                                f"maximum {max_hydrogens}")
-        bucket = floor(order_sums[i] + h)
+        bucket = floor(atom.bond_order_sum + h)
         if bucket < 1:
             bucket = 1
         if bucket > num_buckets:
@@ -158,7 +153,7 @@ def featurize(mol: Molecule, schema: FeatureSchema = DEFAULT_SCHEMA,
                 base + bucket_off + bucket)
         if atom.aromatic:
             hot.append(base + aromatic_col)
-        if i in ring:
+        if atom.in_ring:
             hot.append(base + aromatic_col + 1)
     x = np.zeros((n, width), dtype=np.uint8)
     x.put(hot, 1)
@@ -174,26 +169,16 @@ def strip_to_largest_component(mol: Molecule) -> Molecule:
     Ties go to the fragment containing the lowest original atom index, which
     is the first one in component order.
     """
-    comps = mol.connected_components()
+    comps = mol.fragments
     if len(comps) <= 1:
         return mol
     best = max(comps, key=len)  # max() keeps the earliest on ties
     remap = {old: new for new, old in enumerate(best)}
-    atoms = []
-    for old in best:
-        src = mol.atoms[old]
-        atoms.append(Atom(
-            symbol=src.symbol, aromatic=src.aromatic,
-            formal_charge=src.formal_charge,
-            explicit_hydrogens=src.explicit_hydrogens,
-            isotope=src.isotope, index=remap[old], degree=src.degree,
-            implicit_hydrogens=src.implicit_hydrogens,
-            bracketed=src.bracketed,
-        ))
-    keep = set(best)
+    atoms = [replace(mol.atoms[old], index=new) for old, new in remap.items()]
     bonds = [Bond(a1=remap[b.a1], a2=remap[b.a2], order=b.order)
-             for b in mol.bonds if b.a1 in keep]
-    return Molecule(atoms=atoms, bonds=bonds, smiles=mol.smiles)
+             for b in mol.bonds if b.a1 in remap]
+    return Molecule(atoms=atoms, bonds=bonds, smiles=mol.smiles,
+                    fragments=[list(range(len(best)))])
 
 
 def permute_graph(graph: MolecularGraph, perm: np.ndarray) -> MolecularGraph:

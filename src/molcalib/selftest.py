@@ -20,7 +20,12 @@ import tempfile
 import numpy as np
 
 from . import autodiff as ad
-from .featurize import MolecularGraph, permute_graph
+from .errors import SmilesError
+from .featurize import (
+    MolecularGraph,
+    permute_graph,
+    strip_to_largest_component,
+)
 from .losses import LossConfig, erl_kl_residual, ls_kl_residual
 from .metrics import auroc, bin_predictions, ece, screening_curve
 from .model import (
@@ -33,6 +38,7 @@ from .model import (
 )
 from .optim import AdamW
 from .runner import predict_probabilities
+from .smiles import parse_smiles
 
 # -- random inputs ---------------------------------------------------
 
@@ -52,6 +58,32 @@ def random_graph(rng, n, width, p=0.6):
     """n nodes of standard-normal features, bonded by :func:`random_bonds`."""
     x = rng.standard_normal((n, width))
     return MolecularGraph(node_features=x, bonds=random_bonds(rng, n, p))
+
+
+# atoms, bracket atoms, ring labels, branches and dots; repeats weight
+# the draw
+SOUP_TOKENS = (
+    *("C", "C", "C", "C", "c", "N", "O", "S", "Cl", "[NH4+]", "[nH]",
+      "[Na+]") * 2,
+    "1", "2", "3", "%10", "%11", "(", "(", ")", ".", ".",
+)
+
+
+def token_soup(rng, count, max_tokens=16):
+    """``count`` strings of 1 to ``max_tokens`` tokens drawn from
+    :data:`SOUP_TOKENS`.  Each string then gets a ')' for every '(' left
+    open and a second copy of each ring label it holds an odd number of
+    times, so that about a third of them parse."""
+    soup = []
+    for _ in range(count):
+        size = int(rng.integers(1, max_tokens + 1))
+        tokens = [SOUP_TOKENS[t] for t in rng.integers(len(SOUP_TOKENS),
+                                                       size=size)]
+        tokens += [")"] * (tokens.count("(") - tokens.count(")"))
+        tokens += [t for t in dict.fromkeys(tokens)
+                   if t[-1].isdigit() and tokens.count(t) % 2]
+        soup.append("".join(tokens))
+    return soup
 
 
 # -- oracles ---------------------------------------------------------
@@ -128,6 +160,44 @@ def oracle_attention_readout(h, w_read, sizes):
         e = np.exp(scores - scores.max())
         pooled.append(sum(n * e[i] / e.sum() * hw[i] for i in range(n)))
     return np.array(pooled)
+
+
+def _reachable(bonds, start):
+    """Atoms joined to ``start`` by a path over ``bonds``: sweep the bond
+    list until no sweep adds an atom."""
+    seen = {start}
+    grew = True
+    while grew:
+        grew = False
+        for b in bonds:
+            if (b.a1 in seen) != (b.a2 in seen):
+                seen.update((b.a1, b.a2))
+                grew = True
+    return seen
+
+
+def bridge_free_atoms(mol):
+    """Atoms on a bond whose removal leaves its ends connected (a cycle),
+    tried bond by bond."""
+    ring = set()
+    for k, bond in enumerate(mol.bonds):
+        rest = mol.bonds[:k] + mol.bonds[k + 1:]
+        if bond.a2 in _reachable(rest, bond.a1):
+            ring.update((bond.a1, bond.a2))
+    return ring
+
+
+def component_oracle(mol):
+    """Fragments as sorted index lists, ordered by first atom index: each
+    atom not yet placed starts the next one, with every atom it reaches."""
+    comps = []
+    placed = set()
+    for k in range(mol.num_atoms):
+        if k not in placed:
+            comp = sorted(_reachable(mol.bonds, k))
+            placed.update(comp)
+            comps.append(comp)
+    return comps
 
 
 def oracle_screening(p_hat, y_true, k):
@@ -216,6 +286,27 @@ def metric_oracle_mismatches(p_hat, y_true, num_bins, k_grid):
             wrong.append("screening")
             break
     return wrong
+
+
+def ring_fragment_mismatches(smiles):
+    """Parse each of ``smiles``; return the (SMILES, molecule) pairs that
+    parsed and a description of each parsed molecule, or its largest
+    fragment, whose ring atoms or fragments differ from
+    :func:`bridge_free_atoms` and :func:`component_oracle`."""
+    parsed = []
+    wrong = []
+    for s in smiles:
+        try:
+            mol = parse_smiles(s)
+        except SmilesError:
+            continue
+        parsed.append((s, mol))
+        for m in (mol, strip_to_largest_component(mol)):
+            if m.ring_atoms() != bridge_free_atoms(m):
+                wrong.append(f"{s!r}: ring atoms {sorted(m.ring_atoms())}")
+            if m.connected_components() != component_oracle(m):
+                wrong.append(f"{s!r}: fragments {m.connected_components()}")
+    return parsed, wrong
 
 
 def permutation_gap(model, graph, rng, copies=1):
@@ -368,6 +459,18 @@ def check_mc_prefix_sharing():
             assert gap == 0.0, f"{embed}/{readout} off by {gap:.2e}"
 
 
+def check_ring_fragment_oracle():
+    """Ring atoms and fragments read from the parse equal the bond-removal
+    and reachability oracles, on a token soup and on fragments that
+    branches interleave or ring closures join."""
+    smiles = ["C(.CC)O", "C1.C1", "C12.C1C2", "C1.C2.C12", "CC1.CC1C2CC2",
+              "[NH4+](.Cl)[NH4+]", "c1ccccc1.[Na+]"]
+    smiles += token_soup(np.random.default_rng(9), 400)
+    parsed, wrong = ring_fragment_mismatches(smiles)
+    assert len(parsed) >= 50, f"only {len(parsed)} strings parsed"
+    assert not wrong, "; ".join(wrong[:3])
+
+
 def check_checkpoint_roundtrip():
     """Saved parameters reload bit-for-bit."""
     config = ModelConfig(num_layers=2, hidden_dim=5, graph_dim=4,
@@ -407,6 +510,7 @@ CHECKS = [
     ("attention readout oracle", check_attention_readout_oracle),
     ("mc dropout zero rate", check_mc_dropout_zero_rate),
     ("mc prefix sharing", check_mc_prefix_sharing),
+    ("ring and fragment oracle", check_ring_fragment_oracle),
     ("checkpoint roundtrip", check_checkpoint_roundtrip),
     ("decay decoupling", check_decay_decoupling),
 ]

@@ -9,7 +9,8 @@ The dialect covers what desk-scale property-prediction corpora actually use:
   and an atom-map class (discarded).  Bracket elements outside the vocabulary
   below raise :class:`UnsupportedFeatureError`;
 * bonds ``- = # :`` plus the stereo slashes ``/ \\`` which are read as single
-  bonds with the stereo annotation discarded;
+  bonds with the stereo annotation discarded; a bond symbol needs an atom
+  before it in its fragment;
 * branches, ring-closure digits (including ``%nn``) and dot-separated
   fragments, which stay in one :class:`Molecule`.
 
@@ -32,8 +33,8 @@ up one hydrogen) and that trade is deliberate.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .errors import SmilesError, SmilesSyntaxError, UnsupportedFeatureError
 
@@ -101,6 +102,8 @@ class Atom:
     degree: int = 0
     implicit_hydrogens: int = 0
     bracketed: bool = False
+    bond_order_sum: float = 0.0  # orders of its bonds, added in bond order
+    in_ring: bool = False  # on at least one cycle
 
 
 @dataclass
@@ -118,95 +121,29 @@ class Bond:
 
 @dataclass
 class Molecule:
-    """Parsed molecular graph.  Dot-separated fragments share one instance."""
+    """Parsed molecular graph.  Dot-separated fragments share one instance.
+
+    ``fragments`` holds each connected fragment as a sorted list of atom
+    indices, ordered by first atom index.  The parser fills it in, together
+    with each atom's ``in_ring`` flag.
+    """
 
     atoms: list[Atom] = field(default_factory=list)
     bonds: list[Bond] = field(default_factory=list)
     smiles: str = ""
+    fragments: list[list[int]] = field(default_factory=list)
 
     @property
     def num_atoms(self) -> int:
         return len(self.atoms)
 
-    @cached_property
-    def neighbor_lists(self) -> list[list[tuple[int, int]]]:
-        """Per atom, its (neighbour, bond index) pairs in bond order.
-
-        Built on first use and kept, so the atoms and bonds must not change
-        after that.
-        """
-        adj: list[list[tuple[int, int]]] = [[] for _ in self.atoms]
-        for ei, b in enumerate(self.bonds):
-            adj[b.a1].append((b.a2, ei))
-            adj[b.a2].append((b.a1, ei))
-        return adj
-
     def connected_components(self) -> list[list[int]]:
         """Fragments as sorted index lists, ordered by first atom index."""
-        adj = self.neighbor_lists
-        seen = [False] * len(self.atoms)
-        comps: list[list[int]] = []
-        for start in range(len(self.atoms)):
-            if seen[start]:
-                continue
-            seen[start] = True
-            comp = [start]
-            for v in comp:  # breadth first: comp grows as it is read
-                for w, _ in adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.append(w)
-            comp.sort()
-            comps.append(comp)
-        return comps
+        return [list(f) for f in self.fragments]
 
     def ring_atoms(self) -> set[int]:
-        """Indices of atoms lying on at least one cycle.
-
-        An edge is a bridge iff removing it disconnects its endpoints; ring
-        atoms are exactly the endpoints of non-bridge edges.  Tarjan's
-        bridge search runs as an iterative DFS whose stack frames each hold
-        one iterator over their vertex's neighbours, so long chains cannot
-        hit the recursion limit and no neighbour is visited twice.
-        """
-        n = len(self.atoms)
-        adj = self.neighbor_lists
-        disc = [-1] * n
-        low = [0] * n
-        timer = 0
-        bridges = set()
-        for root in range(n):
-            if disc[root] != -1:
-                continue
-            disc[root] = low[root] = timer
-            timer += 1
-            # frame: (vertex, index of the bond it was reached by, iterator)
-            stack = [(root, -1, iter(adj[root]))]
-            while stack:
-                v, parent_edge, neighbours = stack[-1]
-                for w, ei in neighbours:
-                    if disc[w] == -1:
-                        disc[w] = low[w] = timer
-                        timer += 1
-                        stack.append((w, ei, iter(adj[w])))
-                        break
-                    if ei != parent_edge and disc[w] < low[v]:
-                        low[v] = disc[w]
-                else:
-                    # v is finished; propagate its low to its parent
-                    stack.pop()
-                    if stack:
-                        u = stack[-1][0]
-                        if low[v] < low[u]:
-                            low[u] = low[v]
-                        if low[v] > disc[u]:
-                            bridges.add(parent_edge)
-        ring = set()
-        for ei, b in enumerate(self.bonds):
-            if ei not in bridges:
-                ring.add(b.a1)
-                ring.add(b.a2)
-        return ring
+        """Indices of atoms lying on at least one cycle."""
+        return {i for i, atom in enumerate(self.atoms) if atom.in_ring}
 
 
 class SmilesParser:
@@ -218,16 +155,25 @@ class SmilesParser:
     def parse(self) -> Molecule:
         """One pass over the characters, with the text, the index and the
         parser state in locals.  Bond order sums and degrees are summed as
-        each bond is added."""
+        each bond is added.
+
+        The chain and branch bonds form a spanning forest of the graph:
+        each atom's tree parent is the atom its bond came from.  Every
+        ring closure adds one bond outside that forest, so the ring atoms
+        are the tree paths between the ends of the closures.
+        """
         text = self._raw.strip()
         n = len(text)
         if not n:
             raise SmilesSyntaxError("empty SMILES", 1)
         atoms: list[Atom] = []
         bonds: list[Bond] = []
-        pairs: set[tuple[int, int]] = set()  # (low, high) atom index
+        ring_pairs: set[tuple[int, int]] = set()  # (low, high) atom index
         sums: list[float] = []
         degrees: list[int] = []
+        parent: list[int] = []  # tree parent per atom; -1 for a root
+        closures: list[tuple[int, int]] = []  # ends of each ring closure
+        dotted = False
         branches: list[tuple[int, int]] = []  # (prev atom, '(' position)
         rings: dict[int, tuple[int, str | None, int]] = {}
         prev = -1  # last atom of the current chain; -1 for none
@@ -286,10 +232,12 @@ class SmilesParser:
                                             str(label))
                 if other == prev:
                     raise SmilesSyntaxError("bond endpoints must be distinct", pos)
-                key = (other, prev) if other < prev else (prev, other)
-                if key in pairs:
+                key = lo, hi = (other, prev) if other < prev else (prev, other)
+                # a chain or branch bond joins an atom to its tree parent,
+                # which was read before it
+                if parent[hi] == lo or key in ring_pairs:
                     raise SmilesSyntaxError("duplicate bond between atom pair", pos)
-                pairs.add(key)
+                ring_pairs.add(key)
                 symbol = symbol or other_symbol
                 if symbol is not None:
                     order = _BOND_ORDERS[symbol]
@@ -298,6 +246,7 @@ class SmilesParser:
                 else:
                     order = 1.0
                 bonds.append(Bond(other, prev, order))
+                closures.append((other, prev))
                 sums[other] += order
                 sums[prev] += order
                 degrees[other] += 1
@@ -311,6 +260,7 @@ class SmilesParser:
                 if prev < 0:
                     raise SmilesSyntaxError("fragment dot before any atom", pos, ch)
                 prev = -1
+                dotted = True
                 continue
             elif ch.isspace():
                 raise SmilesSyntaxError("whitespace inside SMILES", pos, ch)
@@ -328,7 +278,11 @@ class SmilesParser:
             # an atom was read: append it and bond it to the chain
             k = atom.index = len(atoms)
             atoms.append(atom)
+            parent.append(prev)
             if prev < 0:
+                if pending is not None:
+                    raise SmilesSyntaxError("bond before any atom",
+                                            pending_pos, pending)
                 sums.append(0.0)
                 degrees.append(0)
             else:
@@ -340,7 +294,6 @@ class SmilesParser:
                 else:
                     order = 1.0
                 bonds.append(Bond(prev, k, order))
-                pairs.add((prev, k))
                 sums[prev] += order
                 degrees[prev] += 1
                 sums.append(order)
@@ -359,12 +312,73 @@ class SmilesParser:
         table = _IMPLICIT_HYDROGENS
         for atom, order_sum, degree in zip(atoms, sums, degrees):
             atom.degree = degree
+            atom.bond_order_sum = order_sum
             if not atom.bracketed:  # bracket atoms carry explicit counts only
                 h = table.get((atom.symbol, order_sum))
                 if h is None:
                     h = _implicit_hydrogens(atom.symbol, order_sum)
                 atom.implicit_hydrogens = h
-        return Molecule(atoms=atoms, bonds=bonds, smiles=self._raw)
+
+        fragments = [list(range(len(atoms)))]
+        rank: Sequence[int] = range(len(atoms))  # parents rank below children
+        if dotted:
+            fragments, closures, joined = _join_fragments(parent, closures)
+            if joined:  # re-rooting put some parents after their children
+                rank = [_depth(parent, k) for k in range(len(atoms))]
+        for a, b in closures:
+            # mark the tree path from a to b: move the end of higher rank
+            # to its parent until the two ends meet
+            atoms[a].in_ring = atoms[b].in_ring = True
+            while a != b:
+                if rank[a] < rank[b]:
+                    a, b = b, a
+                a = parent[a]
+                atoms[a].in_ring = True
+        return Molecule(atoms=atoms, bonds=bonds, smiles=self._raw,
+                        fragments=fragments)
+
+
+def _join_fragments(parent: list[int], closures: list[tuple[int, int]]
+                    ) -> tuple[list[list[int]], list[tuple[int, int]], bool]:
+    """Group the atoms of a parse forest into fragments, joining the trees
+    that a ring closure links across a '.'.
+
+    Such a closure is one more tree edge, not a ring bond: the later end's
+    tree is re-rooted at that end and hung from the earlier end
+    (``parent`` is updated in place).  Returns the fragments (sorted index
+    lists, by first atom), the closures inside one tree, and whether any
+    trees were joined.
+    """
+    root: list[int] = []
+    for k, p in enumerate(parent):
+        root.append(k if p < 0 else root[p])
+    inside: list[tuple[int, int]] = []
+    joined = False
+    for a, b in closures:
+        ra, rb = root[a], root[b]
+        if ra == rb:
+            inside.append((a, b))
+            continue
+        joined = True
+        up, k = a, b
+        while k >= 0:  # reverse the path from b to its root
+            nxt = parent[k]
+            parent[k] = up
+            up, k = k, nxt
+        root = [ra if r == rb else r for r in root]
+    groups: dict[int, list[int]] = {}
+    for k, r in enumerate(root):
+        groups.setdefault(r, []).append(k)
+    return list(groups.values()), inside, joined
+
+
+def _depth(parent: list[int], k: int) -> int:
+    """Number of tree edges from atom ``k`` up to its root."""
+    d = 0
+    while parent[k] >= 0:
+        k = parent[k]
+        d += 1
+    return d
 
 
 def _digits_end(text: str, i: int) -> int:

@@ -675,7 +675,7 @@ class TestCli:
     def test_selftest_passes(self, capsys):
         assert cli.main(["selftest"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[-1] == "[SELFTEST] 10/10 checks passed"
+        assert lines[-1] == "[SELFTEST] 11/11 checks passed"
 
     def test_selftest_reports_failing_and_raising_checks(self, monkeypatch,
                                                          capsys):

@@ -15,6 +15,7 @@ from molcalib.featurize import (
     permute_graph,
     strip_to_largest_component,
 )
+from molcalib.selftest import bridge_free_atoms, component_oracle
 from molcalib.smiles import parse_smiles
 
 from test_autodiff import dense_adjacency
@@ -110,24 +111,6 @@ class TestSchema:
             assert x.nbytes == x.shape[0] * DEFAULT_SCHEMA.width
 
 
-def bridge_free_atoms(mol):
-    """Atoms on a bond whose removal leaves its ends connected (a cycle)."""
-    def connected(skip, start, goal):
-        seen, stack = {start}, [start]
-        while stack:
-            v = stack.pop()
-            for k, b in enumerate(mol.bonds):
-                if k != skip and v in (b.a1, b.a2):
-                    w = b.a2 if v == b.a1 else b.a1
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-        return goal in seen
-
-    return {end for k, b in enumerate(mol.bonds)
-            if connected(k, b.a1, b.a2) for end in (b.a1, b.a2)}
-
-
 def oracle_graph(mol, schema=DEFAULT_SCHEMA):
     """uint8 node features and float64 adjacency built one atom at a time,
     block by block, straight from the layout table in the featurize module
@@ -201,6 +184,7 @@ class TestOracle:
         for s in ORACLE_SMILES:
             mol = parse_smiles(s)
             for m in (mol, strip_to_largest_component(mol)):
+                assert m.connected_components() == component_oracle(m), s
                 g = featurize(m, schema=schema)
                 x, a = oracle_graph(m, schema)
                 assert g.bonds.dtype == np.int32, s

@@ -1,8 +1,17 @@
 """Parser tests: topology, hydrogen counts, errors with positions."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from molcalib.errors import SmilesSyntaxError, UnsupportedFeatureError
+from molcalib.featurize import strip_to_largest_component
+from molcalib.selftest import (
+    bridge_free_atoms,
+    ring_fragment_mismatches,
+    token_soup,
+)
 from molcalib.smiles import parse_smiles
 
 
@@ -197,6 +206,59 @@ class TestRingsAndFragments:
         assert mol.ring_atoms() == set(range(6))
 
 
+# smiles -> (ring atoms, fragments, the largest fragment's atom symbols
+# and bonds): fragments that a branch interleaves, and ring closures
+# across a '.', which join two fragments.
+FOREST_CASES = {
+    "C(.CC)O": (set(), [[0, 3], [1, 2]], ["C", "O"], [(0, 1)]),
+    "C1.C1": (set(), [[0, 1]], ["C", "C"], [(0, 1)]),
+    "C12.C1C2": ({0, 1, 2}, [[0, 1, 2]], ["C"] * 3, [(0, 1), (1, 2), (0, 2)]),
+    "C1.C2.C12": (set(), [[0, 1, 2]], ["C"] * 3, [(0, 2), (1, 2)]),
+    "[NH4+](.Cl)[NH4+]": (set(), [[0, 2], [1]], ["N", "N"], [(0, 1)]),
+    "c1ccccc1.[Na+]": (set(range(6)), [list(range(6)), [6]], ["C"] * 6,
+                       [(k, k + 1) for k in range(5)] + [(0, 5)]),
+}
+
+
+class TestParseForest:
+    @pytest.mark.parametrize("smiles", FOREST_CASES)
+    def test_pinned_rings_fragments_and_stripping(self, smiles):
+        ring, fragments, symbols, bonds = FOREST_CASES[smiles]
+        mol = parse_smiles(smiles)
+        assert mol.ring_atoms() == ring
+        assert mol.connected_components() == fragments
+        kept = strip_to_largest_component(mol)
+        assert [a.symbol for a in kept.atoms] == symbols
+        assert [(b.a1, b.a2) for b in kept.bonds] == bonds
+        assert [a.index for a in kept.atoms] == list(range(len(symbols)))
+        assert kept.ring_atoms() == bridge_free_atoms(kept)
+        assert kept.connected_components() == [list(range(len(symbols)))]
+
+    def test_token_soup_matches_the_oracles(self):
+        soup = token_soup(np.random.default_rng(17), 20000)
+        parsed, wrong = ring_fragment_mismatches(soup)
+        assert wrong[:5] == []
+        assert len(parsed) > 5000
+        # the soup reaches what a parse forest can get wrong: fragments a
+        # branch interleaves, and closures that join fragments, some of
+        # them on a ring
+        interleaved = [m for _, m in parsed if any(
+            f[-1] - f[0] + 1 != len(f) for f in m.connected_components())]
+        joined = [m for s, m in parsed
+                  if len(m.connected_components()) <= s.count(".")]
+        assert len(interleaved) > 20
+        assert len(joined) > 200
+        assert sum(bool(m.ring_atoms()) for m in joined) > 50
+
+    def test_stripping_copies_every_atom_field(self):
+        mol = parse_smiles("[Na+].[13CH2]1CC1")
+        kept = strip_to_largest_component(mol)
+        for new, old in enumerate(range(1, 4)):
+            assert kept.atoms[new] == dataclasses.replace(mol.atoms[old],
+                                                          index=new)
+        assert all(a.in_ring for a in kept.atoms)
+
+
 class TestErrors:
     def test_unclosed_branch_position(self):
         with pytest.raises(SmilesSyntaxError) as exc:
@@ -308,6 +370,9 @@ RAISE_SITES = [
     ("C)=", SYNTAX, "unmatched ')'", 2, ")"),
     ("C(C=)O", SYNTAX, "dangling bond before ')'", 5, ")"),
     ("C=.C", SYNTAX, "bond before fragment dot", 3, "."),
+    ("=CC", SYNTAX, "bond before any atom", 1, "="),
+    ("#C", SYNTAX, "bond before any atom", 1, "#"),
+    ("C.=C", SYNTAX, "bond before any atom", 3, "="),
     (".C", SYNTAX, "fragment dot before any atom", 1, "."),
     ("*CC", UNSUPPORTED, "wildcard atom", 1, "*"),
     ("C>N", UNSUPPORTED, "reaction SMILES", 2, ">"),
