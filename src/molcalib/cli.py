@@ -23,6 +23,7 @@ from .errors import (
     SmilesError,
     reading,
 )
+from .runner import ABLATION_AXES
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -81,9 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_abl = sub.add_parser("ablate", help="sweep one comparison axis "
                                           "across all seeds")
     add_config_flags(p_abl)
-    p_abl.add_argument("--axis", required=True,
-                       choices=("architectures", "regularizers",
-                                "focal_grid"))
+    p_abl.add_argument("--axis", required=True, choices=ABLATION_AXES)
 
     p_screen = sub.add_parser("screen",
                               help="rank a compound library by predicted "
@@ -149,14 +148,9 @@ def _load_scoring_checkpoint(path: str, expected):
     model settings are `expected`, the config's model section."""
     from dataclasses import asdict
 
-    from .featurize import DEFAULT_SCHEMA
     from .model import load_checkpoint
 
     model = load_checkpoint(path)
-    if model.config.input_dim != DEFAULT_SCHEMA.width:
-        raise SchemaError(
-            f"checkpoint model.input_dim is {model.config.input_dim}, but "
-            f"the featurizer gives {DEFAULT_SCHEMA.width} node features")
     stored, wanted = asdict(model.config), asdict(expected)
     differing = [f"model.{key} is {stored[key]!r} in the checkpoint, "
                  f"{wanted[key]!r} in the config"

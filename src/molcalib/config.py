@@ -9,7 +9,8 @@ default, so every default is written once, on its field, and the
 dictionary that lands in a run manifest records all of them.  One
 coupling is applied during resolution rather than stored as a constant:
 when the loss section omits ``l2_coefficient``, the weight-decay
-coefficient is ``default_l2_coefficient(dropout_rate)``.
+coefficient is ``default_l2_coefficient(dropout_rate)``.  One check is
+applied there too: ``model.input_dim`` must be the featurizer's width.
 
 ``manifest_fingerprint`` hashes a manifest dictionary minus its
 ``timing`` section, which is what "identical runs" means here: same
@@ -27,9 +28,11 @@ from typing import get_args, get_origin, get_type_hints
 import yaml
 
 from .errors import ConfigError, IoError
+from .featurize import DEFAULT_SCHEMA
 from .losses import LossConfig
 from .metrics import DEFAULT_K_GRID
 from .model import ModelConfig
+from .optim import OptimizerSettings, ScheduleSettings
 
 CONFIG_VERSION = 1
 
@@ -58,35 +61,6 @@ class DatasetSpec:
         for field in ("name", "path", "smiles_column", "label_column"):
             if not getattr(self, field):
                 raise ConfigError(f"dataset.{field} must be non-empty")
-
-
-@dataclass(frozen=True)
-class OptimizerSettings:
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    def __post_init__(self):
-        if self.learning_rate <= 0.0:
-            raise ConfigError("learning_rate must be positive")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ConfigError("moment decay rates must lie in [0, 1)")
-        if self.eps <= 0.0:
-            raise ConfigError("eps must be positive")
-
-
-@dataclass(frozen=True)
-class ScheduleSettings:
-    decay_factor: float = 0.1
-    decay_epochs: tuple[int, ...] = (80, 160)
-
-    def __post_init__(self):
-        if not (0.0 < self.decay_factor <= 1.0):
-            raise ConfigError("decay_factor must lie in (0, 1]")
-        if any(b <= a for a, b in zip(self.decay_epochs,
-                                      self.decay_epochs[1:])):
-            raise ConfigError("decay_epochs must be strictly increasing")
 
 
 def check_seed(seed: int) -> int:
@@ -252,6 +226,10 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     dataset = _resolve(raw, "dataset", DatasetSpec)
     inference = _resolve(raw, "inference", InferenceSettings)
     model = _resolve(raw, "model", ModelConfig)
+    if model.input_dim != DEFAULT_SCHEMA.width:
+        raise ConfigError(
+            f"model.input_dim is {model.input_dim}, but the featurizer gives "
+            f"{DEFAULT_SCHEMA.width} node features")
     # decay coefficient tracks dropout unless set explicitly
     loss = _resolve(raw, "loss", LossConfig,
                     l2_coefficient=default_l2_coefficient(model.dropout_rate))

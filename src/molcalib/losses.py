@@ -41,11 +41,11 @@ def smooth_labels(y, alpha: float) -> np.ndarray:
 
 
 def l2_penalty(params: dict[str, ad.Tensor], coefficient: float,
-               exclude: frozenset[str] = frozenset({"b_clf"})) -> float:
+               exclude: frozenset[str]) -> float:
     """Reporting value: coefficient times the summed squared weight norms.
 
     Decay itself happens inside the optimizer; this mirrors what that decay
-    is implicitly penalizing, biases excluded.
+    is implicitly penalizing, the `exclude` names (biases) left out.
     """
     total = 0.0
     for name, p in params.items():

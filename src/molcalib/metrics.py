@@ -221,12 +221,16 @@ def fixed_histogram(values, upper: float, num_bins: int = 20) -> Histogram:
     return Histogram(edges=edges, counts=counts)
 
 
+def _outcome_hists(p, yp, yt, num_bins: int) -> dict[str, Histogram]:
+    return {name: fixed_histogram(p[mask], 1.0, num_bins)
+            for name, mask in _outcomes(yp, yt).items()}
+
+
 def outcome_histograms(p_hat, y_pred, y_true,
                        num_bins: int = 20) -> dict[str, Histogram]:
     """Output histograms split by confusion outcome (tp / fp / tn / fn)."""
-    p, yp, yt = _checked(p_hat, y_pred=y_pred, y_true=y_true)
-    return {name: fixed_histogram(p[mask], 1.0, num_bins)
-            for name, mask in _outcomes(yp, yt).items()}
+    return _outcome_hists(*_checked(p_hat, y_pred=y_pred, y_true=y_true),
+                          num_bins)
 
 
 # -- virtual screening -----------------------------------------------
@@ -340,8 +344,7 @@ def build_report(p_hat, y_pred, y_true, num_bins: int = 10,
         auroc_defined=roc_defined,
         entropy_hist=fixed_histogram(entropy(p), LN2, histogram_bins),
         output_hist=fixed_histogram(p, 1.0, histogram_bins),
-        outcome_hists={name: fixed_histogram(p[mask], 1.0, histogram_bins)
-                       for name, mask in _outcomes(yp, yt).items()},
+        outcome_hists=_outcome_hists(p, yp, yt, histogram_bins),
         screening=_screening(p, yt, k_grid),
         p_hat=p,
         y_pred=yp,

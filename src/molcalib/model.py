@@ -33,11 +33,14 @@ from .featurize import DEFAULT_SCHEMA, MolecularGraph
 
 CHECKPOINT_VERSION = 1
 
+NODE_EMBEDDINGS = ("gcn", "gat")
+READOUTS = ("sum", "attn")
+
 
 @dataclass(frozen=True)
 class ModelConfig:
-    node_embedding: str = "gcn"  # "gcn" | "gat"
-    readout: str = "attn"  # "sum" | "attn"
+    node_embedding: str = "gcn"
+    readout: str = "attn"
     num_layers: int = 4
     hidden_dim: int = 64
     graph_dim: int = 256
@@ -45,9 +48,9 @@ class ModelConfig:
     dropout_rate: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.node_embedding not in ("gcn", "gat"):
+        if self.node_embedding not in NODE_EMBEDDINGS:
             raise ConfigError(f"unknown node embedding {self.node_embedding!r}")
-        if self.readout not in ("sum", "attn"):
+        if self.readout not in READOUTS:
             raise ConfigError(f"unknown readout {self.readout!r}")
         if min(self.num_layers, self.hidden_dim, self.graph_dim,
                self.input_dim) < 1:

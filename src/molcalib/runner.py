@@ -36,8 +36,9 @@ from .errors import EmptyDatasetError, NumericalError
 from .featurize import MolecularGraph
 from .losses import LossConfig, l2_penalty
 from .metrics import ReliabilityReport, build_report
-from .model import GnnModel, pack_graphs, save_checkpoint
-from .optim import AdamW, StepDecaySchedule
+from .model import (NODE_EMBEDDINGS, READOUTS, GnnModel, pack_graphs,
+                    save_checkpoint)
+from .optim import AdamW
 
 MANIFEST_VERSION = 1
 
@@ -51,6 +52,13 @@ def _build_stamp() -> dict:
 
 
 # -- CSV emission ----------------------------------------------------
+
+
+def _write_manifest(manifest: dict, out_dir: str) -> None:
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "manifest.json"), "w",
+              encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2)
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
@@ -244,15 +252,9 @@ def train_run(config: ExperimentConfig, seed: int, graphs=None,
             f"{test_classes.pop()}; AUROC will be undefined")
 
     model = GnnModel(config.model, seed=seed)
-    optimizer = AdamW(model.parameters(),
-                      lr=config.optimizer.learning_rate,
-                      betas=(config.optimizer.beta1, config.optimizer.beta2),
-                      eps=config.optimizer.eps,
-                      weight_decay=config.loss.l2_coefficient,
-                      decay_exclude=model.DECAY_EXCLUDE)
-    schedule = StepDecaySchedule(config.optimizer.learning_rate,
-                                 config.schedule.decay_factor,
-                                 config.schedule.decay_epochs)
+    optimizer = AdamW(model.parameters(), config.optimizer,
+                      config.loss.l2_coefficient, model.DECAY_EXCLUDE)
+    initial_lr = config.optimizer.learning_rate
 
     manifest = {
         "format_version": MANIFEST_VERSION,
@@ -266,7 +268,7 @@ def train_run(config: ExperimentConfig, seed: int, graphs=None,
 
     epoch_losses = []
     for epoch in range(config.training.epochs):
-        lr = schedule.lr_at(epoch)
+        lr = config.schedule.lr_at(initial_lr, epoch)
         try:
             mean_loss = _epoch_pass(model, train_graphs, config.loss,
                                     optimizer, lr,
@@ -275,10 +277,7 @@ def train_run(config: ExperimentConfig, seed: int, graphs=None,
             manifest["failed_epoch"] = epoch
             manifest["epoch_losses"] = epoch_losses
             if out_dir:
-                os.makedirs(out_dir, exist_ok=True)
-                with open(os.path.join(out_dir, "manifest.json"), "w",
-                          encoding="utf-8") as fh:
-                    json.dump(manifest, fh, indent=2)
+                _write_manifest(manifest, out_dir)
             raise NumericalError(f"epoch {epoch}: {err}") from err
         epoch_losses.append(mean_loss)
         if log is not None and (epoch % 20 == 0
@@ -302,15 +301,12 @@ def train_run(config: ExperimentConfig, seed: int, graphs=None,
     }
 
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "manifest.json"), "w",
-                  encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2)
+        _write_manifest(manifest, out_dir)
         save_checkpoint(model, os.path.join(out_dir, "checkpoint.json"))
         emit_report_csvs(report, test_graphs, out_dir)
         _write_csv(os.path.join(out_dir, "reports", "epoch_loss.csv"),
                    ["epoch", "mean_loss", "learning_rate"],
-                   [[e, loss, schedule.lr_at(e)]
+                   [[e, loss, config.schedule.lr_at(initial_lr, e)]
                     for e, loss in enumerate(epoch_losses)])
 
     return RunResult(model=model, manifest=manifest, report=report,
@@ -373,8 +369,8 @@ def ablation_variants(config: ExperimentConfig,
     """Named config variants for one sweep axis."""
     if axis == "architectures":
         out = []
-        for emb in ("gcn", "gat"):
-            for readout in ("sum", "attn"):
+        for emb in NODE_EMBEDDINGS:
+            for readout in READOUTS:
                 model = replace(config.model, node_embedding=emb,
                                 readout=readout)
                 out.append((f"{emb}+{readout}",

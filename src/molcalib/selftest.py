@@ -36,7 +36,7 @@ from .model import (
     pack_graphs,
     save_checkpoint,
 )
-from .optim import AdamW
+from .optim import AdamW, OptimizerSettings
 from .runner import predict_probabilities
 from .smiles import parse_smiles
 
@@ -492,7 +492,8 @@ def check_decay_decoupling(start=(1.0, -2.0),
     moments = []
     for wd in (0.0, 0.3):
         w = ad.Tensor(np.array(start, dtype=np.float64), requires_grad=True)
-        opt = AdamW({"w": w}, lr=lr, weight_decay=wd)
+        opt = AdamW({"w": w}, OptimizerSettings(learning_rate=lr), wd,
+                    frozenset())
         for g in grads:
             w.grad = np.array(g, dtype=np.float64)
             opt.step()

@@ -12,7 +12,8 @@ The dialect covers what desk-scale property-prediction corpora actually use:
   bonds with the stereo annotation discarded; a bond symbol needs an atom
   before it in its fragment;
 * branches, ring-closure digits (including ``%nn``) and dot-separated
-  fragments, which stay in one :class:`Molecule`.
+  fragments, which stay in one :class:`Molecule`.  A branch holds at least
+  one atom and an atom follows each dot.
 
 Digits are ASCII ``0-9`` only, in ring labels, isotopes, hydrogen counts,
 charges and atom maps; any other digit character (``²``, ``٣``) is a
@@ -201,6 +202,10 @@ class SmilesParser:
                     raise SmilesSyntaxError("unmatched ')'", pos, ch)
                 if pending is not None:
                     raise SmilesSyntaxError("dangling bond before ')'", pos, ch)
+                if prev < 0:
+                    raise SmilesSyntaxError("fragment dot before ')'", pos, ch)
+                if prev == branches[-1][0]:
+                    raise SmilesSyntaxError("empty branch", pos, ch)
                 prev = branches.pop()[0]
                 continue
             elif ch in _BOND_ORDERS:
@@ -303,6 +308,8 @@ class SmilesParser:
 
         if pending is not None:
             raise SmilesSyntaxError("dangling bond at end", pending_pos)
+        if prev < 0:  # only a '.' leaves the chain without an atom
+            raise SmilesSyntaxError("fragment dot at end", n, ".")
         if branches:
             raise SmilesSyntaxError("unclosed branch", branches[0][1], "(")
         if rings:

@@ -627,6 +627,18 @@ class TestCli:
         assert captured.err == ("config error: optimizer.learning_rate must "
                                 "be finite, got an int beyond float range\n")
 
+    def test_foreign_input_width_is_config_error(self, toy_raw_config,
+                                                 tmp_path, capsys):
+        # the featurizer's rows would not fit the input projection
+        raw = dict(toy_raw_config,
+                   model=dict(toy_raw_config["model"], input_dim=10))
+        cfg = self.write_config(tmp_path, raw)
+        assert cli.main(["train", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("config error: model.input_dim is 10, but "
+                                "the featurizer gives 58 node features\n")
+
     UNREADABLE_CSVS = {
         "not-utf8": (b"smiles,label\nCCO,1\n\xff\xfeC,0\n",
                      "codec can't decode"),

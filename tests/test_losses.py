@@ -19,6 +19,7 @@ from molcalib.losses import (
     ls_kl_residual,
     smooth_labels,
 )
+from molcalib.model import GnnModel
 from molcalib.selftest import logits_of, numeric_gradient
 
 BCE = LossConfig()
@@ -224,7 +225,8 @@ class TestL2Penalty:
             "w": ad.Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True),
             "b_clf": ad.Tensor(10.0, requires_grad=True),
         }
-        assert l2_penalty(params, 0.5) == pytest.approx(0.5 * 30.0)
+        assert l2_penalty(params, 0.5, GnnModel.DECAY_EXCLUDE) == \
+            pytest.approx(0.5 * 30.0)
         assert l2_penalty(params, 0.5, exclude=frozenset()) == pytest.approx(
             0.5 * 130.0)
 

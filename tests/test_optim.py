@@ -4,15 +4,22 @@ import numpy as np
 import pytest
 
 from molcalib import autodiff as ad
-from molcalib.optim import AdamW, StepDecaySchedule
+from molcalib.errors import ConfigError
+from molcalib.model import GnnModel
+from molcalib.optim import AdamW, OptimizerSettings, ScheduleSettings
 from molcalib.selftest import check_decay_decoupling
+
+
+def adamw(params, lr, weight_decay=0.0):
+    return AdamW(params, OptimizerSettings(learning_rate=lr), weight_decay,
+                 GnnModel.DECAY_EXCLUDE)
 
 
 class TestAdamW:
     def test_first_step_hand_value(self):
         p = ad.Tensor([1.0], requires_grad=True)
         p.grad = np.array([1.0])
-        opt = AdamW({"w": p}, lr=1e-3)
+        opt = adamw({"w": p}, lr=1e-3)
         opt.step()
         # bias correction makes the first update lr * g/(|g| + eps)
         expect = 1.0 - 1e-3 * (1.0 / (1.0 + 1e-8))
@@ -21,7 +28,7 @@ class TestAdamW:
     def test_decay_excludes_bias(self):
         w = ad.Tensor([2.0], requires_grad=True)
         b = ad.Tensor([2.0], requires_grad=True)
-        opt = AdamW({"w": w, "b_clf": b}, lr=0.1, weight_decay=0.5)
+        opt = adamw({"w": w, "b_clf": b}, lr=0.1, weight_decay=0.5)
         opt.step()  # no grads: pure decay
         assert w.data[0] < 2.0
         assert b.data[0] == 2.0
@@ -34,7 +41,7 @@ class TestAdamW:
     def test_quadratic_convergence(self):
         target = np.array([3.0, -1.0, 0.25])
         p = ad.Tensor(np.zeros(3), requires_grad=True)
-        opt = AdamW({"w": p}, lr=0.05)
+        opt = adamw({"w": p}, lr=0.05)
         for _ in range(400):
             opt.zero_grad()
             gap = p + ad.Tensor(-target)
@@ -46,35 +53,34 @@ class TestAdamW:
     def test_lr_override_per_step(self):
         p = ad.Tensor([1.0], requires_grad=True)
         p.grad = np.array([1.0])
-        opt = AdamW({"w": p}, lr=1e-3)
+        opt = adamw({"w": p}, lr=1e-3)
         opt.step(lr=0.0)
         assert p.data[0] == 1.0  # zero lr moves nothing, state still advances
         assert opt.t == 1
 
     def test_validation(self):
-        p = ad.Tensor([1.0], requires_grad=True)
-        with pytest.raises(ValueError):
-            AdamW({"w": p}, lr=0.0)
-        with pytest.raises(ValueError):
-            AdamW({"w": p}, betas=(1.0, 0.999))
+        with pytest.raises(ConfigError):
+            OptimizerSettings(learning_rate=0.0)
+        with pytest.raises(ConfigError):
+            OptimizerSettings(beta1=1.0)
 
 
 class TestSchedule:
     def test_default_decay_points(self):
-        sch = StepDecaySchedule()
-        assert sch.lr_at(0) == pytest.approx(1e-3)
-        assert sch.lr_at(79) == pytest.approx(1e-3)
-        assert sch.lr_at(80) == pytest.approx(1e-4)
-        assert sch.lr_at(100) == pytest.approx(1e-4)
-        assert sch.lr_at(160) == pytest.approx(1e-5)
-        assert sch.lr_at(170) == pytest.approx(1e-5)
+        sch = ScheduleSettings()
+        assert sch.lr_at(1e-3, 0) == pytest.approx(1e-3)
+        assert sch.lr_at(1e-3, 79) == pytest.approx(1e-3)
+        assert sch.lr_at(1e-3, 80) == pytest.approx(1e-4)
+        assert sch.lr_at(1e-3, 100) == pytest.approx(1e-4)
+        assert sch.lr_at(1e-3, 160) == pytest.approx(1e-5)
+        assert sch.lr_at(1e-3, 170) == pytest.approx(1e-5)
 
     def test_short_run_variant(self):
-        sch = StepDecaySchedule(decay_epochs=(40, 80))
-        assert sch.lr_at(39) == pytest.approx(1e-3)
-        assert sch.lr_at(40) == pytest.approx(1e-4)
-        assert sch.lr_at(99) == pytest.approx(1e-5)
+        sch = ScheduleSettings(decay_epochs=(40, 80))
+        assert sch.lr_at(1e-3, 39) == pytest.approx(1e-3)
+        assert sch.lr_at(1e-3, 40) == pytest.approx(1e-4)
+        assert sch.lr_at(1e-3, 99) == pytest.approx(1e-5)
 
     def test_no_decay_epochs(self):
-        sch = StepDecaySchedule(decay_epochs=())
-        assert sch.lr_at(500) == pytest.approx(1e-3)
+        sch = ScheduleSettings(decay_epochs=())
+        assert sch.lr_at(1e-3, 500) == pytest.approx(1e-3)

@@ -374,6 +374,11 @@ RAISE_SITES = [
     ("#C", SYNTAX, "bond before any atom", 1, "#"),
     ("C.=C", SYNTAX, "bond before any atom", 3, "="),
     (".C", SYNTAX, "fragment dot before any atom", 1, "."),
+    ("C(C.)C", SYNTAX, "fragment dot before ')'", 5, ")"),
+    ("C(.)C", SYNTAX, "fragment dot before ')'", 4, ")"),
+    ("C.", SYNTAX, "fragment dot at end", 2, "."),
+    ("C()C", SYNTAX, "empty branch", 3, ")"),
+    ("C((C))", SYNTAX, "empty branch", 6, ")"),
     ("*CC", UNSUPPORTED, "wildcard atom", 1, "*"),
     ("C>N", UNSUPPORTED, "reaction SMILES", 2, ">"),
     ("C&C", SYNTAX, "unexpected character", 2, "&"),
