@@ -28,7 +28,7 @@ from typing import get_args, get_origin, get_type_hints
 import yaml
 
 from .errors import ConfigError, IoError
-from .featurize import DEFAULT_SCHEMA
+from .featurize import NUM_FEATURES
 from .losses import LossConfig
 from .metrics import DEFAULT_K_GRID
 from .model import ModelConfig
@@ -226,10 +226,10 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     dataset = _resolve(raw, "dataset", DatasetSpec)
     inference = _resolve(raw, "inference", InferenceSettings)
     model = _resolve(raw, "model", ModelConfig)
-    if model.input_dim != DEFAULT_SCHEMA.width:
+    if model.input_dim != NUM_FEATURES:
         raise ConfigError(
             f"model.input_dim is {model.input_dim}, but the featurizer gives "
-            f"{DEFAULT_SCHEMA.width} node features")
+            f"{NUM_FEATURES} node features")
     # decay coefficient tracks dropout unless set explicitly
     loss = _resolve(raw, "loss", LossConfig,
                     l2_coefficient=default_l2_coefficient(model.dropout_rate))

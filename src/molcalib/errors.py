@@ -40,7 +40,7 @@ class UnsupportedFeatureError(SmilesError):
 
 
 class FeatureError(MolcalibError):
-    """Atom attribute falls outside the feature schema's bins."""
+    """Atom degree or hydrogen count falls outside the featurizer's bins."""
 
 
 class ShapeError(MolcalibError):

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -41,48 +40,34 @@ from .errors import FeatureError
 from .smiles import Bond, Molecule, VOCABULARY
 
 
-@dataclass(frozen=True)
-class FeatureSchema:
-    """Column layout of the node feature matrix."""
-
-    elements: tuple[str, ...] = VOCABULARY
-    max_degree: int = 6
-    max_hydrogens: int = 4
-    max_abs_charge: int = 2
-    num_buckets: int = 6
-    padding: int = 9
-
-    @property
-    def width(self) -> int:
-        return (
-            len(self.elements) + 1
-            + self.max_degree + 1
-            + self.max_hydrogens + 1
-            + 2 * self.max_abs_charge + 1
-            + 2
-            + self.num_buckets
-            + self.padding
-        )
-
-    @cached_property
-    def element_columns(self) -> dict[str, int]:
-        """Element symbol -> one-hot column; symbols not listed go to
-        column ``len(elements)``, the "other" guard."""
-        return {s: self.elements.index(s) for s in self.elements}
-
-
-DEFAULT_SCHEMA = FeatureSchema()
+#: One-hot column of each vocabulary element; symbols outside the vocabulary
+#: (only a hand-built ``Molecule`` can carry one) go to ``OTHER_COLUMN``.
+ELEMENT_COLUMNS = {symbol: i for i, symbol in enumerate(VOCABULARY)}
+OTHER_COLUMN = len(VOCABULARY)
+MAX_DEGREE = 6
+MAX_HYDROGENS = 4
+MAX_ABS_CHARGE = 2
+NUM_BUCKETS = 6
+#: First column of each block in the layout table above.
+DEGREE_OFFSET = OTHER_COLUMN + 1
+HYDROGEN_OFFSET = DEGREE_OFFSET + MAX_DEGREE + 1
+CHARGE_OFFSET = HYDROGEN_OFFSET + MAX_HYDROGENS + 1
+AROMATIC_COLUMN = CHARGE_OFFSET + 2 * MAX_ABS_CHARGE + 1
+RING_COLUMN = AROMATIC_COLUMN + 1
+BUCKET_OFFSET = RING_COLUMN + 1
+#: Node feature width; the columns after the bucket block are zero padding.
+NUM_FEATURES = 58
 
 
 @dataclass
 class MolecularGraph:
     """Featurized molecule: node features, bond list, metadata.
 
-    ``node_features`` is an (N, width) array; ``featurize`` stores it as
-    uint8 one-hot rows, and :func:`molcalib.model.pack_graphs` converts a
-    batch of them to float64 in one pass.  ``bonds`` is an (E, 2) int32
-    array with one row per bond, the atom indices of its two ends, in
-    parse order.  It holds no self-loops and no bond twice.
+    ``node_features`` is an (N, NUM_FEATURES) array; ``featurize`` stores
+    it as uint8 one-hot rows, and :func:`molcalib.model.pack_graphs`
+    converts a batch of them to float64 in one pass.  ``bonds`` is an
+    (E, 2) int32 array with one row per bond, the atom indices of its two
+    ends, in parse order.  It holds no self-loops and no bond twice.
     """
 
     node_features: np.ndarray
@@ -96,34 +81,34 @@ class MolecularGraph:
         return self.node_features.shape[0]
 
 
-def featurize(mol: Molecule, schema: FeatureSchema = DEFAULT_SCHEMA,
-              label: int | None = None,
+def featurize(mol: Molecule, label: int | None = None,
               source_id: str | None = None) -> MolecularGraph:
     """Build node features X and the bond list for one molecule in one
     pass over its atoms.
 
     Each atom's one-hot positions are computed as plain ints and the uint8
     X is filled with one flat-index write; the first atom out of the
-    schema's bins raises.  Ring membership and bond order sums are read
-    from the atoms, where the parser stored them.
+    degree or hydrogen bins raises.  Ring membership and bond order sums
+    are read from the atoms, where the parser stored them.
     """
     n = mol.num_atoms
-    width = schema.width
+    width = NUM_FEATURES
     ends: list[int] = []
     for b in mol.bonds:
         ends += (b.a1, b.a2)
 
-    columns = schema.element_columns
-    other = len(schema.elements)
-    deg_off = other + 1
-    max_degree = schema.max_degree
-    h_off = deg_off + max_degree + 1
-    max_hydrogens = schema.max_hydrogens
-    c = schema.max_abs_charge
-    charge_off = h_off + max_hydrogens + 1 + c  # charge 0
-    aromatic_col = charge_off + c + 1
-    bucket_off = aromatic_col + 1  # bucket b (1-based) lands at off + b
-    num_buckets = schema.num_buckets
+    columns = ELEMENT_COLUMNS
+    other = OTHER_COLUMN
+    deg_off = DEGREE_OFFSET
+    max_degree = MAX_DEGREE
+    h_off = HYDROGEN_OFFSET
+    max_hydrogens = MAX_HYDROGENS
+    c = MAX_ABS_CHARGE
+    charge_off = CHARGE_OFFSET + c  # charge 0
+    aromatic_col = AROMATIC_COLUMN
+    ring_col = RING_COLUMN
+    bucket_off = BUCKET_OFFSET - 1  # bucket b (1-based) lands at off + b
+    num_buckets = NUM_BUCKETS
     floor = math.floor
     hot: list[int] = []
     for i, atom in enumerate(mol.atoms):
@@ -154,7 +139,7 @@ def featurize(mol: Molecule, schema: FeatureSchema = DEFAULT_SCHEMA,
         if atom.aromatic:
             hot.append(base + aromatic_col)
         if atom.in_ring:
-            hot.append(base + aromatic_col + 1)
+            hot.append(base + ring_col)
     x = np.zeros((n, width), dtype=np.uint8)
     x.put(hot, 1)
 

@@ -33,6 +33,9 @@ LN2 = math.log(2.0)
 
 DEFAULT_K_GRID: tuple[float, ...] = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
 
+#: Bins of the entropy, output and outcome histograms in every report.
+HISTOGRAM_BINS = 20
+
 
 def _checked(p_hat, **labels) -> list[np.ndarray]:
     """The metric inputs as numpy arrays of one shape: ``p_hat`` as
@@ -206,7 +209,7 @@ class Histogram:
         return int(self.counts.sum())
 
 
-def fixed_histogram(values, upper: float, num_bins: int = 20) -> Histogram:
+def fixed_histogram(values, upper: float, num_bins: int) -> Histogram:
     """Equal-width histogram over [0, upper], upper > 0; values at upper
     land in the last bin, values outside the range in the end bins, and
     NaN in none: the counts and edges of ``np.histogram`` of the clipped
@@ -227,7 +230,7 @@ def _outcome_hists(p, yp, yt, num_bins: int) -> dict[str, Histogram]:
 
 
 def outcome_histograms(p_hat, y_pred, y_true,
-                       num_bins: int = 20) -> dict[str, Histogram]:
+                       num_bins: int) -> dict[str, Histogram]:
     """Output histograms split by confusion outcome (tp / fp / tn / fn)."""
     return _outcome_hists(*_checked(p_hat, y_pred=y_pred, y_true=y_true),
                           num_bins)
@@ -317,8 +320,7 @@ def _rows(**columns) -> list[dict]:
 
 
 def build_report(p_hat, y_pred, y_true, num_bins: int = 10,
-                 k_grid=DEFAULT_K_GRID,
-                 histogram_bins: int = 20) -> ReliabilityReport:
+                 k_grid=DEFAULT_K_GRID) -> ReliabilityReport:
     """Assemble every evaluation artifact from one set of arrays, checked
     once.
 
@@ -342,9 +344,9 @@ def build_report(p_hat, y_pred, y_true, num_bins: int = 10,
         metrics=_confusion(yp, yt),
         auroc=roc,
         auroc_defined=roc_defined,
-        entropy_hist=fixed_histogram(entropy(p), LN2, histogram_bins),
-        output_hist=fixed_histogram(p, 1.0, histogram_bins),
-        outcome_hists=_outcome_hists(p, yp, yt, histogram_bins),
+        entropy_hist=fixed_histogram(entropy(p), LN2, HISTOGRAM_BINS),
+        output_hist=fixed_histogram(p, 1.0, HISTOGRAM_BINS),
+        outcome_hists=_outcome_hists(p, yp, yt, HISTOGRAM_BINS),
         screening=_screening(p, yt, k_grid),
         p_hat=p,
         y_pred=yp,

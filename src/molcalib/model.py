@@ -29,7 +29,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, SchemaError, ShapeError, reading
-from .featurize import DEFAULT_SCHEMA, MolecularGraph
+from .featurize import NUM_FEATURES, MolecularGraph
 
 CHECKPOINT_VERSION = 1
 
@@ -44,7 +44,7 @@ class ModelConfig:
     num_layers: int = 4
     hidden_dim: int = 64
     graph_dim: int = 256
-    input_dim: int = DEFAULT_SCHEMA.width
+    input_dim: int = NUM_FEATURES
     dropout_rate: float = 0.0
 
     def __post_init__(self) -> None:
@@ -213,9 +213,6 @@ class GnnModel:
 
     # bias stays out of weight decay
     DECAY_EXCLUDE = frozenset({"b_clf"})
-
-    def parameters(self) -> dict[str, ad.Tensor]:
-        return self.params
 
     def zero_grad(self) -> None:
         for p in self.params.values():

@@ -65,10 +65,6 @@ class AdamW:
         self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
 
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.zero_grad()
-
     def step(self, lr: float | None = None) -> None:
         """One update at `lr`, else at the settings' learning rate; pass
         `lr` to follow a schedule without mutating state."""

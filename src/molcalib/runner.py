@@ -212,7 +212,7 @@ def _epoch_pass(model, train_graphs, loss_cfg: LossConfig, optimizer,
     epoch_sum = 0.0
     for start in range(0, len(order), batch_size):
         batch = [train_graphs[i] for i in order[start:start + batch_size]]
-        optimizer.zero_grad()
+        model.zero_grad()
         packed = pack_graphs(batch)
         targets = np.array([g.label for g in batch], dtype=np.float64)
         rng_state = dropout_rng.bit_generator.state
@@ -252,7 +252,7 @@ def train_run(config: ExperimentConfig, seed: int, graphs=None,
             f"{test_classes.pop()}; AUROC will be undefined")
 
     model = GnnModel(config.model, seed=seed)
-    optimizer = AdamW(model.parameters(), config.optimizer,
+    optimizer = AdamW(model.params, config.optimizer,
                       config.loss.l2_coefficient, model.DECAY_EXCLUDE)
     initial_lr = config.optimizer.learning_rate
 
@@ -289,7 +289,7 @@ def train_run(config: ExperimentConfig, seed: int, graphs=None,
     t_done = time.perf_counter()
 
     manifest["epoch_losses"] = epoch_losses
-    manifest["l2_penalty_final"] = l2_penalty(model.parameters(),
+    manifest["l2_penalty_final"] = l2_penalty(model.params,
                                               config.loss.l2_coefficient,
                                               model.DECAY_EXCLUDE)
     manifest["evaluation"] = report.to_dict()

@@ -58,7 +58,7 @@ BRACKET_ONLY: frozenset[str] = frozenset(
     {"Si", "Se", "As", "H", "Na", "K", "Li", "Ca", "Zn", "Fe", "Mg", "Al", "Sn"}
 )
 
-#: The full accepted element vocabulary, fixed order (feature schemas index it).
+#: The full accepted element vocabulary, in the featurizer's column order.
 VOCABULARY: tuple[str, ...] = (
     "B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I",
     "Si", "Se", "As", "H", "Na", "K", "Li", "Ca", "Zn", "Fe", "Mg", "Al", "Sn",

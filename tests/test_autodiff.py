@@ -80,6 +80,7 @@ class TestErrors:
         with pytest.raises(ShapeError):
             ad.Tensor(np.ones((2, 3))) + ad.Tensor(np.ones((3, 2)))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflow_caught(self):
         big = ad.Tensor(np.full((2, 2), 1e308))
         with pytest.raises(NumericalError):
@@ -464,6 +465,7 @@ class TestCheckedForward:
             ad.Neighbors(np.zeros((0, 2), dtype=np.intp), 2), 0.5),
     }
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("name", sorted(ABSORBING))
     def test_absorbed_overflow_raises_at_its_op(self, name, monkeypatch):
         build = self.ABSORBING[name]
@@ -508,6 +510,7 @@ class TestCheckedForward:
         out = ad.checked_forward(lambda: ad.relu(x) + 1.0)
         np.testing.assert_array_equal(out.data, [1.0, 3.0])
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_checks_are_back_on_after_the_pass(self):
         ad.checked_forward(lambda: ad.Tensor([1.0]) + 1.0)
         with pytest.raises(NumericalError):

@@ -198,6 +198,7 @@ class TestDeferredChecks:
         man = json.loads((tmp_path / "manifest.json").read_text())
         assert man["failed_epoch"] == 0
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_divergence_fails_where_per_op_checks_fail(self, toy_raw_config,
                                                        tmp_path, monkeypatch):
         raw = dict(toy_raw_config, optimizer={"learning_rate": 1e200})

@@ -1,4 +1,4 @@
-"""Featurizer tests: schema layout, a per-atom oracle, bond lists, errors,
+"""Featurizer tests: column layout, a per-atom oracle, bond lists, errors,
 stripping, permutation."""
 
 import math
@@ -8,15 +8,14 @@ import pytest
 
 from molcalib.errors import FeatureError
 from molcalib.featurize import (
-    DEFAULT_SCHEMA,
-    FeatureSchema,
+    NUM_FEATURES,
     MolecularGraph,
     featurize,
     permute_graph,
     strip_to_largest_component,
 )
 from molcalib.selftest import bridge_free_atoms, component_oracle
-from molcalib.smiles import parse_smiles
+from molcalib.smiles import VOCABULARY, Atom, Molecule, parse_smiles
 
 from test_autodiff import dense_adjacency
 
@@ -31,14 +30,14 @@ def self_looped(graph):
 
 class TestSchema:
     def test_width_is_58(self):
-        assert DEFAULT_SCHEMA.width == 58
+        assert NUM_FEATURES == 58
 
     def test_methane_single_node(self):
         g = feat("C")
         assert g.node_features.shape == (1, 58)
         assert g.bonds.shape == (0, 2) and g.bonds.dtype == np.int32
         x = g.node_features[0]
-        assert x[DEFAULT_SCHEMA.elements.index("C")] == 1.0
+        assert x[VOCABULARY.index("C")] == 1.0
         # degree block starts after 24 element slots; degree 0
         assert x[24] == 1.0
 
@@ -47,7 +46,7 @@ class TestSchema:
             "C", "CCO", "c1ccccc1", "CC(=O)O", "[NH4+]", "[O-]S(=O)(=O)[O-]",
             "C1CC1CC", "c1cc[nH]c1", "Cn1cnc2c1c(=O)n(C)c(=O)n2C", "[2H]O",
         ]
-        n_el = len(DEFAULT_SCHEMA.elements) + 1
+        n_el = len(VOCABULARY) + 1
         groups = [(0, n_el), (n_el, n_el + 7), (n_el + 7, n_el + 12),
                   (n_el + 12, n_el + 17), (n_el + 19, n_el + 25)]
         for s in smiles:
@@ -57,11 +56,10 @@ class TestSchema:
 
     def test_padding_is_zero(self):
         x = feat("Cn1cnc2c1c(=O)n(C)c(=O)n2C").node_features
-        assert np.all(x[:, -DEFAULT_SCHEMA.padding:] == 0.0)
+        assert np.all(x[:, -9:] == 0.0)
 
     def test_charge_slots_and_clipping(self):
-        sch = DEFAULT_SCHEMA
-        base = len(sch.elements) + 1 + 7 + 5
+        base = len(VOCABULARY) + 1 + 7 + 5
         x = feat("[NH4+]").node_features[0]
         assert x[base + 3] == 1.0  # +1 slot
         x = feat("[O-]").node_features[0]
@@ -70,8 +68,7 @@ class TestSchema:
         assert x[base + 4] == 1.0  # clipped to +2
 
     def test_aromatic_and_ring_flags(self):
-        sch = DEFAULT_SCHEMA
-        flag = len(sch.elements) + 1 + 7 + 5 + 5
+        flag = len(VOCABULARY) + 1 + 7 + 5 + 5
         x = feat("c1ccccc1").node_features
         assert np.all(x[:, flag] == 1.0)
         assert np.all(x[:, flag + 1] == 1.0)
@@ -82,8 +79,7 @@ class TestSchema:
         assert np.all(x[:, flag:flag + 2] == 0.0)
 
     def test_bucket_examples(self):
-        sch = DEFAULT_SCHEMA
-        bkt = len(sch.elements) + 1 + 7 + 5 + 5 + 2
+        bkt = len(VOCABULARY) + 1 + 7 + 5 + 5 + 2
         # methane carbon: 0 heavy bonds + 4 H -> bucket 4
         assert feat("C").node_features[0][bkt + 3] == 1.0
         # isolated sodium cation: sum 0 clips up to bucket 1
@@ -95,58 +91,51 @@ class TestSchema:
     def test_other_guard_never_hit_by_parser_vocabulary(self):
         for s in ("C", "[Na+]", "[Si](C)(C)C", "[Se]", "[AsH3]"):
             x = feat(s).node_features
-            assert np.all(x[:, len(DEFAULT_SCHEMA.elements)] == 0.0)
-
-    def test_custom_schema_width(self):
-        sch = FeatureSchema(padding=0)
-        assert sch.width == 49
-        g = featurize(parse_smiles("CCO"), schema=sch)
-        assert g.node_features.shape == (3, 49)
+            assert np.all(x[:, len(VOCABULARY)] == 0.0)
 
     def test_features_stored_as_uint8_one_hot_rows(self):
         for s in ("C", "CCO", "Cn1cnc2c1c(=O)n(C)c(=O)n2C", "[Na+].[Cl-]"):
             x = feat(s).node_features
             assert x.dtype == np.uint8
             assert set(np.unique(x)) <= {0, 1}
-            assert x.nbytes == x.shape[0] * DEFAULT_SCHEMA.width
+            assert x.nbytes == x.shape[0] * 58
 
 
-def oracle_graph(mol, schema=DEFAULT_SCHEMA):
+def oracle_graph(mol):
     """uint8 node features and float64 adjacency built one atom at a time,
     block by block, straight from the layout table in the featurize module
-    docstring."""
+    docstring (block widths 24/7/5/5/1/1/6/9)."""
     ring = bridge_free_atoms(mol)
     rows = []
     for i, atom in enumerate(mol.atoms):
         incident = [b for b in mol.bonds if i in (b.a1, b.a2)]
         h = atom.implicit_hydrogens
-        element = [0] * (len(schema.elements) + 1)
-        if atom.symbol in schema.elements:
-            element[schema.elements.index(atom.symbol)] = 1
+        element = [0] * 24
+        if atom.symbol in VOCABULARY:
+            element[VOCABULARY.index(atom.symbol)] = 1
         else:
             element[-1] = 1  # "other"
-        degree = [0] * (schema.max_degree + 1)
+        degree = [0] * 7
         degree[len(incident)] = 1
-        hydrogens = [0] * (schema.max_hydrogens + 1)
+        hydrogens = [0] * 5
         hydrogens[h] = 1
-        charge = [0] * (2 * schema.max_abs_charge + 1)
+        charge = [0] * 5
         clipped = atom.formal_charge
-        if clipped > schema.max_abs_charge:
-            clipped = schema.max_abs_charge
-        if clipped < -schema.max_abs_charge:
-            clipped = -schema.max_abs_charge
-        charge[clipped + schema.max_abs_charge] = 1
+        if clipped > 2:
+            clipped = 2
+        if clipped < -2:
+            clipped = -2
+        charge[clipped + 2] = 1
         flags = [int(atom.aromatic), int(i in ring)]
         order_sum = 0.0
         for b in incident:
             order_sum += b.order
-        bucket = [0] * schema.num_buckets
-        bucket[min(max(math.floor(order_sum + h), 1), schema.num_buckets)
-               - 1] = 1
+        bucket = [0] * 6
+        bucket[min(max(math.floor(order_sum + h), 1), 6) - 1] = 1
         rows.append(element + degree + hydrogens + charge + flags + bucket
-                    + [0] * schema.padding)
+                    + [0] * 9)
     n = mol.num_atoms
-    x = np.array(rows, dtype=np.uint8).reshape(n, schema.width)
+    x = np.array(rows, dtype=np.uint8).reshape(n, 58)
     a = np.array([[1.0 if i == j or any({i, j} == {b.a1, b.a2}
                                          for b in mol.bonds) else 0.0
                    for j in range(n)] for i in range(n)],
@@ -175,18 +164,15 @@ ORACLE_SMILES = [
 
 
 class TestOracle:
-    @pytest.mark.parametrize("schema", [
-        DEFAULT_SCHEMA,
-        FeatureSchema(elements=("C", "N", "O"), padding=2),
-    ], ids=["default", "three-elements"])
-    def test_graphs_bit_identical_to_oracle(self, schema):
+    @pytest.mark.parametrize("layout", ["default"])
+    def test_graphs_bit_identical_to_oracle(self, layout):
         checked = 0
         for s in ORACLE_SMILES:
             mol = parse_smiles(s)
             for m in (mol, strip_to_largest_component(mol)):
                 assert m.connected_components() == component_oracle(m), s
-                g = featurize(m, schema=schema)
-                x, a = oracle_graph(m, schema)
+                g = featurize(m)
+                x, a = oracle_graph(m)
                 assert g.bonds.dtype == np.int32, s
                 assert g.bonds.tolist() == [[b.a1, b.a2] for b in m.bonds], s
                 for got, want in ((g.node_features, x), (self_looped(g), a)):
@@ -207,11 +193,13 @@ class TestOracle:
                    and strip_to_largest_component(m).num_atoms < m.num_atoms
                    for m in mols)
 
-    def test_custom_elements_put_the_rest_in_other(self):
-        sch = FeatureSchema(elements=("C", "N"))
-        x = featurize(parse_smiles("CNO"), schema=sch).node_features
-        assert x.shape == (3, sch.width)
-        np.testing.assert_array_equal(x[:, :3], np.eye(3))  # O -> other
+    def test_element_outside_vocabulary_goes_to_other(self):
+        # the parser never yields one; a hand-built Molecule can
+        mol = Molecule(atoms=[Atom("Xe", index=0)], smiles="[Xe]",
+                       fragments=[[0]])
+        x = featurize(mol).node_features
+        assert x[0, :24].tolist() == [0] * 23 + [1]
+        assert x.tobytes() == oracle_graph(mol)[0].tobytes()
 
 
 class TestAdjacency:
@@ -252,12 +240,6 @@ class TestFeatureErrors:
         assert self.message("[SnH6]C[Fe](C)(C)(C)(C)(C)C") == \
             "hydrogen count 6 exceeds schema maximum 4"
 
-    def test_small_degree_schema_rejects_quaternary_carbon(self):
-        sch = FeatureSchema(max_degree=3)
-        featurize(parse_smiles("CC(C)C"), schema=sch)
-        with pytest.raises(FeatureError) as info:
-            featurize(parse_smiles("CC(C)(C)C"), schema=sch)
-        assert str(info.value) == "degree 4 exceeds schema maximum 3"
 
 
 class TestStripping:

@@ -277,7 +277,7 @@ class TestHistograms:
 
     def test_entropy_histogram_range(self):
         recs = records([(p, 0, 0) for p in (0.0, 0.5, 1.0)])
-        h = build_report(*recs, histogram_bins=20).entropy_hist
+        h = build_report(*recs).entropy_hist
         assert h.counts[0] == 2   # both endpoint entropies are zero
         assert h.counts[-1] == 1  # maximal entropy at one half
         assert h.edges[-1] == pytest.approx(LN2, abs=TOL)
@@ -285,7 +285,7 @@ class TestHistograms:
     def test_output_histogram_total(self):
         rng = np.random.default_rng(2)
         recs = random_records(rng, 137)
-        h = build_report(*recs, histogram_bins=20).output_hist
+        h = build_report(*recs).output_hist
         assert h.total == 137
         assert h.edges[-1] == 1.0
 

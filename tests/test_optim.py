@@ -43,7 +43,7 @@ class TestAdamW:
         p = ad.Tensor(np.zeros(3), requires_grad=True)
         opt = adamw({"w": p}, lr=0.05)
         for _ in range(400):
-            opt.zero_grad()
+            p.zero_grad()
             gap = p + ad.Tensor(-target)
             loss = ad.tensor_sum(gap * gap)
             ad.backward(loss)
