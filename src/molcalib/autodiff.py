@@ -353,7 +353,7 @@ def logit_loss(z: Tensor, t: np.ndarray, pos_weight: float = 1.0,
     return _node(data, (z,), backward, "logit_loss")
 
 
-DropoutRng = np.random.Generator | Sequence[tuple[np.random.Generator, int]]
+DropoutRng = Sequence[tuple[np.random.Generator, int]]
 
 
 def dropout(a: Tensor, rate: float, training: bool,
@@ -361,9 +361,9 @@ def dropout(a: Tensor, rate: float, training: bool,
     """Inverted dropout: scaling happens at train time, inference is identity.
 
     rate 0 returns the input tensor itself, bit-exact in either mode.
-    `rng` is one generator for the whole mask, or (generator, rows) blocks
-    that tile the rows in order, each block's mask drawn from its own
-    generator.
+    `rng` is (generator, rows) blocks that tile the rows in order, each
+    block's mask drawn from its own generator; one block covering every
+    row draws the whole mask from one generator.
     """
     if not (0.0 <= rate < 1.0):
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
@@ -371,16 +371,13 @@ def dropout(a: Tensor, rate: float, training: bool,
         return a
     if rng is None:
         raise ValueError("training-mode dropout needs an rng")
-    if isinstance(rng, np.random.Generator):
-        draws = rng.random(a.data.shape)
-    else:
-        if sum(rows for _, rows in rng) != a.data.shape[0]:
-            raise ShapeError("dropout blocks do not tile the rows")
-        draws = np.empty(a.data.shape)
-        start = 0
-        for gen, rows in rng:
-            gen.random(out=draws[start:start + rows])
-            start += rows
+    if sum(rows for _, rows in rng) != a.data.shape[0]:
+        raise ShapeError("dropout blocks do not tile the rows")
+    draws = np.empty(a.data.shape)
+    start = 0
+    for gen, rows in rng:
+        gen.random(out=draws[start:start + rows])
+        start += rows
     # a bool mask: multiplying by it gives the values a 0/1 float mask would
     mask = draws >= rate
     scale = 1.0 / (1.0 - rate)

@@ -30,7 +30,7 @@ import yaml
 from .errors import ConfigError, IoError
 from .featurize import NUM_FEATURES
 from .losses import LossConfig
-from .metrics import DEFAULT_K_GRID
+from .metrics import DEFAULT_K_GRID, DEFAULT_NUM_BINS
 from .model import ModelConfig
 from .optim import OptimizerSettings, ScheduleSettings
 
@@ -104,7 +104,7 @@ class InferenceSettings:
 
 @dataclass(frozen=True)
 class EvaluationSettings:
-    num_bins: int = 10
+    num_bins: int = DEFAULT_NUM_BINS
     threshold: float = 0.5
     k_grid: tuple[float, ...] = DEFAULT_K_GRID
 

@@ -32,7 +32,7 @@ fall outside their bins; charge clips, elements fall back to "other".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -152,14 +152,16 @@ def strip_to_largest_component(mol: Molecule) -> Molecule:
     """Keep the largest connected fragment (salt stripping).
 
     Ties go to the fragment containing the lowest original atom index, which
-    is the first one in component order.
+    is the first one in component order.  The kept fragment's atoms are the
+    parsed ``Atom`` objects themselves, shared with ``mol``: nothing changes
+    atoms after the parse, so only the bonds are renumbered.
     """
     comps = mol.fragments
     if len(comps) <= 1:
         return mol
     best = max(comps, key=len)  # max() keeps the earliest on ties
     remap = {old: new for new, old in enumerate(best)}
-    atoms = [replace(mol.atoms[old], index=new) for old, new in remap.items()]
+    atoms = [mol.atoms[old] for old in best]
     bonds = [Bond(a1=remap[b.a1], a2=remap[b.a2], order=b.order)
              for b in mol.bonds if b.a1 in remap]
     return Molecule(atoms=atoms, bonds=bonds, smiles=mol.smiles,

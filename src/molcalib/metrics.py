@@ -32,6 +32,8 @@ from .errors import DegenerateError
 LN2 = math.log(2.0)
 
 DEFAULT_K_GRID: tuple[float, ...] = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
+#: Bins of the calibration curve and its ECE, unless a caller picks others.
+DEFAULT_NUM_BINS = 10
 
 #: Bins of the entropy, output and outcome histograms in every report.
 HISTOGRAM_BINS = 20
@@ -116,11 +118,12 @@ def _bins(p, yt, num_bins: int) -> CalibrationBins:
     return CalibrationBins(edges, counts, fraction, confidence, defined)
 
 
-def bin_predictions(p_hat, y_true, num_bins: int = 10) -> CalibrationBins:
+def bin_predictions(p_hat, y_true,
+                    num_bins: int = DEFAULT_NUM_BINS) -> CalibrationBins:
     return _bins(*_checked(p_hat, y_true=y_true), num_bins)
 
 
-def ece(p_hat, y_true, num_bins: int = 10) -> float:
+def ece(p_hat, y_true, num_bins: int = DEFAULT_NUM_BINS) -> float:
     """Expected calibration error of the positive-class probability;
     empty bins contribute nothing."""
     return bin_predictions(p_hat, y_true, num_bins).ece()
@@ -319,7 +322,7 @@ def _rows(**columns) -> list[dict]:
             for row in zip(*(column.tolist() for column in columns.values()))]
 
 
-def build_report(p_hat, y_pred, y_true, num_bins: int = 10,
+def build_report(p_hat, y_pred, y_true, num_bins: int = DEFAULT_NUM_BINS,
                  k_grid=DEFAULT_K_GRID) -> ReliabilityReport:
     """Assemble every evaluation artifact from one set of arrays, checked
     once.

@@ -216,10 +216,11 @@ def _epoch_pass(model, train_graphs, loss_cfg: LossConfig, optimizer,
         packed = pack_graphs(batch)
         targets = np.array([g.label for g in batch], dtype=np.float64)
         rng_state = dropout_rng.bit_generator.state
+        blocks = [(dropout_rng, packed.segments.num_rows)]
 
         def batch_loss():
             dropout_rng.bit_generator.state = rng_state  # replay, same masks
-            logits = model.forward(packed, training=True, rng=dropout_rng)
+            logits = model.forward(packed, training=True, rng=blocks)
             return loss_cfg.compute(targets, logits)
 
         batch_sum = ad.checked_forward(batch_loss)

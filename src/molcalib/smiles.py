@@ -98,11 +98,9 @@ class Atom:
     formal_charge: int = 0
     explicit_hydrogens: int | None = None
     isotope: int | None = None
-    index: int = -1
     # Filled in after graph assembly.
     degree: int = 0
     implicit_hydrogens: int = 0
-    bracketed: bool = False
     bond_order_sum: float = 0.0  # orders of its bonds, added in bond order
     in_ring: bool = False  # on at least one cycle
 
@@ -126,7 +124,8 @@ class Molecule:
 
     ``fragments`` holds each connected fragment as a sorted list of atom
     indices, ordered by first atom index.  The parser fills it in, together
-    with each atom's ``in_ring`` flag.
+    with each atom's ``in_ring`` flag.  Nothing changes an atom after the
+    parse, so a salt-stripped molecule shares its atoms with the parse.
     """
 
     atoms: list[Atom] = field(default_factory=list)
@@ -138,211 +137,207 @@ class Molecule:
     def num_atoms(self) -> int:
         return len(self.atoms)
 
-    def connected_components(self) -> list[list[int]]:
-        """Fragments as sorted index lists, ordered by first atom index."""
-        return [list(f) for f in self.fragments]
-
     def ring_atoms(self) -> set[int]:
         """Indices of atoms lying on at least one cycle."""
         return {i for i, atom in enumerate(self.atoms) if atom.in_ring}
 
 
-class SmilesParser:
-    """Single-use parser; construct and call :meth:`parse` once."""
+def parse_smiles(smiles: str) -> Molecule:
+    """Parse one SMILES string into a :class:`Molecule`.
 
-    def __init__(self, smiles: str) -> None:
-        self._raw = smiles
+    Raises :class:`SmilesSyntaxError` on malformed input and
+    :class:`UnsupportedFeatureError` on constructs outside the dialect; both
+    carry ``position`` (1-based) and ``token`` attributes.
 
-    def parse(self) -> Molecule:
-        """One pass over the characters, with the text, the index and the
-        parser state in locals.  Bond order sums and degrees are summed as
-        each bond is added.
+    One pass over the characters, with the text, the index and the
+    parser state in locals.  Bond order sums and degrees are summed as
+    each bond is added.
 
-        The chain and branch bonds form a spanning forest of the graph:
-        each atom's tree parent is the atom its bond came from.  Every
-        ring closure adds one bond outside that forest, so the ring atoms
-        are the tree paths between the ends of the closures.
-        """
-        text = self._raw.strip()
-        n = len(text)
-        if not n:
-            raise SmilesSyntaxError("empty SMILES", 1)
-        atoms: list[Atom] = []
-        bonds: list[Bond] = []
-        ring_pairs: set[tuple[int, int]] = set()  # (low, high) atom index
-        sums: list[float] = []
-        degrees: list[int] = []
-        parent: list[int] = []  # tree parent per atom; -1 for a root
-        closures: list[tuple[int, int]] = []  # ends of each ring closure
-        dotted = False
-        branches: list[tuple[int, int]] = []  # (prev atom, '(' position)
-        rings: dict[int, tuple[int, str | None, int]] = {}
-        prev = -1  # last atom of the current chain; -1 for none
-        pending: str | None = None  # bond symbol waiting for its next atom
-        pending_pos = 0
-        i = 0
-        while i < n:
-            ch = text[i]
-            pos = i = i + 1  # i now indexes the next character
-            if ch in _BARE_ATOMS:
-                if ch + text[i:i + 1] in ("Cl", "Br"):
-                    atom = Atom(ch + text[i])
-                    i += 1
-                else:
-                    atom = Atom(*_BARE_ATOMS[ch])
-            elif ch == "(":
-                if prev < 0:
-                    raise SmilesSyntaxError("branch before any atom", pos, ch)
-                if pending is not None:
-                    raise SmilesSyntaxError("bond before branch open", pos, ch)
-                branches.append((prev, pos))
-                continue
-            elif ch == ")":
-                if not branches:
-                    raise SmilesSyntaxError("unmatched ')'", pos, ch)
-                if pending is not None:
-                    raise SmilesSyntaxError("dangling bond before ')'", pos, ch)
-                if prev < 0:
-                    raise SmilesSyntaxError("fragment dot before ')'", pos, ch)
-                if prev == branches[-1][0]:
-                    raise SmilesSyntaxError("empty branch", pos, ch)
-                prev = branches.pop()[0]
-                continue
-            elif ch in _BOND_ORDERS:
-                if pending is not None:
-                    raise SmilesSyntaxError("two bond symbols in a row", pos, ch)
-                pending = ch
-                pending_pos = pos
-                continue
-            elif ch in _DIGITS or ch == "%":
-                if prev < 0:
-                    raise SmilesSyntaxError("ring closure before any atom", pos, ch)
-                if ch == "%":
-                    digits = text[i:i + 2]
-                    if len(digits) != 2 or not _DIGITS.issuperset(digits):
-                        raise SmilesSyntaxError("'%' needs two digits", pos,
-                                                "%" + digits)
-                    i += 2
-                    label = int(digits)
-                else:
-                    label = int(ch)
-                symbol = pending
-                pending = None
-                if label not in rings:
-                    rings[label] = (prev, symbol, pos)
-                    continue
-                other, other_symbol, _ = rings.pop(label)
-                if symbol and other_symbol and symbol != other_symbol:
-                    raise SmilesSyntaxError("ring bond symbols disagree", pos,
-                                            str(label))
-                if other == prev:
-                    raise SmilesSyntaxError("bond endpoints must be distinct", pos)
-                key = lo, hi = (other, prev) if other < prev else (prev, other)
-                # a chain or branch bond joins an atom to its tree parent,
-                # which was read before it
-                if parent[hi] == lo or key in ring_pairs:
-                    raise SmilesSyntaxError("duplicate bond between atom pair", pos)
-                ring_pairs.add(key)
-                symbol = symbol or other_symbol
-                if symbol is not None:
-                    order = _BOND_ORDERS[symbol]
-                elif atoms[other].aromatic and atoms[prev].aromatic:
-                    order = 1.5
-                else:
-                    order = 1.0
-                bonds.append(Bond(other, prev, order))
-                closures.append((other, prev))
-                sums[other] += order
-                sums[prev] += order
-                degrees[other] += 1
-                degrees[prev] += 1
-                continue
-            elif ch == "[":
-                atom, i = _read_bracket_atom(text, i)
-            elif ch == ".":
-                if pending is not None:
-                    raise SmilesSyntaxError("bond before fragment dot", pos, ch)
-                if prev < 0:
-                    raise SmilesSyntaxError("fragment dot before any atom", pos, ch)
-                prev = -1
-                dotted = True
-                continue
-            elif ch.isspace():
-                raise SmilesSyntaxError("whitespace inside SMILES", pos, ch)
-            elif ch.isupper():
-                raise _bare_atom_error(text, pos)
-            elif ch.islower():
-                raise SmilesSyntaxError("unknown aromatic atom", pos, ch)
-            elif ch == "*":
-                raise UnsupportedFeatureError("wildcard atom", pos, ch)
-            elif ch == ">":
-                raise UnsupportedFeatureError("reaction SMILES", pos, ch)
+    The chain and branch bonds form a spanning forest of the graph:
+    each atom's tree parent is the atom its bond came from.  Every
+    ring closure adds one bond outside that forest, so the ring atoms
+    are the tree paths between the ends of the closures.
+    """
+    text = smiles.strip()
+    n = len(text)
+    if not n:
+        raise SmilesSyntaxError("empty SMILES", 1)
+    atoms: list[Atom] = []
+    bonds: list[Bond] = []
+    ring_pairs: set[tuple[int, int]] = set()  # (low, high) atom index
+    sums: list[float] = []
+    degrees: list[int] = []
+    parent: list[int] = []  # tree parent per atom; -1 for a root
+    closures: list[tuple[int, int]] = []  # ends of each ring closure
+    dotted = False
+    branches: list[tuple[int, int]] = []  # (prev atom, '(' position)
+    rings: dict[int, tuple[int, str | None, int]] = {}
+    prev = -1  # last atom of the current chain; -1 for none
+    pending: str | None = None  # bond symbol waiting for its next atom
+    pending_pos = 0
+    i = 0
+    while i < n:
+        ch = text[i]
+        pos = i = i + 1  # i now indexes the next character
+        if ch in _BARE_ATOMS:
+            if ch + text[i:i + 1] in ("Cl", "Br"):
+                atom = Atom(ch + text[i])
+                i += 1
             else:
-                raise SmilesSyntaxError("unexpected character", pos, ch)
-
-            # an atom was read: append it and bond it to the chain
-            k = atom.index = len(atoms)
-            atoms.append(atom)
-            parent.append(prev)
+                atom = Atom(*_BARE_ATOMS[ch])
+        elif ch == "(":
             if prev < 0:
-                if pending is not None:
-                    raise SmilesSyntaxError("bond before any atom",
-                                            pending_pos, pending)
-                sums.append(0.0)
-                degrees.append(0)
+                raise SmilesSyntaxError("branch before any atom", pos, ch)
+            if pending is not None:
+                raise SmilesSyntaxError("bond before branch open", pos, ch)
+            branches.append((prev, pos))
+            continue
+        elif ch == ")":
+            if not branches:
+                raise SmilesSyntaxError("unmatched ')'", pos, ch)
+            if pending is not None:
+                raise SmilesSyntaxError("dangling bond before ')'", pos, ch)
+            if prev < 0:
+                raise SmilesSyntaxError("fragment dot before ')'", pos, ch)
+            if prev == branches[-1][0]:
+                raise SmilesSyntaxError("empty branch", pos, ch)
+            prev = branches.pop()[0]
+            continue
+        elif ch in _BOND_ORDERS:
+            if pending is not None:
+                raise SmilesSyntaxError("two bond symbols in a row", pos, ch)
+            pending = ch
+            pending_pos = pos
+            continue
+        elif ch in _DIGITS or ch == "%":
+            if prev < 0:
+                raise SmilesSyntaxError("ring closure before any atom", pos, ch)
+            if ch == "%":
+                digits = text[i:i + 2]
+                if len(digits) != 2 or not _DIGITS.issuperset(digits):
+                    raise SmilesSyntaxError("'%' needs two digits", pos,
+                                            "%" + digits)
+                i += 2
+                label = int(digits)
             else:
-                # a new atom cannot close a bond twice, so no check is due
-                if pending is not None:
-                    order = _BOND_ORDERS[pending]
-                elif atom.aromatic and atoms[prev].aromatic:
-                    order = 1.5
-                else:
-                    order = 1.0
-                bonds.append(Bond(prev, k, order))
-                sums[prev] += order
-                degrees[prev] += 1
-                sums.append(order)
-                degrees.append(1)
+                label = int(ch)
+            symbol = pending
             pending = None
-            prev = k
+            if label not in rings:
+                rings[label] = (prev, symbol, pos)
+                continue
+            other, other_symbol, _ = rings.pop(label)
+            if symbol and other_symbol and symbol != other_symbol:
+                raise SmilesSyntaxError("ring bond symbols disagree", pos,
+                                        str(label))
+            if other == prev:
+                raise SmilesSyntaxError("bond endpoints must be distinct", pos)
+            key = lo, hi = (other, prev) if other < prev else (prev, other)
+            # a chain or branch bond joins an atom to its tree parent,
+            # which was read before it
+            if parent[hi] == lo or key in ring_pairs:
+                raise SmilesSyntaxError("duplicate bond between atom pair", pos)
+            ring_pairs.add(key)
+            symbol = symbol or other_symbol
+            if symbol is not None:
+                order = _BOND_ORDERS[symbol]
+            elif atoms[other].aromatic and atoms[prev].aromatic:
+                order = 1.5
+            else:
+                order = 1.0
+            bonds.append(Bond(other, prev, order))
+            closures.append((other, prev))
+            sums[other] += order
+            sums[prev] += order
+            degrees[other] += 1
+            degrees[prev] += 1
+            continue
+        elif ch == "[":
+            atom, i = _read_bracket_atom(text, i)
+        elif ch == ".":
+            if pending is not None:
+                raise SmilesSyntaxError("bond before fragment dot", pos, ch)
+            if prev < 0:
+                raise SmilesSyntaxError("fragment dot before any atom", pos, ch)
+            prev = -1
+            dotted = True
+            continue
+        elif ch.isspace():
+            raise SmilesSyntaxError("whitespace inside SMILES", pos, ch)
+        elif ch.isupper():
+            raise _bare_atom_error(text, pos)
+        elif ch.islower():
+            raise SmilesSyntaxError("unknown aromatic atom", pos, ch)
+        elif ch == "*":
+            raise UnsupportedFeatureError("wildcard atom", pos, ch)
+        elif ch == ">":
+            raise UnsupportedFeatureError("reaction SMILES", pos, ch)
+        else:
+            raise SmilesSyntaxError("unexpected character", pos, ch)
 
-        if pending is not None:
-            raise SmilesSyntaxError("dangling bond at end", pending_pos)
-        if prev < 0:  # only a '.' leaves the chain without an atom
-            raise SmilesSyntaxError("fragment dot at end", n, ".")
-        if branches:
-            raise SmilesSyntaxError("unclosed branch", branches[0][1], "(")
-        if rings:
-            label, (_, _, pos) = next(iter(rings.items()))
-            raise SmilesSyntaxError("unclosed ring bond", pos, str(label))
+        # an atom was read: append it and bond it to the chain
+        k = len(atoms)
+        atoms.append(atom)
+        parent.append(prev)
+        if prev < 0:
+            if pending is not None:
+                raise SmilesSyntaxError("bond before any atom",
+                                        pending_pos, pending)
+            sums.append(0.0)
+            degrees.append(0)
+        else:
+            # a new atom cannot close a bond twice, so no check is due
+            if pending is not None:
+                order = _BOND_ORDERS[pending]
+            elif atom.aromatic and atoms[prev].aromatic:
+                order = 1.5
+            else:
+                order = 1.0
+            bonds.append(Bond(prev, k, order))
+            sums[prev] += order
+            degrees[prev] += 1
+            sums.append(order)
+            degrees.append(1)
+        pending = None
+        prev = k
 
-        table = _IMPLICIT_HYDROGENS
-        for atom, order_sum, degree in zip(atoms, sums, degrees):
-            atom.degree = degree
-            atom.bond_order_sum = order_sum
-            if not atom.bracketed:  # bracket atoms carry explicit counts only
-                h = table.get((atom.symbol, order_sum))
-                if h is None:
-                    h = _implicit_hydrogens(atom.symbol, order_sum)
-                atom.implicit_hydrogens = h
+    if pending is not None:
+        raise SmilesSyntaxError("dangling bond at end", pending_pos)
+    if prev < 0:  # only a '.' leaves the chain without an atom
+        raise SmilesSyntaxError("fragment dot at end", n, ".")
+    if branches:
+        raise SmilesSyntaxError("unclosed branch", branches[0][1], "(")
+    if rings:
+        label, (_, _, pos) = next(iter(rings.items()))
+        raise SmilesSyntaxError("unclosed ring bond", pos, str(label))
 
-        fragments = [list(range(len(atoms)))]
-        rank: Sequence[int] = range(len(atoms))  # parents rank below children
-        if dotted:
-            fragments, closures, joined = _join_fragments(parent, closures)
-            if joined:  # re-rooting put some parents after their children
-                rank = [_depth(parent, k) for k in range(len(atoms))]
-        for a, b in closures:
-            # mark the tree path from a to b: move the end of higher rank
-            # to its parent until the two ends meet
-            atoms[a].in_ring = atoms[b].in_ring = True
-            while a != b:
-                if rank[a] < rank[b]:
-                    a, b = b, a
-                a = parent[a]
-                atoms[a].in_ring = True
-        return Molecule(atoms=atoms, bonds=bonds, smiles=self._raw,
-                        fragments=fragments)
+    table = _IMPLICIT_HYDROGENS
+    for atom, order_sum, degree in zip(atoms, sums, degrees):
+        atom.degree = degree
+        atom.bond_order_sum = order_sum
+        if atom.explicit_hydrogens is None:  # bracket atoms carry their own
+            h = table.get((atom.symbol, order_sum))
+            if h is None:
+                h = _implicit_hydrogens(atom.symbol, order_sum)
+            atom.implicit_hydrogens = h
+
+    fragments = [list(range(len(atoms)))]
+    rank: Sequence[int] = range(len(atoms))  # parents rank below children
+    if dotted:
+        fragments, closures, joined = _join_fragments(parent, closures)
+        if joined:  # re-rooting put some parents after their children
+            rank = [_depth(parent, k) for k in range(len(atoms))]
+    for a, b in closures:
+        # mark the tree path from a to b: move the end of higher rank
+        # to its parent until the two ends meet
+        atoms[a].in_ring = atoms[b].in_ring = True
+        while a != b:
+            if rank[a] < rank[b]:
+                a, b = b, a
+            a = parent[a]
+            atoms[a].in_ring = True
+    return Molecule(atoms=atoms, bonds=bonds, smiles=smiles,
+                    fragments=fragments)
 
 
 def _join_fragments(parent: list[int], closures: list[tuple[int, int]]
@@ -438,7 +433,7 @@ def _read_bracket_atom(text: str, i: int) -> tuple[Atom, int]:
             "unclosed or malformed bracket atom", open_pos, text[i:i + 1]
         )
     atom = Atom(symbol, aromatic, charge, explicit_h, isotope,
-                implicit_hydrogens=explicit_h, bracketed=True)
+                implicit_hydrogens=explicit_h)
     return atom, i + 1
 
 
@@ -508,13 +503,3 @@ _IMPLICIT_HYDROGENS: dict[tuple[str, float], int] = {
     (s, k / 2): _implicit_hydrogens(s, k / 2)
     for s in ORGANIC_VALENCES for k in range(25)
 }
-
-
-def parse_smiles(smiles: str) -> Molecule:
-    """Parse one SMILES string into a :class:`Molecule`.
-
-    Raises :class:`SmilesSyntaxError` on malformed input and
-    :class:`UnsupportedFeatureError` on constructs outside the dialect; both
-    carry ``position`` (1-based) and ``token`` attributes.
-    """
-    return SmilesParser(smiles).parse()

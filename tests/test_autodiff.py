@@ -88,7 +88,8 @@ class TestErrors:
 
     def test_dropout_bad_rate(self):
         with pytest.raises(ValueError):
-            ad.dropout(ad.Tensor([1.0]), 1.0, True, np.random.default_rng(0))
+            ad.dropout(ad.Tensor([1.0]), 1.0, True,
+                       [(np.random.default_rng(0), 1)])
 
 
 class TestTapeSemantics:
@@ -268,7 +269,7 @@ class TestGradientOracle:
 
         def build():
             rng = np.random.default_rng(99)  # same mask every call
-            d = ad.dropout(x, 0.5, True, rng)
+            d = ad.dropout(x, 0.5, True, [(rng, 3)])
             return ad.tensor_sum(d * d)
 
         check_grads(build, [x])
@@ -278,20 +279,20 @@ class TestDropout:
     def test_rate_zero_is_same_tensor(self):
         x = ad.Tensor(np.ones(5), requires_grad=True)
         rng = np.random.default_rng(0)
-        assert ad.dropout(x, 0.0, True, rng) is x
+        assert ad.dropout(x, 0.0, True, [(rng, 5)]) is x
         assert ad.dropout(x, 0.3, False) is x
 
     def test_inverted_scaling_preserves_mean(self):
         rng = np.random.default_rng(42)
         x = ad.Tensor(np.ones(100_000))
-        out = ad.dropout(x, 0.5, True, rng)
+        out = ad.dropout(x, 0.5, True, [(rng, 100_000)])
         assert abs(out.data.mean() - 1.0) < 0.02
         assert set(np.unique(out.data)) == {0.0, 2.0}
 
     def test_mask_reproducible_from_seed(self):
         x = ad.Tensor(np.ones((8, 8)))
-        a = ad.dropout(x, 0.4, True, np.random.default_rng(7)).data
-        b = ad.dropout(x, 0.4, True, np.random.default_rng(7)).data
+        a = ad.dropout(x, 0.4, True, [(np.random.default_rng(7), 8)]).data
+        b = ad.dropout(x, 0.4, True, [(np.random.default_rng(7), 8)]).data
         np.testing.assert_array_equal(a, b)
 
     def test_row_blocks_draw_from_their_own_generators(self):
@@ -299,9 +300,9 @@ class TestDropout:
         out = ad.dropout(x, 0.4, True, [(np.random.default_rng(1), 2),
                                         (np.random.default_rng(2), 7)])
         top = ad.dropout(ad.Tensor(np.ones((2, 4))), 0.4, True,
-                         np.random.default_rng(1)).data
+                         [(np.random.default_rng(1), 2)]).data
         bottom = ad.dropout(ad.Tensor(np.ones((7, 4))), 0.4, True,
-                            np.random.default_rng(2)).data
+                            [(np.random.default_rng(2), 7)]).data
         np.testing.assert_array_equal(out.data, np.vstack([top, bottom]))
         ad.backward(ad.tensor_sum(out))
         np.testing.assert_array_equal(x.grad, out.data)

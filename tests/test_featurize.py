@@ -170,7 +170,7 @@ class TestOracle:
         for s in ORACLE_SMILES:
             mol = parse_smiles(s)
             for m in (mol, strip_to_largest_component(mol)):
-                assert m.connected_components() == component_oracle(m), s
+                assert m.fragments == component_oracle(m), s
                 g = featurize(m)
                 x, a = oracle_graph(m)
                 assert g.bonds.dtype == np.int32, s
@@ -189,13 +189,13 @@ class TestOracle:
         mols = [parse_smiles(s) for s in ORACLE_SMILES]
         assert any(m.num_atoms == 1 for m in mols)
         assert any(m.num_atoms > 1 and not m.bonds for m in mols)
-        assert any(len(m.connected_components()) > 1
+        assert any(len(m.fragments) > 1
                    and strip_to_largest_component(m).num_atoms < m.num_atoms
                    for m in mols)
 
     def test_element_outside_vocabulary_goes_to_other(self):
         # the parser never yields one; a hand-built Molecule can
-        mol = Molecule(atoms=[Atom("Xe", index=0)], smiles="[Xe]",
+        mol = Molecule(atoms=[Atom("Xe")], smiles="[Xe]",
                        fragments=[[0]])
         x = featurize(mol).node_features
         assert x[0, :24].tolist() == [0] * 23 + [1]
@@ -265,6 +265,17 @@ class TestStripping:
         g = featurize(kept)
         assert g.num_nodes == 9
         assert g.bonds.shape == (9, 2) and g.bonds.max() == 8
+
+    @pytest.mark.parametrize("salted, alone", [
+        ("[Na+].[O-]c1ccccc1", "[O-]c1ccccc1"),
+        ("Cl.c1ccccc1C(=O)O", "c1ccccc1C(=O)O"),
+    ])
+    def test_salted_row_featurizes_as_its_fragment_alone(self, salted, alone):
+        got = featurize(strip_to_largest_component(parse_smiles(salted)))
+        want = featurize(parse_smiles(alone))
+        assert got.node_features.shape == want.node_features.shape
+        assert got.node_features.tobytes() == want.node_features.tobytes()
+        assert got.bonds.tolist() == want.bonds.tolist()
 
 
 class TestPermutation:

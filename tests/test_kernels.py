@@ -52,7 +52,7 @@ class TestKernelSemantics:
         # kept entries scale by 1/(1 - rate), forward and backward alike
         rng = np.random.default_rng(0)
         x = ad.Tensor([1.0, 2.0, 3.0, 4.0], requires_grad=True)
-        out = ad.dropout(x, 0.5, True, rng)
+        out = ad.dropout(x, 0.5, True, [(rng, 4)])
         kept = out.data != 0.0
         np.testing.assert_array_equal(out.data,
                                       np.where(kept, 2.0 * x.data, 0.0))

@@ -485,9 +485,11 @@ class TestCheckpoints:
         path = str(tmp_path / "m.json")
         save_checkpoint(model, path)
         import json
-        payload = json.load(open(path))
+        with open(path) as f:
+            payload = json.load(f)
         payload["format_version"] = 99
-        json.dump(payload, open(path, "w"))
+        with open(path, "w") as f:
+            json.dump(payload, f)
         with pytest.raises(SchemaError):
             load_checkpoint(path)
 
