@@ -415,7 +415,7 @@ class Segments:
 
 def _pad_row(x: np.ndarray) -> np.ndarray:
     """`x` with one all-zero row appended, the target of unused slots."""
-    return np.concatenate([x, np.zeros((1,) + x.shape[1:])])
+    return np.concatenate([x, np.zeros((1,) + x.shape[1:], dtype=x.dtype)])
 
 
 class Neighbors:
@@ -594,7 +594,7 @@ def attention_pool(h: Tensor, v: Tensor, seg: Segments,
     # subtracting each segment's max keeps exp from overflowing
     e = np.exp(scores - np.maximum.reduceat(scores, seg.starts)[seg.ids])
     s = e / np.add.reduceat(e, seg.starts)[seg.ids]
-    size = seg.sizes[seg.ids]
+    size = seg.sizes[seg.ids].astype(scores.dtype)
     weights = s * size
     data = np.add.reduceat(weights[:, None] * h.data, seg.starts, axis=0)
 

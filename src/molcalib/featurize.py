@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FeatureError
-from .smiles import Bond, Molecule, VOCABULARY
+from .smiles import Molecule, VOCABULARY
 
 
 #: One-hot column of each vocabulary element; symbols outside the vocabulary
@@ -84,19 +84,15 @@ class MolecularGraph:
 def featurize(mol: Molecule, label: int | None = None,
               source_id: str | None = None) -> MolecularGraph:
     """Build node features X and the bond list for one molecule in one
-    pass over its atoms.
+    pass over its atom columns.
 
     Each atom's one-hot positions are computed as plain ints and the uint8
     X is filled with one flat-index write; the first atom out of the
-    degree or hydrogen bins raises.  Ring membership and bond order sums
-    are read from the atoms, where the parser stored them.
+    degree or hydrogen bins raises.  Degrees, hydrogen counts, bond order
+    sums and ring flags are the parser's columns.
     """
     n = mol.num_atoms
     width = NUM_FEATURES
-    ends: list[int] = []
-    for b in mol.bonds:
-        ends += (b.a1, b.a2)
-
     columns = ELEMENT_COLUMNS
     other = OTHER_COLUMN
     deg_off = DEGREE_OFFSET
@@ -111,39 +107,39 @@ def featurize(mol: Molecule, label: int | None = None,
     num_buckets = NUM_BUCKETS
     floor = math.floor
     hot: list[int] = []
-    for i, atom in enumerate(mol.atoms):
-        degree = atom.degree
+    base = 0
+    for symbol, degree, h, order_sum, charge, arom, ring in zip(
+            mol.symbols, mol.degrees, mol.hydrogens, mol.order_sums,
+            mol.charges, mol.aromatic, mol.in_ring):
         if degree > max_degree:
             raise FeatureError(f"degree {degree} exceeds schema "
                                f"maximum {max_degree}")
-        h = atom.implicit_hydrogens
         if h > max_hydrogens:
             raise FeatureError(f"hydrogen count {h} exceeds schema "
                                f"maximum {max_hydrogens}")
-        bucket = floor(atom.bond_order_sum + h)
+        bucket = floor(order_sum + h)
         if bucket < 1:
             bucket = 1
         if bucket > num_buckets:
             bucket = num_buckets
-        charge = atom.formal_charge
         if charge < -c:
             charge = -c
         if charge > c:
             charge = c
-        base = i * width
-        hot += (base + columns.get(atom.symbol, other),
+        hot += (base + columns.get(symbol, other),
                 base + deg_off + degree,
                 base + h_off + h,
                 base + charge_off + charge,
                 base + bucket_off + bucket)
-        if atom.aromatic:
+        if arom:
             hot.append(base + aromatic_col)
-        if atom.in_ring:
+        if ring:
             hot.append(base + ring_col)
+        base += width
     x = np.zeros((n, width), dtype=np.uint8)
     x.put(hot, 1)
 
-    bonds = np.array(ends, dtype=np.int32).reshape(-1, 2)
+    bonds = np.array(mol.ends, dtype=np.int32).reshape(-1, 2)
     return MolecularGraph(node_features=x, bonds=bonds, label=label,
                           source_id=source_id, smiles=mol.smiles)
 
@@ -152,20 +148,23 @@ def strip_to_largest_component(mol: Molecule) -> Molecule:
     """Keep the largest connected fragment (salt stripping).
 
     Ties go to the fragment containing the lowest original atom index, which
-    is the first one in component order.  The kept fragment's atoms are the
-    parsed ``Atom`` objects themselves, shared with ``mol``: nothing changes
-    atoms after the parse, so only the bonds are renumbered.
+    is the first one in component order.  Each per-atom list keeps the
+    fragment's entries in index order, and its bonds are renumbered in
+    bond order.
     """
     comps = mol.fragments
     if len(comps) <= 1:
         return mol
     best = max(comps, key=len)  # max() keeps the earliest on ties
     remap = {old: new for new, old in enumerate(best)}
-    atoms = [mol.atoms[old] for old in best]
-    bonds = [Bond(a1=remap[b.a1], a2=remap[b.a2], order=b.order)
-             for b in mol.bonds if b.a1 in remap]
-    return Molecule(atoms=atoms, bonds=bonds, smiles=mol.smiles,
-                    fragments=[list(range(len(best)))])
+    kept = [k for k, end in enumerate(mol.ends[::2]) if end in remap]
+    ends = [remap[end] for k in kept for end in mol.ends[2 * k:2 * k + 2]]
+    orders = [mol.orders[k] for k in kept]
+    columns = [[column[k] for k in best] for column in (
+        mol.symbols, mol.aromatic, mol.charges, mol.hydrogens, mol.degrees,
+        mol.order_sums, mol.in_ring, mol.isotopes, mol.bracketed)]
+    return Molecule(*columns, ends, orders, [list(range(len(best)))],
+                    mol.smiles)
 
 
 def permute_graph(graph: MolecularGraph, perm: np.ndarray) -> MolecularGraph:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -38,7 +39,7 @@ from .model import (
 )
 from .optim import AdamW, OptimizerSettings
 from .runner import predict_probabilities
-from .smiles import parse_smiles
+from .smiles import _implicit_hydrogens, parse_smiles
 
 # -- random inputs ---------------------------------------------------
 
@@ -162,39 +163,40 @@ def oracle_attention_readout(h, w_read, sizes):
     return np.array(pooled)
 
 
-def _reachable(bonds, start):
-    """Atoms joined to ``start`` by a path over ``bonds``: sweep the bond
-    list until no sweep adds an atom."""
+def _reachable(pairs, start):
+    """Atoms joined to ``start`` by a path over the bond ``pairs``: sweep
+    the list until no sweep adds an atom."""
     seen = {start}
     grew = True
     while grew:
         grew = False
-        for b in bonds:
-            if (b.a1 in seen) != (b.a2 in seen):
-                seen.update((b.a1, b.a2))
+        for a, b in pairs:
+            if (a in seen) != (b in seen):
+                seen.update((a, b))
                 grew = True
     return seen
 
 
 def bridge_free_atoms(mol):
-    """Atoms on a bond whose removal leaves its ends connected (a cycle),
-    tried bond by bond."""
-    ring = set()
-    for k, bond in enumerate(mol.bonds):
-        rest = mol.bonds[:k] + mol.bonds[k + 1:]
-        if bond.a2 in _reachable(rest, bond.a1):
-            ring.update((bond.a1, bond.a2))
+    """Per atom, whether it is on a bond whose removal leaves its ends
+    connected (a cycle), tried bond by bond."""
+    pairs = list(zip(mol.ends[::2], mol.ends[1::2]))
+    ring = [False] * mol.num_atoms
+    for k, (a, b) in enumerate(pairs):
+        if b in _reachable(pairs[:k] + pairs[k + 1:], a):
+            ring[a] = ring[b] = True
     return ring
 
 
 def component_oracle(mol):
     """Fragments as sorted index lists, ordered by first atom index: each
     atom not yet placed starts the next one, with every atom it reaches."""
+    pairs = list(zip(mol.ends[::2], mol.ends[1::2]))
     comps = []
     placed = set()
     for k in range(mol.num_atoms):
         if k not in placed:
-            comp = sorted(_reachable(mol.bonds, k))
+            comp = sorted(_reachable(pairs, k))
             placed.update(comp)
             comps.append(comp)
     return comps
@@ -288,11 +290,20 @@ def metric_oracle_mismatches(p_hat, y_true, num_bins, k_grid):
     return wrong
 
 
-def ring_fragment_mismatches(smiles):
+# an atom of a SMILES that parsed, with a bracket atom's hydrogen count
+_ATOM = re.compile(r"(\[\d*(?:[A-Z][a-z]?|[a-z]{1,2})@*(H\d*)?[^]]*]"
+                   r"|Cl|Br|[BCNOPSFIbcnops])")
+
+
+def parse_mismatches(smiles):
     """Parse each of ``smiles``; return the (SMILES, molecule) pairs that
-    parsed and a description of each parsed molecule, or its largest
-    fragment, whose ring atoms or fragments differ from
-    :func:`bridge_free_atoms` and :func:`component_oracle`."""
+    parsed and a description of each column of each parsed molecule, or
+    of its largest fragment, that differs from its recomputation: ring
+    flags by :func:`bridge_free_atoms`, fragments by
+    :func:`component_oracle`, bracket flags and counts from the SMILES
+    text, degrees and bond order sums (added in bond order, compared bit
+    for bit) from the bond list, other hydrogen counts by the valence
+    rule."""
     parsed = []
     wrong = []
     for s in smiles:
@@ -301,11 +312,32 @@ def ring_fragment_mismatches(smiles):
         except SmilesError:
             continue
         parsed.append((s, mol))
-        for m in (mol, strip_to_largest_component(mol)):
-            if m.ring_atoms() != bridge_free_atoms(m):
-                wrong.append(f"{s!r}: ring atoms {sorted(m.ring_atoms())}")
-            if m.fragments != component_oracle(m):
-                wrong.append(f"{s!r}: fragments {m.fragments}")
+        # per atom: the hydrogen count its brackets give, None if bare
+        written = [(int(h[1:] or 1) if h else 0) if atom[0] == "[" else None
+                   for atom, h in _ATOM.findall(s)]
+        largest = max(component_oracle(mol), key=len)  # earliest on ties
+        for m, atoms in ((mol, range(mol.num_atoms)),
+                         (strip_to_largest_component(mol), largest)):
+            degrees = [0] * m.num_atoms
+            sums = [0.0] * m.num_atoms
+            for k, order in enumerate(m.orders):
+                for end in m.ends[2 * k:2 * k + 2]:
+                    degrees[end] += 1
+                    sums[end] += order
+            want = {
+                "in_ring": bridge_free_atoms(m),
+                "fragments": component_oracle(m),
+                "bracketed": [written[k] is not None for k in atoms],
+                "degrees": degrees,
+                "order_sums": sums,
+                "hydrogens": [
+                    _implicit_hydrogens(m.symbols[new], sums[new])
+                    if written[k] is None else written[k]
+                    for new, k in enumerate(atoms)],
+            }
+            wrong += [f"{s!r}: {name} {getattr(m, name)}"
+                      for name, column in want.items()
+                      if getattr(m, name) != column]
     return parsed, wrong
 
 
@@ -460,14 +492,14 @@ def check_mc_prefix_sharing():
             assert gap == 0.0, f"{embed}/{readout} off by {gap:.2e}"
 
 
-def check_ring_fragment_oracle():
-    """Ring atoms and fragments read from the parse equal the bond-removal
-    and reachability oracles, on a token soup and on fragments that
-    branches interleave or ring closures join."""
+def check_parse_oracle():
+    """Ring atoms, fragments and atom columns read from the parse equal
+    the bond-removal, reachability and column oracles, on a token soup
+    and on fragments that branches interleave or ring closures join."""
     smiles = ["C(.CC)O", "C1.C1", "C12.C1C2", "C1.C2.C12", "CC1.CC1C2CC2",
-              "[NH4+](.Cl)[NH4+]", "c1ccccc1.[Na+]"]
+              "[NH4+](.Cl)[NH4+]", "c1ccccc1.[Na+]", "C=C1CC(=O)C1#N"]
     smiles += token_soup(np.random.default_rng(9), 400)
-    parsed, wrong = ring_fragment_mismatches(smiles)
+    parsed, wrong = parse_mismatches(smiles)
     assert len(parsed) >= 50, f"only {len(parsed)} strings parsed"
     assert not wrong, "; ".join(wrong[:3])
 
@@ -512,7 +544,7 @@ CHECKS = [
     ("attention readout oracle", check_attention_readout_oracle),
     ("mc dropout zero rate", check_mc_dropout_zero_rate),
     ("mc prefix sharing", check_mc_prefix_sharing),
-    ("ring and fragment oracle", check_ring_fragment_oracle),
+    ("parse oracle", check_parse_oracle),
     ("checkpoint roundtrip", check_checkpoint_roundtrip),
     ("decay decoupling", check_decay_decoupling),
 ]

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import SmilesError, SmilesSyntaxError, UnsupportedFeatureError
 
@@ -64,7 +64,7 @@ VOCABULARY: tuple[str, ...] = (
     "Si", "Se", "As", "H", "Na", "K", "Li", "Ca", "Zn", "Fe", "Mg", "Al", "Sn",
 )
 
-# Bare (unbracketed) atom letters -> Atom(symbol, aromatic) arguments.  The
+# Bare (unbracketed) atom letters -> (symbol, aromatic flag).  The
 # two-letter halogens Cl and Br are read by the parser from their first
 # letter.
 _BARE_ATOMS: dict[str, tuple[str, bool]] = {
@@ -90,56 +90,32 @@ _ALL_ELEMENTS = frozenset(
 
 
 @dataclass
-class Atom:
-    """One heavy (or explicitly written) atom in the molecular graph."""
-
-    symbol: str
-    aromatic: bool = False
-    formal_charge: int = 0
-    explicit_hydrogens: int | None = None
-    isotope: int | None = None
-    # Filled in after graph assembly.
-    degree: int = 0
-    implicit_hydrogens: int = 0
-    bond_order_sum: float = 0.0  # orders of its bonds, added in bond order
-    in_ring: bool = False  # on at least one cycle
-
-
-@dataclass
-class Bond:
-    """An edge between two atom indices; order 1.5 marks aromatic bonds."""
-
-    a1: int
-    a2: int
-    order: float = 1.0
-
-    @property
-    def aromatic(self) -> bool:
-        return self.order == 1.5
-
-
-@dataclass
 class Molecule:
-    """Parsed molecular graph.  Dot-separated fragments share one instance.
-
-    ``fragments`` holds each connected fragment as a sorted list of atom
-    indices, ordered by first atom index.  The parser fills it in, together
-    with each atom's ``in_ring`` flag.  Nothing changes an atom after the
-    parse, so a salt-stripped molecule shares its atoms with the parse.
+    """Parsed molecular graph: atom ``k``'s facts at index ``k`` of each
+    per-atom list, and bond ``k`` joining atoms ``ends[2k]`` and
+    ``ends[2k + 1]`` with order ``orders[k]`` (1.5 marks aromatic bonds).
+    Dot-separated fragments share one instance; ``fragments`` holds each
+    as a sorted list of atom indices, ordered by first atom index.
+    Nothing changes a molecule after the parse.
     """
 
-    atoms: list[Atom] = field(default_factory=list)
-    bonds: list[Bond] = field(default_factory=list)
+    symbols: list[str]
+    aromatic: list[bool]
+    charges: list[int]  # formal charges
+    hydrogens: list[int]  # written in brackets, else by the valence rule
+    degrees: list[int]
+    order_sums: list[float]  # orders of each atom's bonds, in bond order
+    in_ring: list[bool]  # on at least one cycle
+    isotopes: list[int | None]  # None where none is written
+    bracketed: list[bool]  # written in brackets, with its hydrogen count
+    ends: list[int]
+    orders: list[float]
+    fragments: list[list[int]]
     smiles: str = ""
-    fragments: list[list[int]] = field(default_factory=list)
 
     @property
     def num_atoms(self) -> int:
-        return len(self.atoms)
-
-    def ring_atoms(self) -> set[int]:
-        """Indices of atoms lying on at least one cycle."""
-        return {i for i, atom in enumerate(self.atoms) if atom.in_ring}
+        return len(self.symbols)
 
 
 def parse_smiles(smiles: str) -> Molecule:
@@ -150,8 +126,10 @@ def parse_smiles(smiles: str) -> Molecule:
     carry ``position`` (1-based) and ``token`` attributes.
 
     One pass over the characters, with the text, the index and the
-    parser state in locals.  Bond order sums and degrees are summed as
-    each bond is added.
+    parser state in locals.  Each atom's facts are appended to per-atom
+    lists, and bond order sums and degrees are summed as each bond is
+    added; the few bracket atoms' charges, hydrogen counts and isotopes
+    are written into their lists after the pass.
 
     The chain and branch bonds form a spanning forest of the graph:
     each atom's tree parent is the atom its bond came from.  Every
@@ -162,8 +140,12 @@ def parse_smiles(smiles: str) -> Molecule:
     n = len(text)
     if not n:
         raise SmilesSyntaxError("empty SMILES", 1)
-    atoms: list[Atom] = []
-    bonds: list[Bond] = []
+    symbols: list[str] = []
+    aromatic: list[bool] = []
+    # (atom, charge, hydrogen count, isotope) of each bracket atom
+    bracket_atoms: list[tuple[int, int, int, int | None]] = []
+    ends: list[int] = []
+    orders: list[float] = []
     ring_pairs: set[tuple[int, int]] = set()  # (low, high) atom index
     sums: list[float] = []
     degrees: list[int] = []
@@ -180,11 +162,10 @@ def parse_smiles(smiles: str) -> Molecule:
         ch = text[i]
         pos = i = i + 1  # i now indexes the next character
         if ch in _BARE_ATOMS:
+            symbol, arom = _BARE_ATOMS[ch]
             if ch + text[i:i + 1] in ("Cl", "Br"):
-                atom = Atom(ch + text[i])
+                symbol += text[i]
                 i += 1
-            else:
-                atom = Atom(*_BARE_ATOMS[ch])
         elif ch == "(":
             if prev < 0:
                 raise SmilesSyntaxError("branch before any atom", pos, ch)
@@ -241,11 +222,12 @@ def parse_smiles(smiles: str) -> Molecule:
             symbol = symbol or other_symbol
             if symbol is not None:
                 order = _BOND_ORDERS[symbol]
-            elif atoms[other].aromatic and atoms[prev].aromatic:
+            elif aromatic[other] and aromatic[prev]:
                 order = 1.5
             else:
                 order = 1.0
-            bonds.append(Bond(other, prev, order))
+            ends += (other, prev)
+            orders.append(order)
             closures.append((other, prev))
             sums[other] += order
             sums[prev] += order
@@ -253,7 +235,8 @@ def parse_smiles(smiles: str) -> Molecule:
             degrees[prev] += 1
             continue
         elif ch == "[":
-            atom, i = _read_bracket_atom(text, i)
+            symbol, arom, charge, h, isotope, i = _read_bracket_atom(text, i)
+            bracket_atoms.append((len(symbols), charge, h, isotope))
         elif ch == ".":
             if pending is not None:
                 raise SmilesSyntaxError("bond before fragment dot", pos, ch)
@@ -276,8 +259,9 @@ def parse_smiles(smiles: str) -> Molecule:
             raise SmilesSyntaxError("unexpected character", pos, ch)
 
         # an atom was read: append it and bond it to the chain
-        k = len(atoms)
-        atoms.append(atom)
+        k = len(symbols)
+        symbols.append(symbol)
+        aromatic.append(arom)
         parent.append(prev)
         if prev < 0:
             if pending is not None:
@@ -289,11 +273,12 @@ def parse_smiles(smiles: str) -> Molecule:
             # a new atom cannot close a bond twice, so no check is due
             if pending is not None:
                 order = _BOND_ORDERS[pending]
-            elif atom.aromatic and atoms[prev].aromatic:
+            elif arom and aromatic[prev]:
                 order = 1.5
             else:
                 order = 1.0
-            bonds.append(Bond(prev, k, order))
+            ends += (prev, k)
+            orders.append(order)
             sums[prev] += order
             degrees[prev] += 1
             sums.append(order)
@@ -311,33 +296,36 @@ def parse_smiles(smiles: str) -> Molecule:
         label, (_, _, pos) = next(iter(rings.items()))
         raise SmilesSyntaxError("unclosed ring bond", pos, str(label))
 
-    table = _IMPLICIT_HYDROGENS
-    for atom, order_sum, degree in zip(atoms, sums, degrees):
-        atom.degree = degree
-        atom.bond_order_sum = order_sum
-        if atom.explicit_hydrogens is None:  # bracket atoms carry their own
-            h = table.get((atom.symbol, order_sum))
-            if h is None:
-                h = _implicit_hydrogens(atom.symbol, order_sum)
-            atom.implicit_hydrogens = h
-
-    fragments = [list(range(len(atoms)))]
-    rank: Sequence[int] = range(len(atoms))  # parents rank below children
+    num_atoms = len(symbols)
+    table = _IMPLICIT_HYDROGENS  # bracket atoms are overwritten below
+    hydrogens = [table.get(key, 0) for key in zip(symbols, sums)]
+    charges = [0] * num_atoms
+    isotopes: list[int | None] = [None] * num_atoms
+    bracketed = [False] * num_atoms
+    for k, charge, h, isotope in bracket_atoms:
+        charges[k] = charge
+        hydrogens[k] = h
+        isotopes[k] = isotope
+        bracketed[k] = True
+    in_ring = [False] * num_atoms
+    fragments = [list(range(num_atoms))]
+    rank: Sequence[int] = range(num_atoms)  # parents rank below children
     if dotted:
         fragments, closures, joined = _join_fragments(parent, closures)
         if joined:  # re-rooting put some parents after their children
-            rank = [_depth(parent, k) for k in range(len(atoms))]
+            rank = [_depth(parent, k) for k in range(num_atoms)]
     for a, b in closures:
         # mark the tree path from a to b: move the end of higher rank
         # to its parent until the two ends meet
-        atoms[a].in_ring = atoms[b].in_ring = True
+        in_ring[a] = in_ring[b] = True
         while a != b:
             if rank[a] < rank[b]:
                 a, b = b, a
             a = parent[a]
-            atoms[a].in_ring = True
-    return Molecule(atoms=atoms, bonds=bonds, smiles=smiles,
-                    fragments=fragments)
+            in_ring[a] = True
+    return Molecule(symbols, aromatic, charges, hydrogens, degrees, sums,
+                    in_ring, isotopes, bracketed, ends, orders, fragments,
+                    smiles)
 
 
 def _join_fragments(parent: list[int], closures: list[tuple[int, int]]
@@ -391,9 +379,11 @@ def _digits_end(text: str, i: int) -> int:
     return i
 
 
-def _read_bracket_atom(text: str, i: int) -> tuple[Atom, int]:
+def _read_bracket_atom(text: str, i: int
+                       ) -> tuple[str, bool, int, int, int | None, int]:
     """Read the bracket atom whose ``[`` ends just before index ``i``;
-    return it with the index just past its ``]``."""
+    return its symbol, aromatic flag, charge, hydrogen count and isotope,
+    and the index just past its ``]``."""
     open_pos = i
     end = _digits_end(text, i)
     isotope = int(text[i:end]) if end > i else None
@@ -432,9 +422,7 @@ def _read_bracket_atom(text: str, i: int) -> tuple[Atom, int]:
         raise SmilesSyntaxError(
             "unclosed or malformed bracket atom", open_pos, text[i:i + 1]
         )
-    atom = Atom(symbol, aromatic, charge, explicit_h, isotope,
-                implicit_hydrogens=explicit_h)
-    return atom, i + 1
+    return symbol, aromatic, charge, explicit_h, isotope, i + 1
 
 
 def _read_bracket_symbol(text: str, i: int) -> tuple[str, bool, int]:
@@ -498,8 +486,8 @@ def _implicit_hydrogens(symbol: str, order_sum: float) -> int:
 
 
 #: (symbol, bond order sum) -> implicit hydrogen count, for every bare symbol
-#: and every order sum up to 12; the parser computes larger sums directly.
+#: and every order sum up to 6, the largest valence; larger sums leave none.
 _IMPLICIT_HYDROGENS: dict[tuple[str, float], int] = {
     (s, k / 2): _implicit_hydrogens(s, k / 2)
-    for s in ORGANIC_VALENCES for k in range(25)
+    for s in ORGANIC_VALENCES for k in range(13)
 }

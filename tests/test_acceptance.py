@@ -31,10 +31,12 @@ from molcalib.selftest import (
     logits_of,
     loss_identity_gaps,
     metric_oracle_mismatches,
+    parse_mismatches,
     permutation_gap,
     random_graph,
     rate_zero_gaps,
     size_ratio_gap,
+    token_soup,
 )
 from molcalib.smiles import parse_smiles
 
@@ -239,8 +241,17 @@ def test_metrics_match_independent_oracles(announce):
     if full.success_rate.tolist() != [prevalence]:
         problems.append("success rate at the full library != prevalence")
 
+    # the parser's rings, fragments and per-atom columns
+    smiles = ["C=C1C=CC(=O)C1", "CS(=O)(=O)C(#C)(#C)#C", "[13CH2]=[N+]=[N-]",
+              "F/C=C\\F.[Na+]", "C=1CCCCC=1", "c1cc[nH]c1C(=O)[O-]",
+              "C=S(=O)C=P(C)C"]
+    parsed, wrong = parse_mismatches(
+        smiles + token_soup(np.random.default_rng(37), 1000))
+    problems += wrong[:3]
+
     verdict(announce, "3/8 metrics vs brute-force oracles", problems,
-            f"1000 record sets, tol {tol:.0e}, calibrated ece {cal_ece:.1e}")
+            f"1000 record sets, tol {tol:.0e}, calibrated ece {cal_ece:.1e}, "
+            f"{len(parsed)} parsed SMILES")
 
 
 # -- gate 4: model invariances ---------------------------------------

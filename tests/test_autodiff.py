@@ -370,6 +370,16 @@ class TestPackedGraphOps:
                 if j < 9:
                     assert nb.index[j, nb.mirror[i, k]] == i
 
+    def test_neighbor_gathers_keep_float32(self):
+        rng = np.random.default_rng(4)
+        _, nb = random_neighbors(rng, 8)
+        x = rng.standard_normal((8, 3))
+        w = rng.standard_normal(nb.index.shape)
+        for op, arg in ((nb.sum, x), (nb.gather, x), (nb.transpose, w)):
+            got = op(arg.astype(np.float32))
+            assert got.dtype == np.float32, op.__name__
+            np.testing.assert_allclose(got, op(arg), rtol=1e-6, atol=1e-6)
+
     def test_neighbor_gradients(self):
         rng = np.random.default_rng(2)
         _, nb = random_neighbors(rng, 6)

@@ -11,6 +11,7 @@ from molcalib.errors import (
     FeatureError,
     IoError,
     SchemaError,
+    SmilesError,
     SmilesSyntaxError,
 )
 
@@ -209,6 +210,39 @@ class TestGoldenGraphs:
         # digests recorded before the parser became one loop over the
         # text; a change to any graph byte fails here
         assert (golden_digest(True), golden_digest(False)) == GOLDEN_DIGEST
+
+
+# One malformed or unsupported SMILES per raise site of the parser, in
+# source order: parse_smiles, _read_bracket_atom, _read_bracket_symbol,
+# _bare_atom_error.  A skipped row's error text goes into the ingestion
+# report, and through it into every manifest fingerprint.
+GOLDEN_ERRORS = [
+    "", "(C)C", "C=(C)C", "CC)", "C(C=)O", "C(C.)C", "C()C", "C==C",
+    "1CC", "C%1C", "C=1CCCCC-1", "C11", "C12CC12", "C=.C", ".C", "C C",
+    "Cx", "*CC", "C>N", "C&C", "=CC", "CC=", "C.", "C(", "C1CC",
+    "[C+5]", "[C:]", "[CH3", "[]", "[te]", "[q]", "[Te]", "[U]", "[Q]",
+    "Zn", "KCl", "Q",
+]
+GOLDEN_ERRORS_DIGEST = (
+    "e298615c74e1c3cc053532d070839ecae12f85175e7ed05f6448bbc5260a84b5"
+)
+
+
+def golden_errors_digest():
+    h = hashlib.sha256()
+    for smiles in GOLDEN_ERRORS:
+        with pytest.raises(SmilesError) as info:
+            ingest_smiles(smiles)
+        err = info.value
+        h.update(repr((type(err).__name__, str(err), err.position,
+                       err.token)).encode())
+    return h.hexdigest()
+
+
+class TestGoldenErrors:
+    def test_error_class_message_position_and_token_are_pinned(self):
+        # digest recorded before the parser stored atoms as columns
+        assert golden_errors_digest() == GOLDEN_ERRORS_DIGEST
 
 
 class TestSplit:

@@ -14,8 +14,12 @@ from molcalib.featurize import (
     permute_graph,
     strip_to_largest_component,
 )
-from molcalib.selftest import bridge_free_atoms, component_oracle
-from molcalib.smiles import VOCABULARY, Atom, Molecule, parse_smiles
+from molcalib.selftest import (
+    bridge_free_atoms,
+    component_oracle,
+    parse_mismatches,
+)
+from molcalib.smiles import VOCABULARY, Molecule, parse_smiles
 
 from test_autodiff import dense_adjacency
 
@@ -106,13 +110,14 @@ def oracle_graph(mol):
     block by block, straight from the layout table in the featurize module
     docstring (block widths 24/7/5/5/1/1/6/9)."""
     ring = bridge_free_atoms(mol)
+    bonds = list(zip(mol.ends[::2], mol.ends[1::2], mol.orders))
     rows = []
-    for i, atom in enumerate(mol.atoms):
-        incident = [b for b in mol.bonds if i in (b.a1, b.a2)]
-        h = atom.implicit_hydrogens
+    for i, symbol in enumerate(mol.symbols):
+        incident = [b for b in bonds if i in b[:2]]
+        h = mol.hydrogens[i]
         element = [0] * 24
-        if atom.symbol in VOCABULARY:
-            element[VOCABULARY.index(atom.symbol)] = 1
+        if symbol in VOCABULARY:
+            element[VOCABULARY.index(symbol)] = 1
         else:
             element[-1] = 1  # "other"
         degree = [0] * 7
@@ -120,24 +125,24 @@ def oracle_graph(mol):
         hydrogens = [0] * 5
         hydrogens[h] = 1
         charge = [0] * 5
-        clipped = atom.formal_charge
+        clipped = mol.charges[i]
         if clipped > 2:
             clipped = 2
         if clipped < -2:
             clipped = -2
         charge[clipped + 2] = 1
-        flags = [int(atom.aromatic), int(i in ring)]
+        flags = [int(mol.aromatic[i]), int(ring[i])]
         order_sum = 0.0
         for b in incident:
-            order_sum += b.order
+            order_sum += b[2]
         bucket = [0] * 6
         bucket[min(max(math.floor(order_sum + h), 1), 6) - 1] = 1
         rows.append(element + degree + hydrogens + charge + flags + bucket
                     + [0] * 9)
     n = mol.num_atoms
     x = np.array(rows, dtype=np.uint8).reshape(n, 58)
-    a = np.array([[1.0 if i == j or any({i, j} == {b.a1, b.a2}
-                                         for b in mol.bonds) else 0.0
+    a = np.array([[1.0 if i == j or any({i, j} == set(b[:2])
+                                         for b in bonds) else 0.0
                    for j in range(n)] for i in range(n)],
                  dtype=np.float64).reshape(n, n)
     return x, a
@@ -169,12 +174,13 @@ class TestOracle:
         checked = 0
         for s in ORACLE_SMILES:
             mol = parse_smiles(s)
+            assert parse_mismatches([s])[1] == [], s
             for m in (mol, strip_to_largest_component(mol)):
                 assert m.fragments == component_oracle(m), s
                 g = featurize(m)
                 x, a = oracle_graph(m)
                 assert g.bonds.dtype == np.int32, s
-                assert g.bonds.tolist() == [[b.a1, b.a2] for b in m.bonds], s
+                assert g.bonds.ravel().tolist() == m.ends, s
                 for got, want in ((g.node_features, x), (self_looped(g), a)):
                     assert got.dtype == want.dtype and \
                         got.shape == want.shape, s
@@ -183,20 +189,21 @@ class TestOracle:
         assert checked == 2 * len(ORACLE_SMILES)
 
     def test_oracle_list_covers_the_cases(self):
-        charges = [a.formal_charge for s in ORACLE_SMILES
-                   for a in parse_smiles(s).atoms]
+        charges = [c for s in ORACLE_SMILES for c in parse_smiles(s).charges]
         assert max(charges) > 2 and min(charges) < -2
         mols = [parse_smiles(s) for s in ORACLE_SMILES]
         assert any(m.num_atoms == 1 for m in mols)
-        assert any(m.num_atoms > 1 and not m.bonds for m in mols)
+        assert any(m.num_atoms > 1 and not m.orders for m in mols)
         assert any(len(m.fragments) > 1
                    and strip_to_largest_component(m).num_atoms < m.num_atoms
                    for m in mols)
 
     def test_element_outside_vocabulary_goes_to_other(self):
         # the parser never yields one; a hand-built Molecule can
-        mol = Molecule(atoms=[Atom("Xe")], smiles="[Xe]",
-                       fragments=[[0]])
+        mol = Molecule(symbols=["Xe"], aromatic=[False], charges=[0],
+                       hydrogens=[0], degrees=[0], order_sums=[0.0],
+                       in_ring=[False], isotopes=[None], bracketed=[True],
+                       ends=[], orders=[], fragments=[[0]], smiles="[Xe]")
         x = featurize(mol).node_features
         assert x[0, :24].tolist() == [0] * 23 + [1]
         assert x.tobytes() == oracle_graph(mol)[0].tobytes()
@@ -247,14 +254,14 @@ class TestStripping:
         mol = parse_smiles("[Na+].[O-]c1ccccc1")
         kept = strip_to_largest_component(mol)
         assert kept.num_atoms == 7
-        assert kept.atoms[0].symbol == "O"
-        assert kept.atoms[0].formal_charge == -1
+        assert kept.symbols[0] == "O"
+        assert kept.charges[0] == -1
 
     def test_tie_keeps_lowest_first_index(self):
         mol = parse_smiles("C.N")
         kept = strip_to_largest_component(mol)
         assert kept.num_atoms == 1
-        assert kept.atoms[0].symbol == "C"
+        assert kept.symbols == ["C"]
 
     def test_single_component_untouched(self):
         mol = parse_smiles("CCO")

@@ -7,144 +7,143 @@ from molcalib.errors import SmilesSyntaxError, UnsupportedFeatureError
 from molcalib.featurize import strip_to_largest_component
 from molcalib.selftest import (
     bridge_free_atoms,
-    ring_fragment_mismatches,
+    parse_mismatches,
     token_soup,
 )
 from molcalib.smiles import parse_smiles
 
 
 def bond_orders(mol):
-    return sorted(b.order for b in mol.bonds)
+    return sorted(mol.orders)
+
+
+def ring_atoms(mol):
+    return {k for k, flag in enumerate(mol.in_ring) if flag}
 
 
 class TestBasicParsing:
     def test_methane(self):
         mol = parse_smiles("C")
         assert mol.num_atoms == 1
-        assert len(mol.bonds) == 0
-        assert mol.atoms[0].symbol == "C"
-        assert mol.atoms[0].degree == 0
-        assert mol.atoms[0].implicit_hydrogens == 4
+        assert mol.ends == [] and mol.orders == []
+        assert mol.symbols == ["C"]
+        assert mol.degrees == [0]
+        assert mol.hydrogens == [4]
 
     def test_ethanol(self):
         mol = parse_smiles("CCO")
         assert mol.num_atoms == 3
-        assert len(mol.bonds) == 2
-        assert [a.symbol for a in mol.atoms] == ["C", "C", "O"]
-        assert [a.implicit_hydrogens for a in mol.atoms] == [3, 2, 1]
+        assert mol.ends == [0, 1, 1, 2]
+        assert mol.symbols == ["C", "C", "O"]
+        assert mol.hydrogens == [3, 2, 1]
 
     def test_acetic_acid_branch(self):
         mol = parse_smiles("CC(=O)O")
         assert mol.num_atoms == 4
         assert bond_orders(mol) == [1.0, 1.0, 2.0]
         # carbonyl carbon: three heavy neighbors, no hydrogens left after C=O
-        assert mol.atoms[1].degree == 3
-        assert mol.atoms[1].implicit_hydrogens == 0
+        assert mol.degrees[1] == 3
+        assert mol.hydrogens[1] == 0
 
     def test_triple_bond(self):
         mol = parse_smiles("C#N")
         assert bond_orders(mol) == [3.0]
-        assert mol.atoms[0].implicit_hydrogens == 1
-        assert mol.atoms[1].implicit_hydrogens == 0
+        assert mol.hydrogens == [1, 0]
 
     def test_two_letter_halogens(self):
         mol = parse_smiles("ClCBr")
-        assert [a.symbol for a in mol.atoms] == ["Cl", "C", "Br"]
-        assert mol.atoms[0].implicit_hydrogens == 0
+        assert mol.symbols == ["Cl", "C", "Br"]
+        assert mol.hydrogens[0] == 0
 
     def test_neopentane_degree(self):
         mol = parse_smiles("CC(C)(C)C")
-        assert mol.atoms[1].degree == 4
-        assert mol.atoms[1].implicit_hydrogens == 0
+        assert mol.degrees[1] == 4
+        assert mol.hydrogens[1] == 0
 
     def test_phosphorus_valence_promotion(self):
-        assert parse_smiles("CP(C)C").atoms[1].implicit_hydrogens == 0
+        assert parse_smiles("CP(C)C").hydrogens[1] == 0
         # four substituents push P to its next valence (5), one slot left
-        assert parse_smiles("CP(C)(C)C").atoms[1].implicit_hydrogens == 1
+        assert parse_smiles("CP(C)(C)C").hydrogens[1] == 1
 
     def test_sulfone(self):
         mol = parse_smiles("CS(=O)(=O)C")
-        assert mol.atoms[1].implicit_hydrogens == 0
+        assert mol.hydrogens[1] == 0
 
 
 class TestAromaticParsing:
     def test_benzene(self):
         mol = parse_smiles("c1ccccc1")
         assert mol.num_atoms == 6
-        assert len(mol.bonds) == 6
-        assert all(b.aromatic for b in mol.bonds)
-        assert all(a.aromatic for a in mol.atoms)
-        assert all(a.implicit_hydrogens == 1 for a in mol.atoms)
+        assert mol.orders == [1.5] * 6
+        assert mol.aromatic == [True] * 6
+        assert mol.hydrogens == [1] * 6
 
     def test_toluene_mixed_bond(self):
         mol = parse_smiles("Cc1ccccc1")
-        methyl_bonds = [b for b in mol.bonds if 0 in (b.a1, b.a2)]
-        assert len(methyl_bonds) == 1
-        assert methyl_bonds[0].order == 1.0
-        assert mol.atoms[0].implicit_hydrogens == 3
+        assert mol.ends[:2] == [0, 1] and 0 not in mol.ends[2:]
+        assert mol.orders[0] == 1.0
+        assert mol.hydrogens[0] == 3
 
     def test_pyridine_nitrogen(self):
         mol = parse_smiles("c1ccncc1")
-        n = next(a for a in mol.atoms if a.symbol == "N")
-        assert n.aromatic
-        assert n.implicit_hydrogens == 0
+        n = mol.symbols.index("N")
+        assert mol.aromatic[n]
+        assert mol.hydrogens[n] == 0
 
     def test_pyrrole_bracket_nh(self):
         mol = parse_smiles("c1cc[nH]c1")
-        n = next(a for a in mol.atoms if a.symbol == "N")
-        assert n.explicit_hydrogens is not None
-        assert n.implicit_hydrogens == 1
+        n = mol.symbols.index("N")
+        assert mol.bracketed == [k == n for k in range(5)]
+        assert mol.hydrogens[n] == 1
 
     def test_methyl_on_aromatic_nitrogen(self):
         # "Cn" must read as carbon + aromatic nitrogen, not an element symbol
         mol = parse_smiles("Cn1cccc1")
-        assert [a.symbol for a in mol.atoms[:2]] == ["C", "N"]
-        assert mol.atoms[1].aromatic
+        assert mol.symbols[:2] == ["C", "N"]
+        assert mol.aromatic[1]
 
     def test_caffeine(self):
         mol = parse_smiles("Cn1cnc2c1c(=O)n(C)c(=O)n2C")
         assert mol.num_atoms == 14
-        assert sum(a.symbol == "N" for a in mol.atoms) == 4
-        assert sum(a.symbol == "O" for a in mol.atoms) == 2
+        assert mol.symbols.count("N") == 4
+        assert mol.symbols.count("O") == 2
 
     def test_aromatic_sulfur_valence_quirk(self):
         # documented rule: floor(1.5 + 1.5) = 3 pushes S to valence 4
         mol = parse_smiles("c1ccsc1")
-        s = next(a for a in mol.atoms if a.symbol == "S")
-        assert s.implicit_hydrogens == 1
+        assert mol.hydrogens[mol.symbols.index("S")] == 1
 
     def test_selenophene_bracket_aromatic(self):
         mol = parse_smiles("c1cc[se]1")
-        se = next(a for a in mol.atoms if a.symbol == "Se")
-        assert se.aromatic and se.explicit_hydrogens is not None
+        se = mol.symbols.index("Se")
+        assert mol.aromatic[se] and mol.bracketed[se]
 
 
 class TestBracketAtoms:
     def test_sodium_cation(self):
         mol = parse_smiles("[Na+]")
-        a = mol.atoms[0]
-        assert (a.symbol, a.formal_charge, a.implicit_hydrogens) == ("Na", 1, 0)
+        assert (mol.symbols, mol.charges, mol.hydrogens) == (["Na"], [1], [0])
 
     def test_charge_forms(self):
-        assert parse_smiles("[Fe++]").atoms[0].formal_charge == 2
-        assert parse_smiles("[Fe+2]").atoms[0].formal_charge == 2
-        assert parse_smiles("[O-]").atoms[0].formal_charge == -1
-        assert parse_smiles("[N+](C)(C)(C)C").atoms[0].formal_charge == 1
+        assert parse_smiles("[Fe++]").charges == [2]
+        assert parse_smiles("[Fe+2]").charges == [2]
+        assert parse_smiles("[O-]").charges == [-1]
+        assert parse_smiles("[N+](C)(C)(C)C").charges == [1, 0, 0, 0, 0]
 
     def test_hydrogen_counts(self):
-        assert parse_smiles("[CH4]").atoms[0].explicit_hydrogens == 4
-        assert parse_smiles("[NH4+]").atoms[0].explicit_hydrogens == 4
-        assert parse_smiles("[CH]").atoms[0].explicit_hydrogens == 1
+        for smiles, h in (("[CH4]", 4), ("[NH4+]", 4), ("[CH]", 1)):
+            mol = parse_smiles(smiles)
+            assert (mol.bracketed, mol.hydrogens) == ([True], [h])
 
     def test_isotope(self):
-        a = parse_smiles("[13CH4]").atoms[0]
-        assert a.isotope == 13 and a.explicit_hydrogens == 4
-        assert parse_smiles("[2H]O").atoms[0].isotope == 2
+        mol = parse_smiles("[13CH4]")
+        assert mol.isotopes == [13] and mol.hydrogens == [4]
+        assert parse_smiles("[2H]O").isotopes == [2, None]
 
     def test_chirality_discarded(self):
         mol = parse_smiles("C[C@@H](N)O")
         assert mol.num_atoms == 4
-        assert mol.atoms[1].explicit_hydrogens == 1
+        assert mol.bracketed[1] and mol.hydrogens[1] == 1
 
     def test_atom_map_discarded(self):
         assert parse_smiles("[CH3:1]O").num_atoms == 2
@@ -152,28 +151,29 @@ class TestBracketAtoms:
     def test_explicit_hydrogen_nodes(self):
         mol = parse_smiles("[H]O[H]")
         assert mol.num_atoms == 3
-        o = mol.atoms[1]
-        assert o.degree == 2 and o.implicit_hydrogens == 0
+        assert mol.degrees[1] == 2 and mol.hydrogens[1] == 0
 
     def test_bracket_atom_zero_implicit(self):
         # bracket atoms never get valence-rule hydrogens
-        assert parse_smiles("[CH2]C").atoms[0].implicit_hydrogens == 2
-        assert parse_smiles("[C]").atoms[0].implicit_hydrogens == 0
+        assert parse_smiles("[CH2]C").hydrogens[0] == 2
+        assert parse_smiles("[C]").hydrogens == [0]
 
 
 class TestRingsAndFragments:
     def test_cyclohexane(self):
         mol = parse_smiles("C1CCCCC1")
-        assert len(mol.bonds) == 6
-        assert mol.ring_atoms() == set(range(6))
+        assert len(mol.orders) == 6
+        assert mol.in_ring == [True] * 6
 
     def test_percent_ring_label(self):
         mol = parse_smiles("C%12CCC%12")
-        assert len(mol.bonds) == 4
+        assert len(mol.orders) == 4
 
     def test_ring_bond_order_on_either_side(self):
         assert bond_orders(parse_smiles("C=1CCCCC=1")) == [1.0] * 5 + [2.0]
         assert bond_orders(parse_smiles("C=1CCCCC1")) == [1.0] * 5 + [2.0]
+        # an unmarked closure is aromatic only between two aromatic atoms
+        assert bond_orders(parse_smiles("c1ccccC1")) == [1.0] * 2 + [1.5] * 4
 
     def test_stereo_slashes_read_as_single(self):
         mol = parse_smiles("F/C=C/F")
@@ -181,14 +181,14 @@ class TestRingsAndFragments:
 
     def test_naphthalene_all_ring(self):
         mol = parse_smiles("c1ccc2ccccc2c1")
-        assert mol.ring_atoms() == set(range(10))
+        assert mol.in_ring == [True] * 10
 
     def test_chain_no_ring(self):
-        assert parse_smiles("CCCCC").ring_atoms() == set()
+        assert parse_smiles("CCCCC").in_ring == [False] * 5
 
     def test_ring_plus_tail(self):
         mol = parse_smiles("C1CC1CC")
-        assert mol.ring_atoms() == {0, 1, 2}
+        assert mol.in_ring == [True, True, True, False, False]
 
     def test_dot_fragments_one_molecule(self):
         mol = parse_smiles("[Na+].[O-]c1ccccc1")
@@ -200,8 +200,8 @@ class TestRingsAndFragments:
 
     def test_ring_label_reuse(self):
         mol = parse_smiles("C1CC1C1CC1")
-        assert len(mol.bonds) == 7
-        assert mol.ring_atoms() == set(range(6))
+        assert len(mol.orders) == 7
+        assert mol.in_ring == [True] * 6
 
 
 # smiles -> (ring atoms, fragments, the largest fragment's atom symbols
@@ -223,17 +223,18 @@ class TestParseForest:
     def test_pinned_rings_fragments_and_stripping(self, smiles):
         ring, fragments, symbols, bonds = FOREST_CASES[smiles]
         mol = parse_smiles(smiles)
-        assert mol.ring_atoms() == ring
+        assert ring_atoms(mol) == ring
         assert mol.fragments == fragments
         kept = strip_to_largest_component(mol)
-        assert [a.symbol for a in kept.atoms] == symbols
-        assert [(b.a1, b.a2) for b in kept.bonds] == bonds
-        assert kept.ring_atoms() == bridge_free_atoms(kept)
+        assert kept.symbols == symbols
+        assert list(zip(kept.ends[::2], kept.ends[1::2])) == bonds
+        assert kept.in_ring == bridge_free_atoms(kept)
         assert kept.fragments == [list(range(len(symbols)))]
+        assert parse_mismatches([smiles])[1] == []
 
     def test_token_soup_matches_the_oracles(self):
         soup = token_soup(np.random.default_rng(17), 20000)
-        parsed, wrong = ring_fragment_mismatches(soup)
+        parsed, wrong = parse_mismatches(soup)
         assert wrong[:5] == []
         assert len(parsed) > 5000
         # the soup reaches what a parse forest can get wrong: fragments a
@@ -245,14 +246,16 @@ class TestParseForest:
                   if len(m.fragments) <= s.count(".")]
         assert len(interleaved) > 20
         assert len(joined) > 200
-        assert sum(bool(m.ring_atoms()) for m in joined) > 50
+        assert sum(any(m.in_ring) for m in joined) > 50
 
     def test_stripping_keeps_the_parsed_atoms(self):
         mol = parse_smiles("[Na+].[13CH2]1CC1")
         kept = strip_to_largest_component(mol)
-        for new, old in enumerate(range(1, 4)):
-            assert kept.atoms[new] is mol.atoms[old]
-        assert all(a.in_ring for a in kept.atoms)
+        for name in ("symbols", "aromatic", "charges", "hydrogens", "degrees",
+                     "order_sums", "in_ring", "isotopes", "bracketed"):
+            assert getattr(kept, name) == getattr(mol, name)[1:], name
+        assert kept.in_ring == [True] * 3
+        assert kept.isotopes == [13, None, None]
 
 
 class TestErrors:
