@@ -1,4 +1,9 @@
-"""Reverse-mode automatic differentiation over dense 1-D/2-D float64 arrays.
+"""Reverse-mode automatic differentiation over dense 1-D/2-D float arrays.
+
+Data are float64, except that float32 data stay float32: an op on float32
+operands computes and returns float32, so a float32 forward and its
+backward pass run in float32 throughout.  Dropout masks are drawn from
+float64 uniforms at either precision, so a mask does not depend on it.
 
 Define-by-run: every operation builds a node holding its parents and a
 backward closure; :func:`backward` topologically sorts the graph reachable
@@ -42,13 +47,24 @@ import numpy as np
 from .errors import NumericalError, ShapeError, TapeError
 
 
+def _float_array(data) -> np.ndarray:
+    """`data` as an array: float32 kept, anything else as float64."""
+    arr = np.asarray(data)
+    return arr if arr.dtype == np.float32 else arr.astype(np.float64,
+                                                           copy=False)
+
+
 class Tensor:
-    """A float64 array plus the bookkeeping reverse mode needs."""
+    """A float64 or float32 array plus the bookkeeping reverse mode needs.
+
+    Float32 data stay float32; any other data become float64.  A leaf's
+    gradient is accumulated in its own dtype.
+    """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False) -> None:
-        arr = np.asarray(data, dtype=np.float64)
+        arr = _float_array(data)
         if arr.ndim > 2:
             raise ShapeError(f"tensors are at most 2-D, got shape {arr.shape}")
         self.data = arr
@@ -153,10 +169,11 @@ def checked_forward(compute):
         return compute()
 
 
-def _node(data, parents: tuple[Tensor, ...], backward, op: str) -> Tensor:
+def _node(data, parents: tuple[Tensor, ...], backward, op: str,
+          check: bool = True) -> Tensor:
     # np.dot and 0-d reductions return bare numpy scalars
-    data = np.asarray(data, dtype=np.float64)
-    if _CHECKING.get():
+    data = _float_array(data)
+    if check and _CHECKING.get():
         _check_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
@@ -180,7 +197,7 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
         # place, so `g` may be kept even when it is shared
         t.grad = g if t.grad is None else t.grad + g
     elif t.grad is None:
-        t.grad = np.array(g, dtype=np.float64)  # a copy: g may be shared
+        t.grad = np.array(g, dtype=t.data.dtype)  # a copy: g may be shared
     else:
         t.grad += g
 
@@ -196,6 +213,25 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 # -- arithmetic ------------------------------------------------------
+
+
+def cast(a: Tensor, dtype) -> Tensor:
+    """`a` in `dtype`, or `a` itself when it has that dtype already; the
+    gradient flows back in `a`'s dtype.
+
+    The result is not checked: a value beyond the narrower dtype's range
+    becomes infinite here, and the op that reads it reports the
+    non-finite values it produces.  Inside :func:`checked_forward` numpy
+    does not warn of the overflow.
+    """
+    if a.data.dtype == dtype:
+        return a
+    data = a.data.astype(dtype)
+
+    def backward(out):
+        _accum(a, out.grad.astype(a.data.dtype))
+
+    return _node(data, (a,), backward, "cast", check=False)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -380,7 +416,7 @@ def dropout(a: Tensor, rate: float, training: bool,
         start += rows
     # a bool mask: multiplying by it gives the values a 0/1 float mask would
     mask = draws >= rate
-    scale = 1.0 / (1.0 - rate)
+    scale = 1.0 / (1.0 - float(rate))  # a Python float keeps float32 data
     data = a.data * mask * scale
 
     def backward(out):

@@ -29,7 +29,7 @@ MAX_SKIP_EXAMPLES = 5
 
 
 def _parse_label(value: str, spec: DatasetSpec, row: int) -> int:
-    text = (value or "").strip()
+    text = value.strip()
     if spec.label_rule == "pic50_threshold":
         try:
             activity = float(text)
@@ -81,28 +81,37 @@ def load_dataset(spec: DatasetSpec) -> tuple[list[MolecularGraph], dict]:
 
     with reading(spec.path, "dataset"), \
             open(spec.path, "r", encoding="utf-8-sig", newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
             raise SchemaError(f"dataset {spec.path!r} has no header row")
+        # a repeated name reads its last column, as a dict of the row would
+        column = {name: i for i, name in enumerate(header)}
         missing = [c for c in (spec.smiles_column, spec.label_column)
-                   if c not in reader.fieldnames]
+                   if c not in column]
         if missing:
             raise SchemaError(
                 f"dataset {spec.path!r} lacks column(s) "
                 f"{', '.join(repr(c) for c in missing)}; header has "
-                f"{', '.join(repr(c) for c in reader.fieldnames)}")
+                f"{', '.join(repr(c) for c in header)}")
+        smiles_at = column[spec.smiles_column]
+        label_at = column[spec.label_column]
 
-        for row_index, row in enumerate(reader, start=1):
+        for row in reader:
+            if not row:  # a blank line is no row and takes no row number
+                continue
             rows_total += 1
-            smiles = (row[spec.smiles_column] or "").strip()
-            label = _parse_label(row[spec.label_column], spec, row_index)
+            # a short row reads its missing cells as empty
+            smiles = row[smiles_at].strip() if smiles_at < len(row) else ""
+            label = _parse_label(row[label_at] if label_at < len(row) else "",
+                                 spec, rows_total)
             try:
                 graph = ingest_smiles(smiles, spec.strip_salts, label,
-                                      f"{spec.name}:{row_index}")
+                                      f"{spec.name}:{rows_total}")
             except (SmilesError, FeatureError) as err:
                 skipped += 1
                 if len(skip_examples) < MAX_SKIP_EXAMPLES:
-                    skip_examples.append({"row": row_index, "smiles": smiles,
+                    skip_examples.append({"row": rows_total, "smiles": smiles,
                                           "reason": str(err)})
                 continue
             graphs.append(graph)

@@ -3,9 +3,9 @@
 Turns a parsed :class:`~molcalib.smiles.Molecule` into numpy arrays: a
 node feature matrix ``X`` of shape (N, 58), stored as uint8 one-hot rows
 (one byte per entry), and a bond list of shape (E, 2) holding each bond
-once as a pair of atom indices, in parse order.  The float64 matrix the
-model reads is built once per packed batch, by
-:func:`molcalib.model.pack_graphs`.
+once as a pair of atom indices, in parse order.  The float matrix the
+model reads (float64, or float32 for MC dropout scoring) is built once
+per packed batch, by :func:`molcalib.model.pack_graphs`.
 Self-loops are not stored: the model's rule is that every node sees
 itself plus its bonded neighbours (:class:`molcalib.autodiff.Neighbors`),
 with no degree normalization.
@@ -65,7 +65,7 @@ class MolecularGraph:
 
     ``node_features`` is an (N, NUM_FEATURES) array; ``featurize`` stores
     it as uint8 one-hot rows, and :func:`molcalib.model.pack_graphs`
-    converts a batch of them to float64 in one pass.  ``bonds`` is an
+    converts a batch of them to its compute dtype in one pass.  ``bonds`` is an
     (E, 2) int32 array with one row per bond, the atom indices of its two
     ends, in parse order.  It holds no self-loops and no bond twice.
     """

@@ -83,15 +83,17 @@ class GraphBatch:
     copy_rows: np.ndarray | None = None
 
 
-def pack_graphs(graphs: Sequence[MolecularGraph],
-                copies: int = 1) -> GraphBatch:
+def pack_graphs(graphs: Sequence[MolecularGraph], copies: int = 1,
+                dtype=np.float64) -> GraphBatch:
     """Pack graphs, each `copies` times; graph b's nodes follow graph b-1's.
 
     Each bond list must be an (E, 2) integer array of its own graph's node
     indices, with no self-bond and no pair listed twice in either
     orientation, as ``featurize`` builds it.  Node features of any real
     dtype (``featurize`` stores uint8 one-hot rows) are stacked into one
-    float64 matrix; this is the one place features become float64.  The
+    matrix of the compute dtype `dtype`, float64 (training, deterministic
+    scoring) or float32 (MC dropout scoring); this is the one place
+    features become floats, and the forward runs in their dtype.  The
     copies' neighbour lists and row ranges are those of packing each
     graph `copies` times in a row, built from the graphs' own by offsets.
     """
@@ -103,7 +105,7 @@ def pack_graphs(graphs: Sequence[MolecularGraph],
     if copies > 1 and segments.num_rows == 1:
         # numpy takes a one-row product as a matrix-vector product, which
         # rounds differently from the matrix product of the copies' rows
-        return pack_graphs(list(graphs) * copies)
+        return pack_graphs(list(graphs) * copies, dtype=dtype)
     try:
         bonds = np.concatenate([g.bonds for g in graphs])
     except ValueError:  # bond lists of mixed rank or width
@@ -116,7 +118,7 @@ def pack_graphs(graphs: Sequence[MolecularGraph],
         raise ShapeError("bond index outside its graph")
     neighbors = ad.Neighbors(bonds + segments.starts[owner, None],
                              segments.num_rows)
-    x = np.concatenate([g.node_features for g in graphs], dtype=np.float64)
+    x = np.concatenate([g.node_features for g in graphs], dtype=dtype)
     if copies == 1:
         return GraphBatch(x=x, neighbors=neighbors, segments=segments,
                           prefix_neighbors=neighbors)
@@ -228,29 +230,37 @@ class GnnModel:
         The copies of a graph differ only from layer 0's dropout on, so
         the input projection and layer 0's graph layer run on each graph
         once; their rows are then repeated for the copies.
+
+        The forward runs in the dtype of ``batch.x``: each parameter goes
+        through :func:`autodiff.cast`, which returns the parameter itself
+        where the dtypes already match, so a float64 forward casts
+        nothing.
         """
         cfg = self.config
-        h = ad.matmul(ad.Tensor(batch.x), self.params["w_in"])
+        x = ad.Tensor(batch.x)
+        params = {name: ad.cast(p, x.data.dtype)
+                  for name, p in self.params.items()}
+        h = ad.matmul(x, params["w_in"])
         neighbors = batch.prefix_neighbors
         readouts = []
         pool = sum_pool if cfg.readout == "sum" else attn_pool
         for layer in range(cfg.num_layers):
             if cfg.node_embedding == "gcn":
                 out = gcn_layer(h, neighbors,
-                                self.params[f"w_conv_{layer}"])
+                                params[f"w_conv_{layer}"])
             else:
                 out = gat_layer(h, neighbors,
-                                self.params[f"w_conv_{layer}"],
-                                self.params[f"w_attn_{layer}"])
+                                params[f"w_conv_{layer}"],
+                                params[f"w_attn_{layer}"])
             if layer == 0 and batch.copy_rows is not None:
                 h = ad.repeat_rows(h, batch.copy_rows)
                 out = ad.repeat_rows(out, batch.copy_rows)
                 neighbors = batch.neighbors
             h = embedding_block(h, out, cfg.dropout_rate, training, rng)
-            readouts.append(ad.sigmoid(pool(h, self.params[f"w_read_{layer}"],
+            readouts.append(ad.sigmoid(pool(h, params[f"w_read_{layer}"],
                                             batch.segments)))
         z = ad.concat(readouts, axis=1)
-        return ad.matmul(z, self.params["w_clf"]) + self.params["b_clf"]
+        return ad.matmul(z, params["w_clf"]) + params["b_clf"]
 
 
 # -- checkpoints -----------------------------------------------------

@@ -146,14 +146,21 @@ def predict_probabilities(model: GnnModel, graphs, mode: str,
     rounding: BLAS may round a product's rows differently at another row
     count, which moves a score by a few ulp at most.  Each forward is one
     :func:`autodiff.checked_forward` pass.
+
+    MC dropout copies are computed in float32 (their masks are the float64
+    draws of either precision), and their mean is taken in float64; this
+    moves a score by far less than the Monte Carlo error of the mean (see
+    :func:`selftest.mc_precision_gap`).  Deterministic scoring runs in
+    float64.
     """
     mc = mode == "mc_dropout" and model.config.dropout_rate > 0
     copies = mc_samples if mc else 1
+    dtype = np.float32 if mc else np.float64
     per_forward = max(1, batch_size // copies)
     probs = np.empty(len(graphs))
     for start in range(0, len(graphs), per_forward):
         chunk = graphs[start:start + per_forward]
-        packed = pack_graphs(chunk, copies)
+        packed = pack_graphs(chunk, copies, dtype)
 
         def chunk_forward():
             blocks = [(np.random.default_rng([seed, i]), copies * g.num_nodes)
@@ -162,7 +169,8 @@ def predict_probabilities(model: GnnModel, graphs, mode: str,
 
         with ad.no_grad():
             out = ad.checked_forward(chunk_forward).data
-        probs[start:start + len(chunk)] = out.reshape(-1, copies).mean(axis=1)
+        probs[start:start + len(chunk)] = out.reshape(-1, copies).mean(
+            axis=1, dtype=np.float64)
     return probs
 
 

@@ -21,6 +21,7 @@ import tempfile
 import numpy as np
 
 from . import autodiff as ad
+from .data import ingest_smiles
 from .errors import SmilesError
 from .featurize import (
     MolecularGraph,
@@ -60,6 +61,21 @@ def random_graph(rng, n, width, p=0.6):
     x = rng.standard_normal((n, width))
     return MolecularGraph(node_features=x, bonds=random_bonds(rng, n, p))
 
+
+# aspirin, caffeine, ibuprofen, paracetamol, sodium benzoate, nicotine,
+# diazepam, imatinib and methane: 1 to 37 heavy atoms after salt
+# stripping
+DRUG_LIKE_SMILES = (
+    "CC(=O)Oc1ccccc1C(=O)O",
+    "Cn1cnc2c1c(=O)n(C)c(=O)n2C",
+    "CC(C)Cc1ccc(cc1)C(C)C(=O)O",
+    "CC(=O)Nc1ccc(O)cc1",
+    "[Na+].[O-]C(=O)c1ccccc1",
+    "CN1CCCC1c1cccnc1",
+    "CN1C(=O)CN=C(c2ccccc2)c2cc(Cl)ccc12",
+    "Cc1ccc(NC(=O)c2ccc(CN3CCN(C)CC3)cc2)cc1Nc1nccc(-c2cccnc2)n1",
+    "C",
+)
 
 # atoms, bracket atoms, ring labels, branches and dots; repeats weight
 # the draw
@@ -383,20 +399,50 @@ def rate_zero_gaps(model, graphs, rng, copies=1):
             float(np.max(np.abs(trained - np.tile(det, copies)))))
 
 
-def prefix_sharing_gap(model, graphs, copies, seed=0):
+def _mc_logits(model, batch, graphs, copies, seed):
+    """Train-mode logits of `batch`, the packed copies of `graphs`, with
+    graph i's masks drawn from the stream (seed, i) as MC scoring draws
+    them."""
+    blocks = [(np.random.default_rng([seed, i]), copies * g.num_nodes)
+              for i, g in enumerate(graphs)]
+    with ad.no_grad():
+        return model.forward(batch, training=True, rng=blocks)
+
+
+def prefix_sharing_gap(model, graphs, copies, seed=0, dtype=np.float64):
     """Largest gap between the train-mode logits of ``graphs`` packed with
     ``copies``, whose layers before the first dropout run once per graph,
-    and of the pack that lists each graph ``copies`` times in a row; in
-    both, graph i draws its masks from the stream (seed, i).  0.0 when
-    they agree bitwise."""
-    def logits(batch):
-        blocks = [(np.random.default_rng([seed, i]), copies * g.num_nodes)
-                  for i, g in enumerate(graphs)]
-        return model.forward(batch, training=True, rng=blocks).data
+    and of the pack that lists each graph ``copies`` times in a row, both
+    computed in ``dtype``; in both, graph i draws its masks from the
+    stream (seed, i).  0.0 when they agree bitwise."""
+    shared = pack_graphs(graphs, copies, dtype)
+    repeated = pack_graphs([g for g in graphs for _ in range(copies)],
+                           dtype=dtype)
+    return float(np.max(np.abs(
+        _mc_logits(model, shared, graphs, copies, seed).data
+        - _mc_logits(model, repeated, graphs, copies, seed).data)))
 
-    shared = logits(pack_graphs(graphs, copies))
-    repeated = logits(pack_graphs([g for g in graphs for _ in range(copies)]))
-    return float(np.max(np.abs(shared - repeated)))
+
+def mc_precision_gap(model, graphs, copies, seed=0, per_error=False):
+    """Largest gap between the MC dropout scores of ``graphs`` computed as
+    scoring computes them, from float32 logits, and from a float64 forward
+    of the same pack with the same masks; a score is the float64 mean of
+    its ``copies`` sigmoids.  Scores are compared, not logits: a logit's
+    float32 rounding grows with its size, where the sigmoid flattens.
+    With ``per_error`` each gap is divided by the Monte Carlo standard
+    error of its float64 score (the copies' standard deviation over
+    sqrt(copies)); ``copies`` must then be at least 2."""
+    def probs(dtype):
+        logits = _mc_logits(model, pack_graphs(graphs, copies, dtype),
+                            graphs, copies, seed)
+        return ad.sigmoid(logits).data.reshape(-1, copies)
+
+    exact = probs(np.float64)
+    gaps = np.abs(probs(np.float32).mean(axis=1, dtype=np.float64)
+                  - exact.mean(axis=1))
+    if per_error:
+        gaps /= exact.std(axis=1, ddof=1) / math.sqrt(copies)
+    return float(np.max(gaps))
 
 
 # -- the selftest checks ---------------------------------------------
@@ -492,6 +538,19 @@ def check_mc_prefix_sharing():
             assert gap == 0.0, f"{embed}/{readout} off by {gap:.2e}"
 
 
+def check_mc_precision():
+    """MC dropout scores computed in float32 stay within 1e-6 of a float64
+    forward with the same masks, for each layer and readout, on featurized
+    molecules at the default model size."""
+    graphs = [ingest_smiles(s) for s in DRUG_LIKE_SMILES]
+    for embed in ("gcn", "gat"):
+        for readout in ("sum", "attn"):
+            config = ModelConfig(node_embedding=embed, readout=readout,
+                                 dropout_rate=0.2)
+            gap = mc_precision_gap(GnnModel(config, seed=5), graphs, 30)
+            assert gap <= 1e-6, f"{embed}/{readout} off by {gap:.2e}"
+
+
 def check_parse_oracle():
     """Ring atoms, fragments and atom columns read from the parse equal
     the bond-removal, reachability and column oracles, on a token soup
@@ -544,6 +603,7 @@ CHECKS = [
     ("attention readout oracle", check_attention_readout_oracle),
     ("mc dropout zero rate", check_mc_dropout_zero_rate),
     ("mc prefix sharing", check_mc_prefix_sharing),
+    ("mc float32 precision", check_mc_precision),
     ("parse oracle", check_parse_oracle),
     ("checkpoint roundtrip", check_checkpoint_roundtrip),
     ("decay decoupling", check_decay_decoupling),

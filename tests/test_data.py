@@ -117,6 +117,28 @@ class TestLoading:
         assert report["ingested"] == 2 and report["skipped"] == 0
         assert [g.smiles for g in graphs] == ["CCO", "CCN"]
 
+    def test_blank_lines_are_no_rows(self, tmp_path):
+        path = tmp_path / "gappy.csv"
+        path.write_text("smiles,label\n\nCCO,1\n\n\nC(,0\nCCN,0\n\n")
+        graphs, report = load_dataset(spec_for(path))
+        assert report["rows_total"] == 3 and report["skipped"] == 1
+        assert report["skip_examples"][0]["row"] == 2
+        assert [g.source_id for g in graphs] == ["toy:1", "toy:3"]
+
+    def test_short_row_reads_missing_cells_as_empty(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("label,smiles\n1,CCO\n0\n1,CCN\n")
+        graphs, report = load_dataset(spec_for(path))
+        assert report["rows_total"] == 3 and report["skipped"] == 1
+        assert report["skip_examples"][0]["row"] == 2
+        assert report["skip_examples"][0]["smiles"] == ""
+        assert [g.smiles for g in graphs] == ["CCO", "CCN"]
+        path.write_text("smiles,label\nCCO,1\nCCN\n")
+        with pytest.raises(SchemaError,
+                           match="^row 2: label '' in column 'label' is "
+                                 "not binary$"):
+            load_dataset(spec_for(path))
+
     def test_featurize_failures_skipped_and_reported(self, tmp_path):
         path = tmp_path / "toy.csv"
         write_csv(path, ["smiles", "label"],

@@ -510,6 +510,25 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("non-finite values produced by matmul") == 2
 
+    def test_float32_overflow_fails_only_in_mc_mode(self, toy_raw_config,
+                                                    tmp_path, capsys):
+        # 1e39 is a finite float64 beyond float32's range: deterministic
+        # scoring runs in float64, MC dropout scoring in float32
+        def edit(payload):
+            payload["config"]["dropout_rate"] = 0.2
+            payload["params"]["w_clf"] = [1e39] * len(
+                payload["params"]["w_clf"])
+
+        ck = self.write_checkpoint(tmp_path, edit)
+        raw = dict(toy_raw_config, model=dict(toy_raw_config["model"],
+                                              dropout_rate=0.2))
+        assert self.evaluate(self.write_config(tmp_path, raw), ck) == 0
+        cfg = self.write_config(tmp_path, dict(
+            raw, inference={"mode": "mc_dropout", "mc_samples": 4}))
+        assert self.evaluate(cfg, ck) == 3
+        assert "non-finite values produced by matmul" in \
+            capsys.readouterr().err
+
     def test_checkpoint_of_wrong_width_is_data_error(
             self, toy_raw_config, tmp_path, capsys):
         path = tmp_path / "narrow.json"
@@ -688,7 +707,7 @@ class TestCli:
     def test_selftest_passes(self, capsys):
         assert cli.main(["selftest"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[-1] == "[SELFTEST] 11/11 checks passed"
+        assert lines[-1] == "[SELFTEST] 12/12 checks passed"
 
     def test_selftest_reports_failing_and_raising_checks(self, monkeypatch,
                                                          capsys):

@@ -9,6 +9,7 @@ import pytest
 
 from molcalib import autodiff as ad, runner
 from molcalib.config import resolve_config
+from molcalib.data import ingest_smiles
 from molcalib.errors import ConfigError, IoError, SchemaError, ShapeError
 from molcalib.featurize import featurize, permute_graph, MolecularGraph
 from molcalib.model import (
@@ -24,6 +25,8 @@ from molcalib.model import (
 )
 from molcalib.runner import evaluate_model, predict_probabilities
 from molcalib.selftest import (
+    DRUG_LIKE_SMILES,
+    mc_precision_gap,
     numeric_gradient,
     prefix_sharing_gap,
     random_graph,
@@ -303,6 +306,13 @@ class TestInvariances:
                 assert abs(scores(model, [gp])[0] - p) <= 1e-12
 
 
+def molecules():
+    """Featurized drug-like and small molecules, 1 to 37 atoms."""
+    small = ("CCN", "N#CC", "c1ccncc1", "NCc1ccccc1", "CCCl", "OC(=O)C",
+             "C1CCCCC1", "CC(C)C")
+    return [ingest_smiles(s) for s in DRUG_LIKE_SMILES + small]
+
+
 def mc_scores(model, graphs, samples, seed=9, batch_size=32):
     return predict_probabilities(model, graphs, "mc_dropout", samples,
                                  seed, batch_size)
@@ -399,21 +409,138 @@ class TestMcDropout:
                   for n in rng.integers(2, 40, size=4)]
         for chunk, copies in ((graphs, 2), (graphs[:1], 30),
                               ([one_atom(58)], 30), ([one_atom(58)] * 2, 3)):
-            assert prefix_sharing_gap(model, chunk, copies, seed=5) == 0.0
+            for dtype in (np.float64, np.float32):
+                assert prefix_sharing_gap(model, chunk, copies, seed=5,
+                                          dtype=dtype) == 0.0, dtype
+
+    @pytest.mark.parametrize("embed", ["gcn", "gat"])
+    @pytest.mark.parametrize("readout", ["sum", "attn"])
+    def test_float32_scores_match_float64_within_1e6(self, embed, readout):
+        # featurized molecules, as MC scoring sees them, at the default
+        # model size
+        for rate, seed in ((0.1, 1), (0.5, 2)):
+            model = GnnModel(ModelConfig(node_embedding=embed,
+                                         readout=readout, dropout_rate=rate),
+                             seed=seed)
+            assert mc_precision_gap(model, molecules(), 30, seed=7) <= 1e-6
+
+    def test_float32_scores_of_a_trained_model_match_float64(
+            self, toy_raw_config):
+        raw = dict(toy_raw_config,
+                   model={"node_embedding": "gat", "dropout_rate": 0.2},
+                   training=dict(toy_raw_config["training"], epochs=10))
+        model = runner.train_run(resolve_config(raw), seed=0).model
+        assert mc_precision_gap(model, molecules(), 30, seed=7) <= 1e-6
+
+    @pytest.mark.parametrize("embed", ["gcn", "gat"])
+    @pytest.mark.parametrize("readout", ["sum", "attn"])
+    def test_float32_shift_is_small_against_the_mc_error(self, embed,
+                                                         readout):
+        # float32 rounding grows with the activations: with every weight
+        # scaled up 3x, GAT+attn scores move by up to 6e-4, above 1e-6
+        # but about 1% of their Monte Carlo standard error at T=30
+        for scale in (1.5, 3.0):
+            model = GnnModel(ModelConfig(node_embedding=embed,
+                                         readout=readout, dropout_rate=0.5),
+                             seed=2)
+            for p in model.params.values():
+                p.data = p.data * scale
+            assert mc_precision_gap(model, molecules(), 30, seed=7,
+                                    per_error=True) <= 0.05
+
+    def test_mc_scores_use_float32_copies(self, monkeypatch):
+        model = GnnModel(ModelConfig(dropout_rate=0.2, **SMALL), seed=2)
+        rng = np.random.default_rng(1)
+        graphs = [random_graph(rng, n, SMALL["input_dim"]) for n in (5, 2)]
+        dtypes = []
+        forward = model.forward
+
+        def recording(batch, **kwargs):
+            dtypes.append(batch.x.dtype)
+            return forward(batch, **kwargs)
+
+        monkeypatch.setattr(model, "forward", recording)
+        mc = mc_scores(model, graphs, samples=4)
+        det = scores(model, graphs)
+        assert dtypes == [np.float32, np.float64]
+        assert mc.dtype == det.dtype == np.float64
 
     def test_scores_move_with_chunking_by_float_rounding_only(self):
         # BLAS rounds a product's rows by the row count, so chunking moves
-        # scores, by a few ulp at most
+        # scores, by a few ulp at most: of float64 in deterministic
+        # scoring, of float32 in MC dropout
         model = GnnModel(ModelConfig(node_embedding="gat", dropout_rate=0.2),
                          seed=3)
         rng = np.random.default_rng(6)
         graphs = [random_graph(rng, int(n), 58, p=2.2 / n)
                   for n in rng.integers(1, 40, size=40)]
-        for mode in ("deterministic", "mc_dropout"):
+        for mode, atol in (("deterministic", 1e-14), ("mc_dropout", 1e-6)):
             runs = [predict_probabilities(model, graphs, mode, 30, 7, size)
                     for size in (1, 32, 960)]
             for run in runs[1:]:
-                np.testing.assert_allclose(run, runs[0], rtol=0, atol=1e-14)
+                np.testing.assert_allclose(run, runs[0], rtol=0, atol=atol)
+
+
+class TestComputeDtype:
+    """A forward runs in its pack's dtype: every op node, and every
+    gradient the backward pass hands on, has the pack's dtype."""
+
+    @pytest.mark.parametrize("embed", ["gcn", "gat"])
+    @pytest.mark.parametrize("readout", ["sum", "attn"])
+    @pytest.mark.parametrize("param_dtype, pack_dtype", [
+        (np.float32, np.float32),
+        (np.float64, np.float64),
+        (np.float64, np.float32),  # as MC scoring runs: parameters cast
+    ])
+    def test_tape_keeps_the_pack_dtype(self, monkeypatch, embed, readout,
+                                       param_dtype, pack_dtype):
+        model = GnnModel(ModelConfig(node_embedding=embed, readout=readout,
+                                     dropout_rate=0.2, **SMALL), seed=2)
+        for p in model.params.values():
+            p.data = p.data.astype(param_dtype)
+        rng = np.random.default_rng(1)
+        graphs = [random_graph(rng, n, SMALL["input_dim"])
+                  for n in (5, 1, 3)]
+        handed_on = []
+        accum = ad._accum
+
+        def recording(t, g):
+            handed_on.append((t._parents == (), g.dtype))
+            accum(t, g)
+
+        monkeypatch.setattr(ad, "_accum", recording)
+        logits = model.forward(pack_graphs(graphs, dtype=pack_dtype),
+                               training=True,
+                               rng=[(np.random.default_rng(0), 9)])
+        loss = ad.logit_loss(logits, np.array([1, 0, 1], dtype=pack_dtype))
+        ad.backward(loss)
+        nodes = ad._topo_order(loss)
+        assert {n.data.dtype for n in nodes if n._parents} == {
+            np.dtype(pack_dtype)}
+        # every gradient handed to an op's result has the pack's dtype;
+        # a parameter's arrives in its own, through a cast where they differ
+        assert {dtype for leaf, dtype in handed_on if not leaf} == {
+            np.dtype(pack_dtype)}
+        for name, p in model.params.items():
+            assert p.grad.dtype == param_dtype, name
+
+    def test_float32_gradients_match_float64(self):
+        # the cast passes gradients through: a float32 forward of float64
+        # parameters gives float64 gradients close to a float64 forward's
+        model = GnnModel(ModelConfig(node_embedding="gat", **SMALL), seed=2)
+        rng = np.random.default_rng(1)
+        graphs = [random_graph(rng, n, SMALL["input_dim"])
+                  for n in (5, 1, 3)]
+        grads = {}
+        for dtype in (np.float64, np.float32):
+            model.zero_grad()
+            logits = model.forward(pack_graphs(graphs, dtype=dtype))
+            ad.backward(ad.logit_loss(logits,
+                                      np.array([1, 0, 1], dtype=dtype)))
+            grads[dtype] = {n: p.grad for n, p in model.params.items()}
+        for name, g in grads[np.float64].items():
+            np.testing.assert_allclose(grads[np.float32][name], g,
+                                       rtol=1e-4, atol=1e-5, err_msg=name)
 
 
 class TestThreshold:
