@@ -19,7 +19,8 @@ By default every forward result is checked for NaN/Inf and raises
 diverging runs from producing silent garbage.  :func:`checked_forward`
 runs a whole forward pass with those checks deferred: ops skip the
 per-result check, the ops that can map a non-finite input to a finite
-output (relu, sigmoid) check their input, as does logit_loss, the two
+output (relu, sigmoid, and gcn_conv, whose pre-activation is checked as
+the input of relu) check their input, as does logit_loss, the two
 attention ops check their scores before the softmax or tanh in every
 mode, and the pass's result is checked once.  On any failure the pass is
 replayed with per-result checks on, so it raises the same error at the
@@ -33,7 +34,8 @@ Packed graphs: a batch of graphs is one disjoint union whose node rows
 are stacked.  :class:`Segments` names each graph's row range and
 :class:`Neighbors` lists each row's neighbours; the segment and neighbour
 ops below reduce and gather over them without building any per-graph or
-dense N x N array.
+dense N x N array.  A GCN layer is the one op :func:`gcn_conv`, which
+keeps only its output on the tape, not its product and pre-activation.
 """
 
 from __future__ import annotations
@@ -454,6 +456,14 @@ def _pad_row(x: np.ndarray) -> np.ndarray:
     return np.concatenate([x, np.zeros((1,) + x.shape[1:], dtype=x.dtype)])
 
 
+def _padded(rows: int, cols: int, dtype) -> np.ndarray:
+    """A (rows + 1, cols) array whose last row is zero and whose other
+    rows are to be written in place: :func:`_pad_row` of them, uncopied."""
+    out = np.empty((rows + 1, cols), dtype=dtype)
+    out[rows] = 0.0
+    return out
+
+
 class Neighbors:
     """Padded neighbour lists of an undirected graph over N rows: each row
     lists itself and every row it shares a bond with, in ascending order.
@@ -528,7 +538,10 @@ class Neighbors:
 
     def sum(self, x: np.ndarray) -> np.ndarray:
         """out[i] = sum over slots k of x[index[i, k]]."""
-        xp = _pad_row(x)
+        return self._sum_padded(_pad_row(x))
+
+    def _sum_padded(self, xp: np.ndarray) -> np.ndarray:
+        """:meth:`sum` of the rows of `xp` but its last, the zero pad row."""
         out = np.take(xp, self._by_slot[0], axis=0)
         for neighbor in self._by_slot[1:]:
             out += np.take(xp, neighbor, axis=0)
@@ -558,15 +571,44 @@ def repeat_rows(a: Tensor, rows: np.ndarray) -> Tensor:
     return _node(data, (a,), backward, "repeat_rows")
 
 
-def neighbor_sum(a: Tensor, nb: Neighbors) -> Tensor:
-    """Row i sums the rows of `a` that row i lists, itself included: the
-    product (A + I) @ a with the bond adjacency A."""
-    data = nb.sum(a.data)
+def gcn_conv(h: Tensor, w: Tensor, nb: Neighbors) -> Tensor:
+    """One GCN layer as one op: relu((A + I) @ (h @ w)) with the bond
+    adjacency A, each row summing the projected rows it lists.
+
+    Only the result is kept for the backward pass: it gives the ReLU mask,
+    and (A + I) is symmetric, so the gradient reaching the pre-activation
+    is summed over the same lists.  The product and the pre-activation are
+    checked as ``matmul`` and ``neighbor_sum`` results, as separate ops'
+    would be; inside :func:`checked_forward` the pre-activation is checked
+    as the input of ``relu``.
+    """
+    if h.ndim != 2 or w.ndim != 2 or h.data.shape[1] != w.data.shape[0] \
+            or h.data.shape[0] != nb.index.shape[0]:
+        raise ShapeError(f"gcn_conv: {h.shape} @ {w.shape} over "
+                         f"{nb.index.shape[0]} rows")
+    per_op = _CHECKING.get()
+    rows = h.data.shape[0]
+    # the product, like the backward pass's masked gradient, is written
+    # above a zero pad row, so its neighbour sum copies nothing
+    hw = _padded(rows, w.data.shape[1], np.result_type(h.data, w.data))
+    np.dot(h.data, w.data, out=hw[:rows])
+    if per_op:
+        _check_finite(hw, "matmul")
+    pre = nb._sum_padded(hw)
+    if per_op:
+        _check_finite(pre, "neighbor_sum")
+    _check_input(pre, "relu")
+    data = np.maximum(pre, 0.0, out=pre)
 
     def backward(out):
-        _accum(a, nb.sum(out.grad))  # A + I is symmetric
+        g = _padded(rows, out.data.shape[1], out.data.dtype)
+        np.multiply(out.grad, out.data > 0.0, out=g[:rows])
+        g = nb._sum_padded(g)
+        if h.requires_grad:
+            _accum(h, np.dot(g, w.data.T))
+        _accum(w, np.dot(h.data.T, g))
 
-    return _node(data, (a,), backward, "neighbor_sum")
+    return _node(data, (h, w), backward, "relu")
 
 
 def neighbor_attention(q: Tensor, p: Tensor, nb: Neighbors,

@@ -9,6 +9,7 @@ training.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .config import check_seed, load_raw, resolve_config
@@ -115,12 +116,28 @@ def _overridden_config(args):
     return resolve_config(raw)
 
 
+def _make_out_dir(out_dir, *subdirs) -> None:
+    """Create `out_dir` (each of its `subdirs`, if any are named) and the
+    ``reports`` directory in it before the command loads any data, so
+    that a path that cannot be a directory fails at once as a data error,
+    not after the work is done.  No `out_dir`, nothing to create."""
+    if not out_dir:
+        return
+    for sub in subdirs or ("",):
+        try:
+            os.makedirs(os.path.join(out_dir, sub, "reports"), exist_ok=True)
+        except OSError as err:
+            raise IoError(f"cannot create output directory {out_dir!r}: "
+                          f"{err}") from err
+
+
 def _cmd_train(args) -> int:
     from .runner import train_run
 
     config = _overridden_config(args)
     seeds = [check_seed(args.seed)] if args.seed is not None else \
         list(config.training.seeds)
+    _make_out_dir(args.out_dir, *(f"seed-{seed}" for seed in seeds))
     from .data import load_dataset
 
     graphs, data_report = load_dataset(config.dataset)
@@ -169,6 +186,7 @@ def _cmd_evaluate(args) -> int:
     seed = check_seed(args.seed) if args.seed is not None \
         else config.training.seeds[0]
     model = _load_scoring_checkpoint(args.checkpoint, config.model)
+    _make_out_dir(args.out_dir)
     graphs, _ = load_dataset(config.dataset)
     _, test_graphs = checked_split(graphs, config, seed)
     report, _ = evaluate_model(model, test_graphs, config, seed)
@@ -186,6 +204,7 @@ def _cmd_ablate(args) -> int:
     from .runner import run_ablation
 
     config = _overridden_config(args)
+    _make_out_dir(args.out_dir)
     result = run_ablation(config, args.axis, out_dir=args.out_dir,
                           log=print)
     print(f"axis {result['axis']}: {len(result['summary'])} variants x "
@@ -201,6 +220,7 @@ def _cmd_screen(args) -> int:
 
     config = _overridden_config(args)
     model = _load_scoring_checkpoint(args.checkpoint, config.model)
+    _make_out_dir(args.out_dir)
     screen_library(model, config, out_dir=args.out_dir, log=print)
     if args.out_dir:
         print(f"ranked list -> {args.out_dir}/reports/predictions.csv")

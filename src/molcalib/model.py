@@ -135,8 +135,10 @@ def pack_graphs(graphs: Sequence[MolecularGraph], copies: int = 1,
 
 
 def gcn_layer(h: ad.Tensor, nb: ad.Neighbors, w: ad.Tensor) -> ad.Tensor:
-    """Sum over each node and its bonded neighbours, then linear+ReLU."""
-    return ad.relu(ad.matmul(ad.neighbor_sum(h, nb), w))
+    """Linear, then the sum over each node and its bonded neighbours, then
+    ReLU: relu((A + I) h w), one :func:`autodiff.gcn_conv` op that keeps
+    only its output on the tape."""
+    return ad.gcn_conv(h, w, nb)
 
 
 def gat_layer(h: ad.Tensor, nb: ad.Neighbors, w: ad.Tensor,

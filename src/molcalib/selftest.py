@@ -445,6 +445,24 @@ def mc_precision_gap(model, graphs, copies, seed=0, per_error=False):
     return float(np.max(gaps))
 
 
+def gcn_conv_gap(h, w, nb, out_grad):
+    """Largest relative gap of :func:`autodiff.gcn_conv` from the layer
+    summed before its product, relu(nb.sum(h) @ w), over the output and
+    the gradients in h and w that ``out_grad`` on the output sends back;
+    the reference gradients sum the other factor over the neighbour
+    lists.  Each gap is taken over the largest magnitude of its
+    reference, so it is about 1e-16 when the two agree up to rounding."""
+    ht, wt = ad.Tensor(h, requires_grad=True), ad.Tensor(w, requires_grad=True)
+    out = ad.gcn_conv(ht, wt, nb)
+    ad.backward(ad.tensor_sum(out * ad.Tensor(out_grad)))
+    pre = nb.sum(h) @ w
+    g = out_grad * (pre > 0.0)
+    pairs = ((out.data, np.maximum(pre, 0.0)), (wt.grad, nb.sum(h).T @ g),
+             (ht.grad, nb.sum(g @ w.T)))
+    return max(float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+               for got, want in pairs)
+
+
 # -- the selftest checks ---------------------------------------------
 
 
@@ -509,6 +527,19 @@ def check_attention_readout_oracle():
     gap = readout_oracle_gap(rng.standard_normal((9, 6)),
                              rng.standard_normal((6, 4)), [5, 1, 3])
     assert gap <= 1e-12, f"readout off the oracle by {gap:.2e}"
+
+
+def check_gcn_conv():
+    """The one-op GCN layer matches relu(nb.sum(h) @ w) and its gradients
+    to rtol 1e-12, at the default width, on a batch with a pad slot and a
+    one-atom graph."""
+    rng = np.random.default_rng(10)
+    batch = pack_graphs([random_graph(rng, n, 8, p=0.4) for n in (9, 1, 6)])
+    rows, width = batch.x.shape[0], ModelConfig().hidden_dim
+    gap = gcn_conv_gap(rng.standard_normal((rows, width)),
+                       rng.standard_normal((width, width)) / 8.0,
+                       batch.neighbors, rng.standard_normal((rows, width)))
+    assert gap <= 1e-12, f"off by {gap:.2e}"
 
 
 def check_mc_dropout_zero_rate():
@@ -601,6 +632,7 @@ CHECKS = [
     ("permutation invariance", check_permutation_invariance),
     ("attention size sensitivity", check_attention_size_sensitivity),
     ("attention readout oracle", check_attention_readout_oracle),
+    ("gcn conv oracle", check_gcn_conv),
     ("mc dropout zero rate", check_mc_dropout_zero_rate),
     ("mc prefix sharing", check_mc_prefix_sharing),
     ("mc float32 precision", check_mc_precision),

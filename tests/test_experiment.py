@@ -451,6 +451,25 @@ class TestCli:
                   / "calibration_curve.csv") as fh:
             assert len(list(csv.DictReader(fh))) == 5
 
+    @pytest.mark.parametrize("command, out_dir", [
+        ("train", "afile/sub"), ("evaluate", "afile"), ("screen", "afile"),
+        ("ablate", "afile")])
+    def test_out_dir_that_cannot_be_a_directory_is_data_error(
+            self, toy_raw_config, tmp_path, capsys, command, out_dir):
+        (tmp_path / "afile").write_text("a regular file\n")
+        cfg = self.write_config(tmp_path, toy_raw_config)
+        checkpoint = ["--checkpoint",
+                      str(self.write_checkpoint(tmp_path, lambda p: None))]
+        extra = {"train": [], "evaluate": checkpoint, "screen": checkpoint,
+                 "ablate": ["--axis", "architectures"]}[command]
+        code = cli.main([command, "--config", str(cfg),
+                         "--out-dir", str(tmp_path / out_dir), *extra])
+        captured = capsys.readouterr()
+        assert code == 2  # an escaping OSError would fail the test
+        assert captured.err.startswith(
+            "data error: cannot create output directory")
+        assert captured.out == ""  # refused before any data is loaded
+
     def write_checkpoint(self, tmp_path, edit):
         path = tmp_path / "checkpoint.json"
         cfg = ModelConfig(num_layers=2, hidden_dim=8, graph_dim=6)
@@ -707,7 +726,7 @@ class TestCli:
     def test_selftest_passes(self, capsys):
         assert cli.main(["selftest"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[-1] == "[SELFTEST] 12/12 checks passed"
+        assert lines[-1] == "[SELFTEST] 13/13 checks passed"
 
     def test_selftest_reports_failing_and_raising_checks(self, monkeypatch,
                                                          capsys):
