@@ -49,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "prediction with reliability reporting.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_config_flags(p, with_eval=True):
+    def add_config_flags(p):
         p.add_argument("--config", required=True,
                        help="YAML experiment config")
         p.add_argument("--out-dir", default=None,
@@ -58,13 +58,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--strip-salts",
                        action=argparse.BooleanOptionalAction, default=None,
                        help="override salt stripping during ingestion")
-        if with_eval:
-            p.add_argument("--bins", type=int, default=None,
-                           help="calibration bin count override")
-            p.add_argument("--threshold", type=float, default=None,
-                           help="decision threshold override")
-            p.add_argument("--mc-samples", type=int, default=None,
-                           help="MC-dropout sample count override")
+        p.add_argument("--bins", type=int, default=None,
+                       help="calibration bin count override")
+        p.add_argument("--threshold", type=float, default=None,
+                       help="decision threshold override")
+        p.add_argument("--mc-samples", type=int, default=None,
+                       help="MC-dropout sample count override")
 
     p_train = sub.add_parser("train", help="run the training protocol")
     add_config_flags(p_train)
@@ -104,15 +103,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _overridden_config(args):
+    """The config at ``args.config`` with each given override flag set;
+    an empty section takes the flag, and `resolve_config` refuses a
+    section that is not a mapping."""
     raw = load_raw(args.config)
-    if getattr(args, "bins", None) is not None:
-        raw.setdefault("evaluation", {})["num_bins"] = args.bins
-    if getattr(args, "threshold", None) is not None:
-        raw.setdefault("evaluation", {})["threshold"] = args.threshold
-    if getattr(args, "mc_samples", None) is not None:
-        raw.setdefault("inference", {})["mc_samples"] = args.mc_samples
-    if getattr(args, "strip_salts", None) is not None:
-        raw.setdefault("dataset", {})["strip_salts"] = args.strip_salts
+    for section, key, value in (("evaluation", "num_bins", args.bins),
+                                ("evaluation", "threshold", args.threshold),
+                                ("inference", "mc_samples", args.mc_samples),
+                                ("dataset", "strip_salts", args.strip_salts)):
+        given = raw.get(section)
+        if value is not None and (given is None or isinstance(given, dict)):
+            raw[section] = {**(given or {}), key: value}
     return resolve_config(raw)
 
 
@@ -207,10 +208,10 @@ def _cmd_ablate(args) -> int:
     _make_out_dir(args.out_dir)
     result = run_ablation(config, args.axis, out_dir=args.out_dir,
                           log=print)
-    print(f"axis {result['axis']}: {len(result['summary'])} variants x "
+    print(f"axis {result['axis']}: {len(result['comparison'])} variants x "
           f"{len(config.training.seeds)} seeds")
     for row in result["comparison"]:
-        print("  " + "  ".join(f"{k}={v:.4f}" if isinstance(v, float)
+        print("  " + "  ".join(f"{k}={v:.4g}" if isinstance(v, float)
                                else f"{k}={v}" for k, v in row.items()))
     return EXIT_OK
 

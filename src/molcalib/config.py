@@ -84,8 +84,12 @@ class TrainingSettings:
             raise ConfigError("split_ratio must lie in (0, 1]")
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
+        seen = set()
         for seed in self.seeds:
-            check_seed(seed)
+            if check_seed(seed) in seen:
+                raise ConfigError(f"seed {seed} appears more than once in "
+                                  f"seeds")
+            seen.add(seed)
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,11 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
+def _write_dict_rows(path: str, rows: list[dict]) -> None:
+    """Write `rows`, dicts with one key order, under those keys."""
+    _write_csv(path, list(rows[0]), [list(row.values()) for row in rows])
+
+
 def _histogram_rows(hist) -> list[list]:
     return [[i, hist.edges[i], hist.edges[i + 1], int(c)]
             for i, c in enumerate(hist.counts)]
@@ -416,19 +421,35 @@ def ablation_variants(config: ExperimentConfig,
 SUMMARY_FIELDS = ("accuracy", "precision", "recall", "f1", "auroc", "ece")
 
 
+def _differing_settings(configs: list[ExperimentConfig]) -> list[dict]:
+    """For each of `configs`, the settings in which any two of them differ,
+    keyed by bare field name in :meth:`ExperimentConfig.to_dict` order
+    (field names are unique across its sections)."""
+    records = [config.to_dict() for config in configs]
+    differing = [(section, key) for section, values in records[0].items()
+                 if isinstance(values, dict) for key in values
+                 if any(r[section][key] != values[key] for r in records)]
+    return [{key: r[section][key] for section, key in differing}
+            for r in records]
+
+
 def run_ablation(config: ExperimentConfig, axis: str,
                  out_dir: str | None = None, log=None) -> dict:
-    """Train every variant on every seed; summarize by arithmetic mean.
+    """Train every variant on every seed and compare their seed means.
 
-    The summary CSV keeps per-seed raw rows alongside the means, and the
-    axis-specific comparison table is emitted unconditionally, whatever
+    ``raw`` holds one row per (variant, seed).  ``comparison`` holds one
+    row per variant, in :func:`ablation_variants` order: the settings
+    that tell the axis's variants apart, the seed count, and for each
+    `SUMMARY_FIELDS` entry its arithmetic mean over seeds and that mean
+    minus the first variant's.  Both are written as CSVs whatever
     direction the numbers point.
     """
     variants = ablation_variants(config, axis)
+    settings = _differing_settings([variant for _, variant in variants])
     graphs, data_report = load_dataset(config.dataset)
     raw_rows = []
-    summary_rows = []
-    for name, variant in variants:
+    comparison = []
+    for (name, variant), setting in zip(variants, settings):
         per_seed = []
         for seed in variant.training.seeds:
             result = train_run(variant, seed, graphs=graphs,
@@ -442,56 +463,20 @@ def run_ablation(config: ExperimentConfig, axis: str,
                 shown = "  ".join(f"{k} {row[k]:.4f}"
                                   for k in SUMMARY_FIELDS)
                 log(f"{name:24s} seed {seed}  {shown}")
-        mean_row = {field: sum(r[field] for r in per_seed) / len(per_seed)
-                    for field in SUMMARY_FIELDS}
-        summary_rows.append({"variant": name, "seeds": len(per_seed),
-                             **mean_row})
-
-    comparison = _comparison_table(axis, variants, summary_rows)
-    result = {"axis": axis, "data": data_report, "raw": raw_rows,
-              "summary": summary_rows, "comparison": comparison}
+        comparison.append({
+            "variant": name, **setting, "seeds": len(per_seed),
+            **{f"mean_{field}": sum(r[field] for r in per_seed)
+               / len(per_seed) for field in SUMMARY_FIELDS}})
+    baseline = comparison[0]
+    for row in comparison:
+        row.update({f"{field}_delta_vs_baseline":
+                    row[f"mean_{field}"] - baseline[f"mean_{field}"]
+                    for field in SUMMARY_FIELDS})
 
     if out_dir:
-        _write_csv(os.path.join(out_dir, "reports", "ablation_raw.csv"),
-                   ["variant", "seed", *SUMMARY_FIELDS],
-                   [[r["variant"], r["seed"],
-                     *[r[f] for f in SUMMARY_FIELDS]] for r in raw_rows])
-        _write_csv(os.path.join(out_dir, "reports", "ablation_summary.csv"),
-                   ["variant", "seeds", *SUMMARY_FIELDS],
-                   [[r["variant"], r["seeds"],
-                     *[r[f] for f in SUMMARY_FIELDS]]
-                    for r in summary_rows])
-        if comparison:
-            _write_csv(
-                os.path.join(out_dir, "reports",
-                             f"comparison_{axis}.csv"),
-                list(comparison[0].keys()),
-                [list(r.values()) for r in comparison])
-    return result
-
-
-def _comparison_table(axis: str, variants: list,
-                      summary_rows: list[dict]) -> list[dict]:
-    """Axis-specific findings table; emitted regardless of direction.
-
-    `variants` are the (name, config) pairs behind `summary_rows`, in
-    the same order.
-    """
-    if axis == "regularizers":
-        by_name = {r["variant"]: r for r in summary_rows}
-        base = by_name["baseline"]["ece"]
-        return [{"variant": r["variant"], "mean_ece": r["ece"],
-                 "ece_delta_vs_baseline": r["ece"] - base,
-                 "mean_accuracy": r["accuracy"]}
-                for r in summary_rows]
-    if axis == "focal_grid":
-        out = [{"positive_weight": variant.loss.positive_weight,
-                "focusing": variant.loss.focusing,
-                "mean_precision": r["precision"],
-                "mean_recall": r["recall"]}
-               for (_, variant), r in zip(variants, summary_rows)]
-        out.sort(key=lambda row: (row["focusing"], row["positive_weight"]))
-        return out
-    return [{"variant": r["variant"], "mean_accuracy": r["accuracy"],
-             "mean_auroc": r["auroc"], "mean_ece": r["ece"]}
-            for r in summary_rows]
+        reports = os.path.join(out_dir, "reports")
+        _write_dict_rows(os.path.join(reports, "ablation_raw.csv"), raw_rows)
+        _write_dict_rows(os.path.join(reports, f"comparison_{axis}.csv"),
+                         comparison)
+    return {"axis": axis, "data": data_report, "raw": raw_rows,
+            "comparison": comparison}

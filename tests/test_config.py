@@ -100,6 +100,12 @@ class TestResolution:
         assert manifest_fingerprint({"config": spelled}) \
             == manifest_fingerprint({"config": bare.to_dict()})
 
+    def test_field_names_unique_across_sections(self):
+        # the ablation comparison table keys each setting by its bare name
+        names = [key for section in resolve_config(MINIMAL).to_dict().values()
+                 if isinstance(section, dict) for key in section]
+        assert sorted({n for n in names if names.count(n) > 1}) == []
+
     def test_dataset_section_required(self):
         with pytest.raises(ConfigError):
             resolve_config({})
@@ -163,6 +169,10 @@ class TestValidation:
                 "training.seeds entries must be ints")
         config = resolve_config(dict(MINIMAL, evaluation={"k_grid": [1, 50]}))
         assert config.evaluation.k_grid == (1.0, 50.0)
+
+    def test_repeated_seed_refused(self):
+        rejects(dict(MINIMAL, training={"seeds": [3, 0, 3]}),
+                "seed 3 appears more than once in seeds")
 
     def test_int_beyond_float_range_refused(self):
         # an int widens to float only where float can hold it

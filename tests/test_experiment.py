@@ -337,20 +337,46 @@ class TestAblation:
         assert variants["label_smoothing"].loss.smoothing == 0.1
         assert variants["entropy_regularized"].loss.entropy_weight == 0.1
 
-    def test_sweep_summary_is_mean_of_raw(self, toy_raw_config, tmp_path):
+    # the settings each axis's variants differ in, in config order
+    AXIS_SETTINGS = {
+        "architectures": ["node_embedding", "readout"],
+        "regularizers": ["dropout_rate", "kind", "smoothing",
+                         "entropy_weight", "l2_coefficient", "mode"],
+        "focal_grid": ["focusing", "positive_weight"],
+    }
+
+    @pytest.mark.parametrize("axis", runner.ABLATION_AXES)
+    def test_comparison_table(self, toy_raw_config, tmp_path, axis):
         config = small_config(toy_raw_config, epochs=1, seeds=[0, 1])
-        result = run_ablation(config, "regularizers",
-                              out_dir=str(tmp_path))
-        assert len(result["raw"]) == 10
-        assert len(result["summary"]) == 5
-        for summary in result["summary"]:
-            rows = [r for r in result["raw"]
-                    if r["variant"] == summary["variant"]]
+        result = run_ablation(config, axis, out_dir=str(tmp_path))
+        table, fields = result["comparison"], runner.SUMMARY_FIELDS
+        assert [row["variant"] for row in table] \
+            == [name for name, _ in ablation_variants(config, axis)]
+        assert list(table[0]) == [
+            "variant", *self.AXIS_SETTINGS[axis], "seeds",
+            *(f"mean_{f}" for f in fields),
+            *(f"{f}_delta_vs_baseline" for f in fields)]
+        assert len(result["raw"]) == 2 * len(table)
+        for row in table:
+            raw = [r for r in result["raw"] if r["variant"] == row["variant"]]
+            assert row["seeds"] == len(raw) == 2
             for field in ("accuracy", "ece", "recall"):
-                mean = sum(r[field] for r in rows) / len(rows)
-                assert summary[field] == pytest.approx(mean, abs=1e-12)
-        assert (tmp_path / "reports" / "ablation_raw.csv").exists()
-        assert (tmp_path / "reports" / "ablation_summary.csv").exists()
+                mean = sum(r[field] for r in raw) / len(raw)
+                assert row[f"mean_{field}"] == pytest.approx(mean, abs=1e-12)
+            for field in fields:
+                assert row[f"{field}_delta_vs_baseline"] \
+                    == row[f"mean_{field}"] - table[0][f"mean_{field}"]
+        assert all(table[0][f"{f}_delta_vs_baseline"] == 0.0 for f in fields)
+        reports = tmp_path / "reports"
+        with open(reports / f"comparison_{axis}.csv", newline="") as fh:
+            assert list(csv.reader(fh)) == [list(table[0])] + [
+                ["" if v is None else str(v) for v in row.values()]
+                for row in table]
+        with open(reports / "ablation_raw.csv", newline="") as fh:
+            assert list(csv.reader(fh)) == [list(result["raw"][0])] + [
+                [str(v) for v in row.values()] for row in result["raw"]]
+        assert sorted(os.listdir(reports)) \
+            == ["ablation_raw.csv", f"comparison_{axis}.csv"]
 
     def test_regularizer_comparison_has_baseline_delta(self, toy_raw_config,
                                                        tmp_path):
@@ -831,6 +857,53 @@ class TestCli:
                            if line.startswith("epoch"))
         assert lines.index(warning) < first_epoch
         assert "auroc undefined" in lines[-1]
+
+    def test_repeated_seed_is_config_error(self, toy_raw_config, tmp_path,
+                                           capsys):
+        raw = dict(toy_raw_config,
+                   training=dict(toy_raw_config["training"], seeds=[0, 0]))
+        code = cli.main(["train", "--config",
+                         str(self.write_config(tmp_path, raw)),
+                         "--out-dir", str(tmp_path / "runs")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err \
+            == "config error: seed 0 appears more than once in seeds\n"
+        assert captured.out == ""
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("flag, section, key, value", [
+        (["--bins", "5"], "evaluation", "num_bins", 5),
+        (["--threshold", "0.25"], "evaluation", "threshold", 0.25),
+        (["--mc-samples", "5"], "inference", "mc_samples", 5),
+    ], ids=["bins", "threshold", "mc-samples"])
+    def test_override_flag_fills_an_empty_section(
+            self, toy_raw_config, tmp_path, flag, section, key, value):
+        raw = dict(toy_raw_config,
+                   training=dict(toy_raw_config["training"], epochs=1))
+        raw[section] = None  # the section's name with nothing under it
+        out = tmp_path / "runs"
+        assert cli.main(["train", "--config",
+                         str(self.write_config(tmp_path, raw)),
+                         "--out-dir", str(out), *flag]) == 0
+        manifest = json.loads((out / "seed-0" / "manifest.json").read_text())
+        assert manifest["config"][section][key] == value
+
+    @pytest.mark.parametrize("flag, section", [
+        (["--no-strip-salts"], "dataset"),
+        (["--bins", "5"], "evaluation"),
+        (["--mc-samples", "5"], "inference"),
+    ], ids=["strip-salts", "bins", "mc-samples"])
+    def test_override_flag_on_a_non_mapping_section_is_config_error(
+            self, toy_raw_config, tmp_path, capsys, flag, section):
+        raw = dict(toy_raw_config, **{section: [1]})
+        code = cli.main(["train", "--config",
+                         str(self.write_config(tmp_path, raw)), *flag])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err \
+            == f"config error: section '{section}' must be a mapping\n"
+        assert captured.out == ""
 
     def test_exit_code_usage(self, capsys):
         assert cli.main(["train"]) == 1  # --config missing
