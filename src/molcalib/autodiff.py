@@ -3,7 +3,8 @@
 Data are float64, except that float32 data stay float32: an op on float32
 operands computes and returns float32, so a float32 forward and its
 backward pass run in float32 throughout.  Dropout masks are drawn from
-float64 uniforms at either precision, so a mask does not depend on it.
+raw 32-bit halves of generator words at either precision, so a mask does
+not depend on it.
 
 Define-by-run: every operation builds a node holding its parents and a
 backward closure; :func:`backward` topologically sorts the graph reachable
@@ -402,6 +403,15 @@ def dropout(a: Tensor, rate: float, training: bool,
     `rng` is (generator, rows) blocks that tile the rows in order, each
     block's mask drawn from its own generator; one block covering every
     row draws the whole mask from one generator.
+
+    A block of n entries draws ceil(n / 2) raw 64-bit words from its
+    generator's bit generator and reads each as its low, then its high
+    32-bit half (little-endian on every platform), one half per entry in
+    row-major order; an odd n leaves the last high half unused.  An entry
+    is kept where its half is at least t = round(rate * 2**32), capped at
+    2**32 - 1, so it is kept with probability 1 - t / 2**32, within 2**-33
+    of 1 - rate.  The rule does not read the data's dtype, so float32 and
+    float64 inputs of one shape draw the same mask.
     """
     if not (0.0 <= rate < 1.0):
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
@@ -411,18 +421,26 @@ def dropout(a: Tensor, rate: float, training: bool,
         raise ValueError("training-mode dropout needs an rng")
     if sum(rows for _, rows in rng) != a.data.shape[0]:
         raise ShapeError("dropout blocks do not tile the rows")
-    draws = np.empty(a.data.shape)
+    threshold = min(round(rate * 2.0 ** 32), 2 ** 32 - 1)
+    width = a.data.size // max(len(a.data), 1)
+    # a bool mask: multiplying by it gives the values a 0/1 float mask would
+    mask = np.empty(a.data.size, dtype=bool)
     start = 0
     for gen, rows in rng:
-        gen.random(out=draws[start:start + rows])
-        start += rows
-    # a bool mask: multiplying by it gives the values a 0/1 float mask would
-    mask = draws >= rate
+        n = rows * width
+        raw = gen.bit_generator.random_raw((n + 1) // 2)
+        np.greater_equal(raw.astype("<u8", copy=False).view("<u4")[:n],
+                         threshold, out=mask[start:start + n])
+        start += n
+    mask = mask.reshape(a.data.shape)
     scale = 1.0 / (1.0 - float(rate))  # a Python float keeps float32 data
-    data = a.data * mask * scale
+    data = np.multiply(a.data, mask)
+    data *= scale
 
     def backward(out):
-        _accum(a, out.grad * mask * scale)
+        g = np.multiply(out.grad, mask)
+        g *= scale
+        _accum(a, g)
 
     return _node(data, (a,), backward, "dropout")
 

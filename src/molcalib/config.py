@@ -19,6 +19,7 @@ config, data counts, losses, and metrics; wall-clock excluded.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -191,6 +192,12 @@ def _typed(value, hint, where: str):
     return value
 
 
+@functools.cache
+def _field_hints(cls) -> dict:
+    """The resolved annotations of `cls`, computed once per class."""
+    return get_type_hints(cls)
+
+
 def _resolve(raw: dict, section: str, cls, **overrides):
     """Pop ``raw[section]`` and build `cls` from it.
 
@@ -203,7 +210,7 @@ def _resolve(raw: dict, section: str, cls, **overrides):
     if not isinstance(given, dict):
         raise ConfigError(f"section {section!r} must be a mapping")
     given = dict(given)
-    hints = get_type_hints(cls)
+    hints = _field_hints(cls)
     values = dict(overrides)
     for field in fields(cls):
         if field.name in given:

@@ -152,8 +152,8 @@ def predict_probabilities(model: GnnModel, graphs, mode: str,
     count, which moves a score by a few ulp at most.  Each forward is one
     :func:`autodiff.checked_forward` pass.
 
-    MC dropout copies are computed in float32 (their masks are the float64
-    draws of either precision), and their mean is taken in float64; this
+    MC dropout copies are computed in float32 (their masks are the ones a
+    float64 pass would draw), and their mean is taken in float64; this
     moves a score by far less than the Monte Carlo error of the mean (see
     :func:`selftest.mc_precision_gap`).  Deterministic scoring runs in
     float64.

@@ -6,6 +6,7 @@ forward closure, so it shares no code with the backward rules it checks.
 """
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -286,6 +287,47 @@ class TestGradientOracle:
         check_grads(build, [x])
 
 
+def row_softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax weights of each row of `x`, read off the attention readout
+    of identity rows scored by `x`: row i of the identity pools to column
+    i, at the segment size times its weight."""
+    rows, cols = x.shape
+    seg = ad.Segments([cols] * rows)
+    pooled = ad.attention_pool(ad.Tensor(np.eye(x.size)), ad.Tensor(x.ravel()),
+                               seg, 1.0).data
+    return pooled.sum(axis=0).reshape(x.shape) / cols
+
+
+class TestElementwiseSemantics:
+    """relu, sigmoid and the attention readout's softmax, forward and
+    backward; softmax here has one segment per matrix row."""
+
+    def test_relu(self):
+        x = ad.Tensor([-2.0, 0.0, 3.5], requires_grad=True)
+        out = ad.relu(x)
+        np.testing.assert_array_equal(out.data, [0.0, 0.0, 3.5])
+        # gradient passes only where the input is strictly positive
+        ad.backward(ad.tensor_sum(out))
+        np.testing.assert_array_equal(x.grad, [0.0, 0.0, 1.0])
+
+    def test_sigmoid_range_and_midpoint(self):
+        s = ad.sigmoid(ad.Tensor([0.0, 30.0, -30.0])).data
+        assert s[0] == 0.5
+        assert 0.0 < s[2] < s[1] < 1.0
+
+    def test_softmax_rows_sum_to_one(self):
+        x = np.random.default_rng(3).standard_normal((6, 11)) * 10
+        s = row_softmax(x)
+        np.testing.assert_allclose(s.sum(axis=1), 1.0, atol=1e-12)
+        assert np.all(s > 0)
+
+    def test_softmax_overflow_guard(self):
+        # the row max is subtracted first, so large logits cannot overflow
+        s = row_softmax(np.array([[1000.0, 1000.0, 999.0]]))
+        assert np.all(np.isfinite(s))
+        np.testing.assert_allclose(s.sum(axis=1), 1.0, atol=1e-12)
+
+
 class TestDropout:
     def test_rate_zero_is_same_tensor(self):
         x = ad.Tensor(np.ones(5), requires_grad=True)
@@ -320,19 +362,67 @@ class TestDropout:
 
     @pytest.mark.parametrize("shape", [(9, 4), (9,)])
     def test_blocks_give_the_float_mask_values(self, shape):
-        # the blocks' draws in order, masked as a 0/1 float64 array would
+        # each block's raw words in order, split into low then high 32-bit
+        # halves by arithmetic, masked as a 0/1 float64 array would
         x = ad.Tensor(np.random.default_rng(3).standard_normal(shape),
                       requires_grad=True)
         sizes = (2, 0, 7)
+        width = int(np.prod(shape[1:]))
         out = ad.dropout(x, 0.3, True, [(np.random.default_rng(i), n)
                                         for i, n in enumerate(sizes)])
-        draws = np.concatenate([np.random.default_rng(i).random((n,)
-                                                                + shape[1:])
-                                for i, n in enumerate(sizes)])
-        mask = (draws >= 0.3).astype(np.float64)
+        halves = []
+        for i, n in enumerate(sizes):
+            words = np.random.default_rng(i).bit_generator.random_raw(
+                (n * width + 1) // 2)
+            pairs = np.stack([words & 0xFFFFFFFF, words >> np.uint64(32)], 1)
+            halves.append(pairs.ravel()[:n * width])
+        kept = np.concatenate(halves) >= round(0.3 * 2 ** 32)
+        mask = kept.reshape(shape).astype(np.float64)
         assert out.data.tobytes() == (x.data * mask * (1.0 / 0.7)).tobytes()
         ad.backward(ad.tensor_sum(out))
         assert x.grad.tobytes() == (mask * (1.0 / 0.7)).tobytes()
+
+    def test_keep_rate(self):
+        n = 1_000_000
+        out = ad.dropout(ad.Tensor(np.ones((1000, n // 1000))), 0.2, True,
+                         [(np.random.default_rng(11), 1000)])
+        kept = np.count_nonzero(out.data)
+        p = 1.0 - round(0.2 * 2 ** 32) / 2 ** 32
+        assert abs(kept - n * p) <= 5.0 * np.sqrt(n * p * (1.0 - p))
+
+    def test_float32_and_float64_draw_one_mask(self):
+        x = np.random.default_rng(4).standard_normal((13, 5))
+        masks = []
+        for dtype in (np.float64, np.float32):
+            blocks = [(np.random.default_rng(9), 6),
+                      (np.random.default_rng(10), 7)]
+            out = ad.dropout(ad.Tensor(x.astype(dtype)), 0.3, True, blocks)
+            assert out.data.dtype == dtype
+            masks.append(out.data != 0.0)
+        np.testing.assert_array_equal(masks[0], masks[1])
+
+    @pytest.mark.parametrize("word, kept", [(2 ** 64 - 1, True),
+                                            (0xFFFFFFFE_FFFFFFFE, False)])
+    def test_rate_near_one_caps_the_threshold(self, word, kept):
+        # round((1 - 2**-40) * 2**32) is 2**32, one past the largest half;
+        # capped at 2**32 - 1, only an all-ones half keeps its entry
+        gen = SimpleNamespace(bit_generator=SimpleNamespace(
+            random_raw=lambda size: np.full(size, word, dtype=np.uint64)))
+        rate = 1.0 - 2.0 ** -40
+        out = ad.dropout(ad.Tensor(np.ones((3, 3))), rate, True, [(gen, 3)])
+        expected = 1.0 / (1.0 - rate) if kept else 0.0
+        np.testing.assert_array_equal(out.data, np.full((3, 3), expected))
+
+    def test_scale_mask(self):
+        # kept entries scale by 1/(1 - rate), forward and backward alike
+        rng = np.random.default_rng(0)
+        x = ad.Tensor([1.0, 2.0, 3.0, 4.0], requires_grad=True)
+        out = ad.dropout(x, 0.5, True, [(rng, 4)])
+        kept = out.data != 0.0
+        np.testing.assert_array_equal(out.data,
+                                      np.where(kept, 2.0 * x.data, 0.0))
+        ad.backward(ad.tensor_sum(out))
+        np.testing.assert_array_equal(x.grad, np.where(kept, 2.0, 0.0))
 
     @pytest.mark.parametrize("rows", [(2, 6), (2, 8)])
     def test_row_blocks_must_tile_the_rows(self, rows):

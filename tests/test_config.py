@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from molcalib import config as config_mod
 from molcalib.config import (
     CONFIG_VERSION,
     DatasetSpec,
@@ -53,6 +54,22 @@ class TestResolution:
         assert cfg.inference.mode == "deterministic"
         assert cfg.evaluation.num_bins == 10
         assert cfg.evaluation.threshold == 0.5
+
+    def test_annotations_are_read_once_per_class(self, monkeypatch):
+        calls = []
+
+        def counting(cls):
+            calls.append(cls)
+            return get_type_hints(cls)
+
+        get_type_hints = config_mod.get_type_hints
+        config_mod._field_hints.cache_clear()
+        monkeypatch.setattr(config_mod, "get_type_hints", counting)
+        first = resolve_config(MINIMAL)
+        sections = len(calls)
+        assert sections == len(set(calls)) == 8
+        assert resolve_config(MINIMAL) == first
+        assert len(calls) == sections
 
     def test_decay_coefficient_tracks_dropout(self):
         cfg = resolve_config(MINIMAL)
