@@ -4,7 +4,12 @@ Data are float64, except that float32 data stay float32: an op on float32
 operands computes and returns float32, so a float32 forward and its
 backward pass run in float32 throughout.  Dropout masks are drawn from
 raw 32-bit halves of generator words at either precision, so a mask does
-not depend on it.
+not depend on it.  Training and MC dropout scoring compute in float32
+over float64 parameters: :func:`cast` makes the float32 copy each
+forward reads and hands its gradient back to the parameter in float64,
+and training casts the logits back up, so the loss, the parameters'
+gradients and the optimizer state stay float64 (see
+``runner._epoch_pass``).  Deterministic scoring runs in float64.
 
 Define-by-run: every operation builds a node holding its parents and a
 backward closure; :func:`backward` topologically sorts the graph reachable

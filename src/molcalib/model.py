@@ -91,11 +91,12 @@ def pack_graphs(graphs: Sequence[MolecularGraph], copies: int = 1,
     indices, with no self-bond and no pair listed twice in either
     orientation, as ``featurize`` builds it.  Node features of any real
     dtype (``featurize`` stores uint8 one-hot rows) are stacked into one
-    matrix of the compute dtype `dtype`, float64 (training, deterministic
-    scoring) or float32 (MC dropout scoring); this is the one place
-    features become floats, and the forward runs in their dtype.  The
-    copies' neighbour lists and row ranges are those of packing each
-    graph `copies` times in a row, built from the graphs' own by offsets.
+    matrix of the compute dtype `dtype`, float32 (training, MC dropout
+    scoring) or float64 (deterministic scoring); this is the one place
+    features become floats, and the forward runs in their dtype, while
+    the parameters stay float64.  The copies' neighbour lists and row
+    ranges are those of packing each graph `copies` times in a row,
+    built from the graphs' own by offsets.
     """
     if len(graphs) == 0:
         raise ShapeError("cannot pack zero graphs")

@@ -156,7 +156,10 @@ def predict_probabilities(model: GnnModel, graphs, mode: str,
     float64 pass would draw), and their mean is taken in float64; this
     moves a score by far less than the Monte Carlo error of the mean (see
     :func:`selftest.mc_precision_gap`).  Deterministic scoring runs in
-    float64.
+    float64, though training computes in float32: its scores are the
+    ones checked against stored references (to 1e-9 in the benchmark's),
+    and with no Monte Carlo error to hide under, float32 rounding would
+    be their whole error.
     """
     mc = mode == "mc_dropout" and model.config.dropout_rate > 0
     copies = mc_samples if mc else 1
@@ -219,6 +222,19 @@ class RunResult:
 def _epoch_pass(model, train_graphs, loss_cfg: LossConfig, optimizer,
                 lr: float, batch_size: int, seed: int,
                 epoch: int) -> float:
+    """One epoch of AdamW steps; returns the mean per-molecule loss.
+
+    Each minibatch is packed in float32, so its forward and backward
+    tape runs in float32 (about 2x faster matmuls and row gathers than
+    float64).  The parameters stay float64: the forward casts them, and
+    :func:`autodiff.cast` hands their gradients back in float64.  The
+    logits are cast up before the loss, so the loss value, the epoch
+    mean and AdamW's moments are float64 as well.  Training is
+    reproducible bit for bit at a given BLAS thread count, but not equal
+    to a float64 pass: each step
+    moves the weights by float32 rounding, which training amplifies as
+    it amplifies any rounding (see :func:`selftest.train_precision_gap`).
+    """
     order = np.random.default_rng([seed, epoch]).permutation(
         len(train_graphs))
     dropout_rng = np.random.default_rng([seed, epoch, 1])
@@ -226,7 +242,7 @@ def _epoch_pass(model, train_graphs, loss_cfg: LossConfig, optimizer,
     for start in range(0, len(order), batch_size):
         batch = [train_graphs[i] for i in order[start:start + batch_size]]
         model.zero_grad()
-        packed = pack_graphs(batch)
+        packed = pack_graphs(batch, dtype=np.float32)
         targets = np.array([g.label for g in batch], dtype=np.float64)
         rng_state = dropout_rng.bit_generator.state
         blocks = [(dropout_rng, packed.segments.num_rows)]
@@ -234,7 +250,7 @@ def _epoch_pass(model, train_graphs, loss_cfg: LossConfig, optimizer,
         def batch_loss():
             dropout_rng.bit_generator.state = rng_state  # replay, same masks
             logits = model.forward(packed, training=True, rng=blocks)
-            return loss_cfg.compute(targets, logits)
+            return loss_cfg.compute(targets, ad.cast(logits, np.float64))
 
         batch_sum = ad.checked_forward(batch_loss)
         # objective is the per-sample mean; the summed form stays in the

@@ -445,6 +445,31 @@ def mc_precision_gap(model, graphs, copies, seed=0, per_error=False):
     return float(np.max(gaps))
 
 
+def train_precision_gap(model, graphs, targets, seed=0):
+    """Largest relative gap between the parameter gradients of one
+    training batch of ``graphs`` under the BCE loss, computed as training
+    computes them, from a float32 pack whose logits are cast to float64
+    for the loss, and from a float64 pack; both draw their dropout masks from one stream
+    seeded by ``seed``, so the masks agree.  Each parameter's gap is
+    taken over the largest magnitude of its float64 gradient.  The
+    model's gradients are zeroed afterwards."""
+    targets = np.asarray(targets, dtype=np.float64)
+
+    def grads(dtype):
+        model.zero_grad()
+        batch = pack_graphs(graphs, dtype=dtype)
+        logits = model.forward(batch, training=True, rng=[
+            (np.random.default_rng(seed), batch.segments.num_rows)])
+        ad.backward(LossConfig().compute(targets,
+                                         ad.cast(logits, np.float64)))
+        return {name: p.grad for name, p in model.params.items()}
+
+    exact, got = grads(np.float64), grads(np.float32)
+    model.zero_grad()
+    return max(float(np.max(np.abs(got[name] - g)) / np.max(np.abs(g)))
+               for name, g in exact.items())
+
+
 def gcn_conv_gap(h, w, nb, out_grad):
     """Largest relative gap of :func:`autodiff.gcn_conv` from the layer
     summed before its product, relu(nb.sum(h) @ w), over the output and
@@ -582,6 +607,23 @@ def check_mc_precision():
             assert gap <= 1e-6, f"{embed}/{readout} off by {gap:.2e}"
 
 
+def check_train_precision():
+    """Parameter gradients of a dropout-training batch computed in float32
+    over float64 parameters, as training runs, stay within 1e-3 of a
+    float64 pass's relative to each gradient's largest entry, for each
+    layer and readout, on featurized molecules at the default model
+    size."""
+    graphs = [ingest_smiles(s) for s in DRUG_LIKE_SMILES]
+    targets = [i % 2 for i in range(len(graphs))]
+    for embed in ("gcn", "gat"):
+        for readout in ("sum", "attn"):
+            config = ModelConfig(node_embedding=embed, readout=readout,
+                                 dropout_rate=0.2)
+            gap = train_precision_gap(GnnModel(config, seed=5), graphs,
+                                      targets)
+            assert gap <= 1e-3, f"{embed}/{readout} off by {gap:.2e}"
+
+
 def check_parse_oracle():
     """Ring atoms, fragments and atom columns read from the parse equal
     the bond-removal, reachability and column oracles, on a token soup
@@ -636,6 +678,7 @@ CHECKS = [
     ("mc dropout zero rate", check_mc_dropout_zero_rate),
     ("mc prefix sharing", check_mc_prefix_sharing),
     ("mc float32 precision", check_mc_precision),
+    ("training float32 precision", check_train_precision),
     ("parse oracle", check_parse_oracle),
     ("checkpoint roundtrip", check_checkpoint_roundtrip),
     ("decay decoupling", check_decay_decoupling),

@@ -12,6 +12,7 @@ from molcalib.config import resolve_config
 from molcalib.data import ingest_smiles
 from molcalib.errors import ConfigError, IoError, SchemaError, ShapeError
 from molcalib.featurize import featurize, permute_graph, MolecularGraph
+from molcalib.losses import LossConfig
 from molcalib.model import (
     GnnModel,
     ModelConfig,
@@ -32,6 +33,7 @@ from molcalib.selftest import (
     random_graph,
     readout_oracle_gap,
     size_ratio_gap,
+    train_precision_gap,
 )
 from molcalib.smiles import parse_smiles
 
@@ -541,6 +543,87 @@ class TestComputeDtype:
         for name, g in grads[np.float64].items():
             np.testing.assert_allclose(grads[np.float32][name], g,
                                        rtol=1e-4, atol=1e-5, err_msg=name)
+        # as training runs, with the logits cast up for a float64 loss,
+        # for each layer, readout and dropout rate at the default size
+        graphs = molecules()
+        targets = [i % 2 for i in range(len(graphs))]
+        for embed in ("gcn", "gat"):
+            for readout in ("sum", "attn"):
+                for rate, seed in ((0.0, 1), (0.2, 2), (0.5, 3)):
+                    model = GnnModel(ModelConfig(node_embedding=embed,
+                                                 readout=readout,
+                                                 dropout_rate=rate),
+                                     seed=seed)
+                    gap = train_precision_gap(model, graphs, targets,
+                                              seed=seed)
+                    assert gap <= 1e-3, (embed, readout, rate, gap)
+
+
+class TestTrainingPrecision:
+    """Training computes in float32 over float64 parameters, gradients,
+    optimizer state and loss."""
+
+    def test_float32_gradients_of_a_trained_model_match_float64(
+            self, toy_raw_config):
+        raw = dict(toy_raw_config,
+                   model={"node_embedding": "gcn", "dropout_rate": 0.2},
+                   training=dict(toy_raw_config["training"], epochs=10))
+        model = runner.train_run(resolve_config(raw), seed=0).model
+        graphs = molecules()
+        targets = [i % 2 for i in range(len(graphs))]
+        assert train_precision_gap(model, graphs, targets) <= 1e-3
+
+    def test_training_packs_float32_over_float64_state(self, monkeypatch,
+                                                       toy_raw_config):
+        packed = []
+
+        def recording(graphs, copies=1, dtype=np.float64):
+            packed.append(np.dtype(dtype))
+            return pack_graphs(graphs, copies, dtype)
+
+        optimizers = []
+
+        class RecordingAdamW(runner.AdamW):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.grad_dtypes = set()
+                optimizers.append(self)
+
+            def step(self, lr=None):
+                self.grad_dtypes.update(p.grad.dtype
+                                        for p in self.params.values())
+                super().step(lr)
+
+        losses = []
+        compute = LossConfig.compute
+
+        def recording_compute(self, y, z):
+            loss = compute(self, y, z)
+            losses.append((z.data.dtype, loss.data.dtype))
+            return loss
+
+        monkeypatch.setattr(runner, "pack_graphs", recording)
+        monkeypatch.setattr(runner, "AdamW", RecordingAdamW)
+        monkeypatch.setattr(LossConfig, "compute", recording_compute)
+        raw = dict(toy_raw_config, model={"dropout_rate": 0.2},
+                   training=dict(toy_raw_config["training"], epochs=2))
+        result = runner.train_run(resolve_config(raw), seed=0)
+        # every minibatch in float32, then the deterministic test pass
+        steps = len(losses)
+        assert steps > 0
+        assert packed == [np.dtype(np.float32)] * steps \
+            + [np.dtype(np.float64)]
+        # the logits are cast up, so the loss is float64
+        assert set(losses) == {(np.dtype(np.float64), np.dtype(np.float64))}
+        (opt,) = optimizers
+        assert opt.t == steps
+        assert opt.grad_dtypes == {np.dtype(np.float64)}
+        for name, p in result.model.params.items():
+            assert p.data.dtype == np.float64, name
+            assert opt.m[name].dtype == opt.v[name].dtype == np.float64, name
+        epoch_losses = result.manifest["epoch_losses"]
+        assert len(epoch_losses) == 2
+        assert all(type(x) is float for x in epoch_losses)  # a C double
 
 
 class TestThreshold:
