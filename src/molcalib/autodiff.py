@@ -6,10 +6,11 @@ backward pass run in float32 throughout.  Dropout masks are drawn from
 raw 32-bit halves of generator words at either precision, so a mask does
 not depend on it.  Training and MC dropout scoring compute in float32
 over float64 parameters: :func:`cast` makes the float32 copy each
-forward reads and hands its gradient back to the parameter in float64,
-and training casts the logits back up, so the loss, the parameters'
-gradients and the optimizer state stay float64 (see
-``runner._epoch_pass``).  Deterministic scoring runs in float64.
+forward reads, and training casts the logits back up.  Every gradient is
+accumulated in its own tensor's dtype, so the float32 nodes' gradients
+stay float32 while the loss, the parameters' gradients and the optimizer
+state stay float64 (see ``runner._epoch_pass``).  Deterministic scoring
+runs in float64.
 
 Define-by-run: every operation builds a node holding its parents and a
 backward closure; :func:`backward` topologically sorts the graph reachable
@@ -20,17 +21,17 @@ for every activation at once.  Leaf gradients keep accumulating across
 backward calls until zeroed, so mini-batch sums and repeated calls behave
 the same way.
 
-By default every forward result is checked for NaN/Inf and raises
-:class:`NumericalError` naming the op that produced it, which keeps
-diverging runs from producing silent garbage.  :func:`checked_forward`
-runs a whole forward pass with those checks deferred: ops skip the
-per-result check, the ops that can map a non-finite input to a finite
-output (relu, sigmoid, and gcn_conv, whose pre-activation is checked as
-the input of relu) check their input, as does logit_loss, the two
-attention ops check their scores before the softmax or tanh in every
-mode, and the pass's result is checked once.  On any failure the pass is
-replayed with per-result checks on, so it raises the same error at the
-same op as a fully checked pass.  Shape violations raise
+Every op checks its result for NaN/Inf and raises
+:class:`NumericalError` naming the op by its function name, which keeps
+diverging runs from producing silent garbage.  An op that can map a
+non-finite value to a finite one also checks that value, in every mode
+and under its own name: relu, sigmoid and logit_loss their input,
+gcn_conv its pre-activation, neighbor_attention and attention_pool their
+scores.  :func:`checked_forward` runs a whole forward pass with the
+result checks deferred: only those absorbing checks run, and the pass's
+result is checked once.  On any failure the pass is replayed with
+result checks on, so it raises the same error at the same op as a fully
+checked pass.  Shape violations raise
 :class:`ShapeError`; asking for gradients of a value no recorded op
 produced raises :class:`TapeError`.  Inside a :func:`no_grad` scope ops
 compute values only and record nothing, so inference keeps no tape
@@ -65,8 +66,8 @@ def _float_array(data) -> np.ndarray:
 class Tensor:
     """A float64 or float32 array plus the bookkeeping reverse mode needs.
 
-    Float32 data stay float32; any other data become float64.  A leaf's
-    gradient is accumulated in its own dtype.
+    Float32 data stay float32; any other data become float64.  The
+    gradient is accumulated in the data's dtype.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
@@ -145,24 +146,17 @@ _CHECKING = contextvars.ContextVar("molcalib_autodiff_checking",
                                    default=True)
 
 
-def _check_input(arr: np.ndarray, op: str) -> None:
-    """Inside :func:`checked_forward`, check an op's input: where the op
-    can map a non-finite value to a finite one, the one check of the
-    pass's result would miss it."""
-    if not _CHECKING.get():
-        _check_finite(arr, f"the input of {op}")
-
-
 def checked_forward(compute):
     """Return ``compute()``, a tensor, run with finiteness checks deferred.
 
-    Ops skip their per-result check, absorbing ops check their input, and
-    the result is checked once; numpy floating-point warnings are off in
-    this pass and its replay.  If any of these checks fails, ``compute()``
-    runs again with per-result checks on and its result is returned, so a
-    pass that produces a non-finite value raises :class:`NumericalError`
-    at the same op as a fully checked pass.  ``compute`` must therefore be
-    replayable: it rebuilds or rewinds any random state it consumes.
+    Ops skip their result check but keep the check of any value they
+    could absorb, and the result is checked once; numpy floating-point
+    warnings are off in this pass and its replay.  If any of these checks
+    fails, ``compute()`` runs again with result checks on and its result
+    is returned, so a pass that produces a non-finite value raises
+    :class:`NumericalError` at the same op as a fully checked pass.
+    ``compute`` must therefore be replayable: it rebuilds or rewinds any
+    random state it consumes.
     """
     with np.errstate(all="ignore"):
         token = _CHECKING.set(False)
@@ -177,11 +171,10 @@ def checked_forward(compute):
         return compute()
 
 
-def _node(data, parents: tuple[Tensor, ...], backward, op: str,
-          check: bool = True) -> Tensor:
+def _node(data, parents: tuple[Tensor, ...], backward, op: str) -> Tensor:
     # np.dot and 0-d reductions return bare numpy scalars
     data = _float_array(data)
-    if check and _CHECKING.get():
+    if _CHECKING.get():
         _check_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
@@ -198,11 +191,13 @@ def _node(data, parents: tuple[Tensor, ...], backward, op: str,
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
+    """Add `g` to `t`'s gradient, converted to `t`'s dtype."""
     if not t.requires_grad:
         return
     if t._parents:
         # interior gradients are rebuilt each pass and never written in
         # place, so `g` may be kept even when it is shared
+        g = g.astype(t.data.dtype, copy=False)
         t.grad = g if t.grad is None else t.grad + g
     elif t.grad is None:
         t.grad = np.array(g, dtype=t.data.dtype)  # a copy: g may be shared
@@ -224,22 +219,19 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def cast(a: Tensor, dtype) -> Tensor:
-    """`a` in `dtype`, or `a` itself when it has that dtype already; the
-    gradient flows back in `a`'s dtype.
+    """`a` in `dtype`, or `a` itself when it has that dtype already.
 
-    The result is not checked: a value beyond the narrower dtype's range
-    becomes infinite here, and the op that reads it reports the
-    non-finite values it produces.  Inside :func:`checked_forward` numpy
-    does not warn of the overflow.
+    A value beyond the narrower dtype's range becomes infinite here, and
+    the result is checked as every op's is.
     """
     if a.data.dtype == dtype:
         return a
     data = a.data.astype(dtype)
 
     def backward(out):
-        _accum(a, out.grad.astype(a.data.dtype))
+        _accum(a, out.grad)
 
-    return _node(data, (a,), backward, "cast", check=False)
+    return _node(data, (a,), backward, "cast")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -309,7 +301,7 @@ def tensor_sum(a: Tensor, axis: int | None = None) -> Tensor:
         else:
             _accum(a, np.broadcast_to(g[:, None], a.data.shape).copy())
 
-    return _node(data, (a,), backward, "sum")
+    return _node(data, (a,), backward, "tensor_sum")
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -344,7 +336,7 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    _check_input(a.data, "relu")
+    _check_finite(a.data, "relu")
     data = np.maximum(a.data, 0.0)
 
     def backward(out):
@@ -354,7 +346,7 @@ def relu(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    _check_input(a.data, "sigmoid")
+    _check_finite(a.data, "sigmoid")
     # tanh form never overflows, unlike 1/(1+exp(-x)) for large negative x
     data = 0.5 * (1.0 + np.tanh(0.5 * a.data))
 
@@ -378,9 +370,8 @@ def logit_loss(z: Tensor, t: np.ndarray, pos_weight: float = 1.0,
     """
     if t.shape != z.data.shape:
         raise ShapeError(f"logit_loss: targets {t.shape}, logits {z.shape}")
-    # checked as the absorbing ops' inputs are, so that a non-finite logit
-    # is caught whatever these formulas make of it
-    _check_input(z.data, "logit_loss")
+    # a non-finite logit is caught whatever these formulas make of it
+    _check_finite(z.data, "logit_loss")
     x = z.data
     nlp = np.logaddexp(0.0, -x)  # -log p
     nlq = np.logaddexp(0.0, x)  # -log(1 - p)
@@ -559,12 +550,9 @@ class Neighbors:
             self._mirror[rows, slot] = slot[by_col]
         return self._mirror
 
-    def sum(self, x: np.ndarray) -> np.ndarray:
-        """out[i] = sum over slots k of x[index[i, k]]."""
-        return self._sum_padded(_pad_row(x))
-
     def _sum_padded(self, xp: np.ndarray) -> np.ndarray:
-        """:meth:`sum` of the rows of `xp` but its last, the zero pad row."""
+        """out[i] = sum over slots k of xp[index[i, k]], where the last
+        row of `xp` is the zero pad row."""
         out = np.take(xp, self._by_slot[0], axis=0)
         for neighbor in self._by_slot[1:]:
             out += np.take(xp, neighbor, axis=0)
@@ -600,27 +588,21 @@ def gcn_conv(h: Tensor, w: Tensor, nb: Neighbors) -> Tensor:
 
     Only the result is kept for the backward pass: it gives the ReLU mask,
     and (A + I) is symmetric, so the gradient reaching the pre-activation
-    is summed over the same lists.  The product and the pre-activation are
-    checked as ``matmul`` and ``neighbor_sum`` results, as separate ops'
-    would be; inside :func:`checked_forward` the pre-activation is checked
-    as the input of ``relu``.
+    is summed over the same lists.  The pre-activation is checked, as the
+    ReLU could map it to finite values; a non-finite product reaches it
+    through each row's own slot.
     """
     if h.ndim != 2 or w.ndim != 2 or h.data.shape[1] != w.data.shape[0] \
             or h.data.shape[0] != nb.index.shape[0]:
         raise ShapeError(f"gcn_conv: {h.shape} @ {w.shape} over "
                          f"{nb.index.shape[0]} rows")
-    per_op = _CHECKING.get()
     rows = h.data.shape[0]
     # the product, like the backward pass's masked gradient, is written
     # above a zero pad row, so its neighbour sum copies nothing
     hw = _padded(rows, w.data.shape[1], np.result_type(h.data, w.data))
     np.dot(h.data, w.data, out=hw[:rows])
-    if per_op:
-        _check_finite(hw, "matmul")
     pre = nb._sum_padded(hw)
-    if per_op:
-        _check_finite(pre, "neighbor_sum")
-    _check_input(pre, "relu")
+    _check_finite(pre, "gcn_conv")
     data = np.maximum(pre, 0.0, out=pre)
 
     def backward(out):
@@ -631,7 +613,7 @@ def gcn_conv(h: Tensor, w: Tensor, nb: Neighbors) -> Tensor:
             _accum(h, np.dot(g, w.data.T))
         _accum(w, np.dot(h.data.T, g))
 
-    return _node(data, (h, w), backward, "relu")
+    return _node(data, (h, w), backward, "gcn_conv")
 
 
 def neighbor_attention(q: Tensor, p: Tensor, nb: Neighbors,
@@ -645,10 +627,9 @@ def neighbor_attention(q: Tensor, p: Tensor, nb: Neighbors,
     """
     gathered = nb.gather(p.data)
     scores = np.einsum("nd,nkd->nk", q.data, gathered)
-    # checked in every mode, as the tanh below maps +-inf to +-1.  Scaling
-    # by at most 1 and tanh keep finite scores finite, so this check and
-    # the result's carry the names of the two stages that can fail.
-    _check_finite(scores, "neighbor_dot")
+    # the tanh below maps +-inf to +-1.  Scaling by at most 1 and tanh
+    # keep finite scores finite.
+    _check_finite(scores, "neighbor_attention")
     alpha = np.tanh(scores * scale)
     data = np.einsum("nk,nkd->nd", alpha, gathered)
 
@@ -661,7 +642,7 @@ def neighbor_attention(q: Tensor, p: Tensor, nb: Neighbors,
                + np.einsum("nk,nkd->nd", nb.transpose(g_scores),
                            nb.gather(q.data)))
 
-    return _node(data, (q, p), backward, "neighbor_weighted_sum")
+    return _node(data, (q, p), backward, "neighbor_attention")
 
 
 def segment_sum(a: Tensor, seg: Segments) -> Tensor:
@@ -689,9 +670,8 @@ def attention_pool(h: Tensor, v: Tensor, seg: Segments,
         raise ShapeError(f"attention_pool: {h.shape} and {v.shape} over "
                          f"{seg.num_rows} rows")
     scores = np.dot(h.data, v.data) * scale
-    # checked in every mode: exp maps -inf to 0, and the scores are no
-    # other op's result whose check would see them
-    _check_finite(scores, "attention_scores")
+    # exp maps -inf to 0, and the scores are no other op's result
+    _check_finite(scores, "attention_pool")
     # subtracting each segment's max keeps exp from overflowing
     e = np.exp(scores - np.maximum.reduceat(scores, seg.starts)[seg.ids])
     s = e / np.add.reduceat(e, seg.starts)[seg.ids]

@@ -113,9 +113,14 @@ class EvaluationSettings:
     threshold: float = 0.5
     k_grid: tuple[float, ...] = DEFAULT_K_GRID
 
+    # the reports hold one row per bin, and the bins are built in a loop
+    MAX_NUM_BINS = 1000
+
     def __post_init__(self):
         if self.num_bins < 1:
             raise ConfigError("num_bins must be positive")
+        if self.num_bins > self.MAX_NUM_BINS:
+            raise ConfigError(f"num_bins must be at most {self.MAX_NUM_BINS}")
         if not (0.0 < self.threshold < 1.0):
             raise ConfigError("threshold must lie in (0, 1)")
         if not self.k_grid:

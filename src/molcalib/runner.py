@@ -227,7 +227,7 @@ def _epoch_pass(model, train_graphs, loss_cfg: LossConfig, optimizer,
     Each minibatch is packed in float32, so its forward and backward
     tape runs in float32 (about 2x faster matmuls and row gathers than
     float64).  The parameters stay float64: the forward casts them, and
-    :func:`autodiff.cast` hands their gradients back in float64.  The
+    their gradients are accumulated in float64, their own dtype.  The
     logits are cast up before the loss, so the loss value, the epoch
     mean and AdamW's moments are float64 as well.  Training is
     reproducible bit for bit at a given BLAS thread count, but not equal

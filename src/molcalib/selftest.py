@@ -471,19 +471,25 @@ def train_precision_gap(model, graphs, targets, seed=0):
 
 
 def gcn_conv_gap(h, w, nb, out_grad):
-    """Largest relative gap of :func:`autodiff.gcn_conv` from the layer
-    summed before its product, relu(nb.sum(h) @ w), over the output and
-    the gradients in h and w that ``out_grad`` on the output sends back;
-    the reference gradients sum the other factor over the neighbour
-    lists.  Each gap is taken over the largest magnitude of its
-    reference, so it is about 1e-16 when the two agree up to rounding."""
+    """Largest relative gap of :func:`autodiff.gcn_conv` from the dense
+    layer relu(((A + I) @ h) @ w), with (A + I) built as a matrix from the
+    neighbour lists, over the output and the gradients in h and w that
+    ``out_grad`` on the output sends back.  Each gap is taken over the
+    largest magnitude of its reference, so it is about 1e-16 when the two
+    agree up to rounding."""
     ht, wt = ad.Tensor(h, requires_grad=True), ad.Tensor(w, requires_grad=True)
     out = ad.gcn_conv(ht, wt, nb)
     ad.backward(ad.tensor_sum(out * ad.Tensor(out_grad)))
-    pre = nb.sum(h) @ w
+    rows = h.shape[0]
+    # unused slots name column `rows`, which is dropped
+    adj = np.zeros((rows, rows + 1))
+    adj[np.arange(rows)[:, None], nb.index] = 1.0
+    adj = adj[:, :rows]
+    summed = adj @ h
+    pre = summed @ w
     g = out_grad * (pre > 0.0)
-    pairs = ((out.data, np.maximum(pre, 0.0)), (wt.grad, nb.sum(h).T @ g),
-             (ht.grad, nb.sum(g @ w.T)))
+    pairs = ((out.data, np.maximum(pre, 0.0)), (wt.grad, summed.T @ g),
+             (ht.grad, adj.T @ (g @ w.T)))
     return max(float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
                for got, want in pairs)
 
@@ -555,9 +561,9 @@ def check_attention_readout_oracle():
 
 
 def check_gcn_conv():
-    """The one-op GCN layer matches relu(nb.sum(h) @ w) and its gradients
-    to rtol 1e-12, at the default width, on a batch with a pad slot and a
-    one-atom graph."""
+    """The one-op GCN layer matches the dense relu((A + I) h w) and its
+    gradients to rtol 1e-12, at the default width, on a batch with a pad
+    slot and a one-atom graph."""
     rng = np.random.default_rng(10)
     batch = pack_graphs([random_graph(rng, n, 8, p=0.4) for n in (9, 1, 6)])
     rows, width = batch.x.shape[0], ModelConfig().hidden_dim

@@ -450,10 +450,12 @@ class TestPackedGraphOps:
         a, nb = random_neighbors(rng, 7)
         x = rng.standard_normal((7, 3))
         q = rng.standard_normal((7, 3))
-        np.testing.assert_allclose(nb.sum(x), a @ x, atol=1e-14)
-        conv = ad.gcn_conv(ad.Tensor(x), ad.Tensor(np.eye(3)), nb)
-        np.testing.assert_allclose(conv.data, np.maximum(a @ x, 0.0),
+        # weights [I, -I] keep both signs of the neighbour sum
+        conv = ad.gcn_conv(ad.Tensor(x),
+                           ad.Tensor(np.hstack([np.eye(3), -np.eye(3)])), nb)
+        np.testing.assert_allclose(conv.data[:, :3] - conv.data[:, 3:], a @ x,
                                    atol=1e-14)
+        assert np.all(conv.data >= 0.0)
         gathered = nb.gather(x)
         for i in range(7):
             listed = nb.index[i][nb.index[i] < 7]
@@ -478,7 +480,11 @@ class TestPackedGraphOps:
         _, nb = random_neighbors(rng, 8)
         x = rng.standard_normal((8, 3))
         w = rng.standard_normal(nb.index.shape)
-        for op, arg in ((nb.sum, x), (nb.gather, x), (nb.transpose, w)):
+        def gcn_conv(x):
+            w = ad.Tensor(np.eye(3, dtype=x.dtype))
+            return ad.gcn_conv(ad.Tensor(x), w, nb).data
+
+        for op, arg in ((gcn_conv, x), (nb.gather, x), (nb.transpose, w)):
             got = op(arg.astype(np.float32))
             assert got.dtype == np.float32, op.__name__
             np.testing.assert_allclose(got, op(arg), rtol=1e-6, atol=1e-6)
@@ -624,40 +630,83 @@ class TestCheckedForward:
             ad.checked_forward(build)
         assert str(checked.value) == "non-finite values produced by matmul"
         assert str(deferred.value) == str(checked.value)
-        # the attention ops check their scores in every mode
         if name not in ("attention", "attention_pool"):
-            # without the input check the deferred pass would miss it
-            monkeypatch.setattr(ad, "_check_input", lambda arr, op: None)
+            # relu and sigmoid map the overflow to finite values: without
+            # their own check the deferred pass would miss it
+            check = ad._check_finite
+
+            def all_but_the_op(arr, op):
+                if op != name:
+                    check(arr, op)
+
+            monkeypatch.setattr(ad, "_check_finite", all_but_the_op)
             assert np.all(np.isfinite(ad.checked_forward(build).data))
 
-    # finite rows whose scores overflow to -inf: tanh or softmax would
-    # turn them into finite weights, and no other op computes the scores
+    # finite rows whose dot products overflow, and two bonded atoms
     BIG = np.array([[1e200, 1e200], [0.0, 0.0]])
-    OVERFLOWING_SCORES = {
-        "neighbor_dot": lambda big: ad.neighbor_attention(
-            ad.Tensor(big), ad.Tensor(-big),
-            ad.Neighbors(np.zeros((0, 2), dtype=np.intp), 2), 1.0),
-        "attention_scores": lambda big: ad.attention_pool(
-            ad.Tensor(big), ad.Tensor(-big[0]), ad.Segments([2]), 1.0),
+    PAIR = ad.Neighbors(np.array([[0, 1]]), 2)
+    # (op, check): a forward whose first non-finite value that op's check
+    # sees: its result, or the value it could map to a finite one
+    RAISING = {
+        ("cast", "result"): lambda: ad.cast(ad.Tensor([1e39]), np.float32),
+        ("add", "result"): lambda: ad.Tensor([1e308]) + ad.Tensor([1e308]),
+        ("mul", "result"): lambda: ad.Tensor([1e200]) * ad.Tensor([1e200]),
+        ("matmul", "result"): lambda: overflowing(1.0),
+        ("tensor_sum", "result"): lambda: ad.tensor_sum(
+            ad.Tensor([1e308, 1e308])),
+        ("segment_sum", "result"): lambda: ad.segment_sum(
+            ad.Tensor([1e308, 1e308]), ad.Segments([2])),
+        # ops that only move values report a non-finite leaf they copy
+        ("concat", "result"): lambda: ad.concat(
+            [ad.Tensor([1.0]), ad.Tensor([np.nan])]),
+        ("repeat_rows", "result"): lambda: ad.repeat_rows(
+            ad.Tensor([[np.inf], [1.0]]), np.array([1, 0, 0])),
+        ("dropout", "result"): lambda: ad.dropout(
+            ad.Tensor(np.full((4, 4), 1.7e308)), 0.1, True,
+            [(np.random.default_rng(0), 4)]),
+        ("relu", "input"): lambda: ad.relu(ad.Tensor([-np.inf, 1.0])),
+        ("sigmoid", "input"): lambda: ad.sigmoid(ad.Tensor([np.inf])),
+        ("logit_loss", "input"): lambda: ad.logit_loss(
+            ad.Tensor([np.inf]), np.array([1.0])),
+        ("logit_loss", "result"): lambda: ad.logit_loss(
+            ad.Tensor([-1e308, -1e308]), np.array([1.0, 1.0])),
+        # the pre-activation is -inf, which the ReLU maps to 0
+        ("gcn_conv", "pre-activation"): lambda: ad.gcn_conv(
+            ad.Tensor([[1e308], [1e308]]), ad.Tensor([[-1.0]]),
+            TestCheckedForward.PAIR),
+        # scores of -inf, which tanh or the softmax map to finite weights
+        ("neighbor_attention", "scores"): lambda: ad.neighbor_attention(
+            ad.Tensor(TestCheckedForward.BIG),
+            ad.Tensor(-TestCheckedForward.BIG), TestCheckedForward.PAIR, 1.0),
+        ("neighbor_attention", "result"): lambda: ad.neighbor_attention(
+            ad.Tensor([[1e-300], [1e-300]]), ad.Tensor([[1e308], [1e308]]),
+            TestCheckedForward.PAIR, 1.0),
+        ("attention_pool", "scores"): lambda: ad.attention_pool(
+            ad.Tensor(TestCheckedForward.BIG),
+            ad.Tensor(-TestCheckedForward.BIG[0]), ad.Segments([2]), 1.0),
+        ("attention_pool", "result"): lambda: ad.attention_pool(
+            ad.Tensor([[1e308], [1e308]]), ad.Tensor([0.0]),
+            ad.Segments([2]), 1.0),
     }
 
-    @pytest.mark.parametrize("op", sorted(OVERFLOWING_SCORES))
-    def test_attention_scores_are_checked_in_every_mode(self, op):
-        def build():
-            return self.OVERFLOWING_SCORES[op](self.BIG)
-
-        with np.errstate(over="ignore"):
+    @pytest.mark.parametrize("op, check", sorted(RAISING))
+    def test_each_check_names_its_op(self, op, check):
+        build = self.RAISING[op, check]
+        with np.errstate(all="ignore"):
             for run in (build, lambda: ad.checked_forward(build)):
-                with pytest.raises(NumericalError,
-                                   match=f"produced by {op}$"):
+                with pytest.raises(NumericalError) as err:
                     run()
+                assert str(err.value) == f"non-finite values produced by {op}"
 
     def test_non_finite_leaf_keeps_the_per_op_outcome(self):
-        # a relu of a -inf constant is finite and raises nowhere: the
-        # replay returns the checked result
+        # relu maps a -inf constant to a finite value, so it checks its
+        # input, and a checked pass raises where a per-op pass does
         x = ad.Tensor([-np.inf, 2.0])
-        out = ad.checked_forward(lambda: ad.relu(x) + 1.0)
-        np.testing.assert_array_equal(out.data, [1.0, 3.0])
+        for run in (lambda: ad.relu(x) + 1.0,
+                    lambda: ad.checked_forward(lambda: ad.relu(x) + 1.0)):
+            with pytest.raises(NumericalError) as err:
+                run()
+            assert str(err.value) == "non-finite values produced by relu"
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_checks_are_back_on_after_the_pass(self):

@@ -11,6 +11,7 @@ from molcalib import config as config_mod
 from molcalib.config import (
     CONFIG_VERSION,
     DatasetSpec,
+    EvaluationSettings,
     load_config,
     manifest_fingerprint,
     resolve_config,
@@ -197,6 +198,15 @@ class TestValidation:
                     dict(MINIMAL, evaluation={"k_grid": [1, -10 ** 309]})):
             with pytest.raises(ConfigError, match="beyond float range"):
                 resolve_config(raw)
+
+    def test_num_bins_range(self):
+        cap = EvaluationSettings.MAX_NUM_BINS
+        assert resolve_config(dict(MINIMAL, evaluation={"num_bins": cap})) \
+            .evaluation.num_bins == cap
+        rejects(dict(MINIMAL, evaluation={"num_bins": cap + 1}),
+                f"num_bins must be at most {cap}")
+        rejects(dict(MINIMAL, evaluation={"num_bins": 0}),
+                "num_bins must be positive")
 
     def test_threshold_range(self):
         rejects(dict(MINIMAL, evaluation={"threshold": 1.0}),

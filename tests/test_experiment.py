@@ -17,7 +17,8 @@ import pytest
 import yaml
 
 from molcalib import autodiff as ad, cli, runner, selftest
-from molcalib.config import manifest_fingerprint, resolve_config
+from molcalib.config import (EvaluationSettings, manifest_fingerprint,
+                             resolve_config)
 from molcalib.data import load_dataset, split_dataset
 from molcalib.errors import NumericalError
 from molcalib.model import GnnModel, ModelConfig, pack_graphs, save_checkpoint
@@ -160,6 +161,15 @@ def planted_model(config, case, seed=0):
 PLANTED = [("gcn", "sigmoid"), ("gat", "sigmoid"), ("gcn", "relu")]
 
 
+def planted_op(embed, case, dtype):
+    """The op that reports a planted model's overflow: a float32 forward
+    casts the 1e308 weights to inf, a float64 one overflows in the
+    product of the planted layer."""
+    if dtype == np.float32:
+        return "cast"
+    return "gcn_conv" if case == "relu" else "matmul"
+
+
 def per_op_checks(monkeypatch):
     """Run every checked forward as a plain one, each op checking its
     result."""
@@ -180,7 +190,10 @@ class TestDeferredChecks:
         graphs, _ = load_dataset(config.dataset)
         with pytest.raises(NumericalError) as err:
             runner.predict_probabilities(model, graphs, mode, 5, 0, 8)
-        assert str(err.value) == "non-finite values produced by matmul"
+        # MC dropout scores in float32, deterministic scoring in float64
+        dtype = np.float32 if mode == "mc_dropout" else np.float64
+        assert str(err.value) == \
+            f"non-finite values produced by {planted_op(embed, case, dtype)}"
 
     @pytest.mark.parametrize("embed, case", PLANTED)
     def test_planted_overflow_raises_in_training(self, toy_raw_config,
@@ -193,8 +206,8 @@ class TestDeferredChecks:
                             lambda cfg, seed: planted_model(cfg, case, seed))
         with pytest.raises(NumericalError) as err:
             train_run(config, seed=0, out_dir=str(tmp_path))
-        assert str(err.value) == \
-            "epoch 0: non-finite values produced by matmul"
+        op = planted_op(embed, case, np.float32)  # training is float32
+        assert str(err.value) == f"epoch 0: non-finite values produced by {op}"
         man = json.loads((tmp_path / "manifest.json").read_text())
         assert man["failed_epoch"] == 0
 
@@ -272,11 +285,12 @@ class TestDeferredChecks:
         monkeypatch.setattr(ad, "_check_finite", counting)
         with ad.no_grad():
             ad.checked_forward(lambda: model.forward(batch))
-        # the readout's scores before their softmax
-        layer = ["the input of relu", "attention_scores",
-                 "the input of sigmoid"]
+        # a GCN layer checks its pre-activation, a GAT layer its scores
+        # and the input of its relu; the readout checks its scores and
+        # the input of its sigmoid
+        layer = ["gcn_conv", "attention_pool", "sigmoid"]
         if embed == "gat":
-            layer.insert(0, "neighbor_dot")  # the scores before their tanh
+            layer[:1] = ["neighbor_attention", "relu"]
         assert seen == layer * 3 + ["the checked forward"]
 
 
@@ -576,7 +590,7 @@ class TestCli:
         cfg = self.write_config(tmp_path, dict(
             raw, inference={"mode": "mc_dropout", "mc_samples": 4}))
         assert self.evaluate(cfg, ck) == 3
-        assert "non-finite values produced by matmul" in \
+        assert "non-finite values produced by cast" in \
             capsys.readouterr().err
 
     def test_checkpoint_of_wrong_width_is_data_error(
@@ -909,6 +923,24 @@ class TestCli:
         assert captured.err \
             == f"config error: section '{section}' must be a mapping\n"
         assert captured.out == ""
+
+    def test_bins_above_the_cap_is_config_error(self, toy_raw_config,
+                                                tmp_path, capsys):
+        # refused from the config file and from --bins alike, before any
+        # data is read or any directory made
+        above = EvaluationSettings.MAX_NUM_BINS + 1
+        for raw, flag in ((toy_raw_config, ["--bins", str(above)]),
+                          (dict(toy_raw_config,
+                                evaluation={"num_bins": above}), [])):
+            code = cli.main(["train", "--config",
+                             str(self.write_config(tmp_path, raw)),
+                             "--out-dir", str(tmp_path / "runs"), *flag])
+            captured = capsys.readouterr()
+            assert code == 1
+            assert captured.err == "config error: num_bins must be at " \
+                f"most {above - 1}\n"
+            assert captured.out == ""
+            assert not (tmp_path / "runs").exists()
 
     def test_exit_code_usage(self, capsys):
         assert cli.main(["train"]) == 1  # --config missing

@@ -489,13 +489,17 @@ class TestComputeDtype:
 
     @pytest.mark.parametrize("embed", ["gcn", "gat"])
     @pytest.mark.parametrize("readout", ["sum", "attn"])
-    @pytest.mark.parametrize("param_dtype, pack_dtype", [
-        (np.float32, np.float32),
-        (np.float64, np.float64),
-        (np.float64, np.float32),  # as MC scoring runs: parameters cast
+    @pytest.mark.parametrize("param_dtype, pack_dtype, training", [
+        pytest.param(np.float32, np.float32, False, id="float32-float32"),
+        pytest.param(np.float64, np.float64, False, id="float64-float64"),
+        # as MC scoring runs: parameters cast
+        pytest.param(np.float64, np.float32, False, id="float64-float32"),
+        # as training runs: parameters cast, and the logits cast up for a
+        # float64 loss
+        pytest.param(np.float64, np.float32, True, id="training"),
     ])
     def test_tape_keeps_the_pack_dtype(self, monkeypatch, embed, readout,
-                                       param_dtype, pack_dtype):
+                                       param_dtype, pack_dtype, training):
         model = GnnModel(ModelConfig(node_embedding=embed, readout=readout,
                                      dropout_rate=0.2, **SMALL), seed=2)
         for p in model.params.values():
@@ -503,28 +507,38 @@ class TestComputeDtype:
         rng = np.random.default_rng(1)
         graphs = [random_graph(rng, n, SMALL["input_dim"])
                   for n in (5, 1, 3)]
-        handed_on = []
+        handed_on = []  # (tensor, gradient's dtype, dtype it is kept in)
         accum = ad._accum
 
         def recording(t, g):
-            handed_on.append((t._parents == (), g.dtype))
             accum(t, g)
+            if t.requires_grad:
+                handed_on.append((t, g.dtype, t.grad.dtype))
 
         monkeypatch.setattr(ad, "_accum", recording)
         logits = model.forward(pack_graphs(graphs, dtype=pack_dtype),
                                training=True,
                                rng=[(np.random.default_rng(0), 9)])
-        loss = ad.logit_loss(logits, np.array([1, 0, 1], dtype=pack_dtype))
+        if training:
+            loss = LossConfig().compute(np.array([1.0, 0.0, 1.0]),
+                                        ad.cast(logits, np.float64))
+        else:
+            loss = ad.logit_loss(logits,
+                                 np.array([1, 0, 1], dtype=pack_dtype))
         ad.backward(loss)
-        nodes = ad._topo_order(loss)
-        assert {n.data.dtype for n in nodes if n._parents} == {
-            np.dtype(pack_dtype)}
-        # every gradient handed to an op's result has the pack's dtype;
-        # a parameter's arrives in its own, through a cast where they differ
-        assert {dtype for leaf, dtype in handed_on if not leaf} == {
-            np.dtype(pack_dtype)}
+        assert loss.data.dtype == (np.float64 if training else pack_dtype)
+        forward = [n for n in ad._topo_order(logits) if n._parents]
+        assert {n.data.dtype for n in forward} == {np.dtype(pack_dtype)}
+        # every gradient is kept in its tensor's dtype: a parameter's in
+        # its own, the float32 logits' in float32 under a float64 loss
+        assert all(kept == t.data.dtype for t, _, kept in handed_on)
         for name, p in model.params.items():
             assert p.grad.dtype == param_dtype, name
+        # and the forward's ops hand on gradients of the pack's dtype;
+        # only the loss's cast up hands the logits a float64 one
+        inner = {id(n) for n in forward if not (training and n is logits)}
+        assert {handed for t, handed, _ in handed_on if id(t) in inner} == {
+            np.dtype(pack_dtype)}
 
     def test_float32_gradients_match_float64(self):
         # the cast passes gradients through: a float32 forward of float64
